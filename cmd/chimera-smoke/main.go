@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/cluster"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
@@ -197,9 +198,10 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "chimera-smoke: cross-fill ok (1 rewrite cluster-wide)\n")
 
-	// Phase 2: kill the shard owner. The survivors must keep answering —
-	// fresh keys owned by the corpse cost a local rewrite, never an error —
-	// and stay deterministic (both survivors produce identical bytes).
+	// Phase 2: kill the shard owner. The survivors must keep answering
+	// every method — fresh keys owned by the corpse cost a local rewrite,
+	// never an error — and stay deterministic (both survivors produce
+	// identical bytes).
 	nodes[owner].cmd.Process.Kill()
 	nodes[owner].cmd.Wait()
 	fmt.Fprintf(os.Stderr, "chimera-smoke: killed node %d (the owner)\n", owner)
@@ -209,7 +211,7 @@ func main() {
 			survivors = append(survivors, i)
 		}
 	}
-	for _, m := range []string{"strawman", "safer", "armore"} {
+	for _, m := range rewriters.Methods {
 		req := rewriteRequest{Method: m, Target: "rv64gc", Image: wire}
 		a := post(survivors[0], urls[survivors[0]], req)
 		b := post(survivors[1], urls[survivors[1]], req)

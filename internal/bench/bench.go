@@ -15,13 +15,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
-// CPUHz converts simulated cycles to seconds for presentation, matching the
-// Banana Pi BPI-F3's 1.6GHz clock.
-const CPUHz = 1.6e9
-
-// Seconds converts cycles to seconds.
-func Seconds(cycles uint64) float64 { return float64(cycles) / CPUHz }
-
 // RunOnCore drives a process to completion on a single core of the given
 // ISA, returning total consumed cycles (guest + kernel). Exported because
 // the rewrite service's /run endpoint executes requests through the same

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/heterosys"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -180,9 +181,9 @@ func (r *Fig11Result) Print(w io.Writer) {
 				c := r.Cells[sys][i]
 				switch metric {
 				case "cpu[ms]":
-					fmt.Fprintf(w, "%10.3f", 1000*Seconds(c.CPUTime))
+					fmt.Fprintf(w, "%10.3f", 1000*emu.Seconds(c.CPUTime))
 				case "lat[ms]":
-					fmt.Fprintf(w, "%10.3f", 1000*Seconds(c.Latency))
+					fmt.Fprintf(w, "%10.3f", 1000*emu.Seconds(c.Latency))
 				case "acc[%]":
 					fmt.Fprintf(w, "%10.1f", c.AcceleratedPct)
 				}

@@ -49,32 +49,34 @@ type Options struct {
 }
 
 // Stats reports what the rewrite did — the Table 3 columns plus internals.
+// The JSON names are the service's wire names; internals the service does
+// not report are left off the wire.
 type Stats struct {
-	CodeSize    int     // original executable bytes
-	TotalInsts  int     // recognized instructions
-	SourceInsts int     // instructions needing rewrite
-	ExtPct      float64 // SourceInsts / TotalInsts * 100
+	CodeSize    int     `json:"-"`                      // original executable bytes
+	TotalInsts  int     `json:"total_insts,omitempty"`  // recognized instructions
+	SourceInsts int     `json:"source_insts,omitempty"` // instructions needing rewrite
+	ExtPct      float64 `json:"ext_pct,omitempty"`      // SourceInsts / TotalInsts * 100
 
-	Sites        int // patch sites (trampolines placed)
-	SmileEntries int
-	TrapEntries  int // entry via ebreak (space not found / strawman)
-	TrapExits    int // exits via ebreak (no dead register even after shifting)
+	Sites        int `json:"sites,omitempty"` // patch sites (trampolines placed)
+	SmileEntries int `json:"smile_entries,omitempty"`
+	TrapEntries  int `json:"trap_entries,omitempty"` // entry via ebreak (space not found / strawman)
+	TrapExits    int `json:"trap_exits,omitempty"`   // exits via ebreak (no dead register even after shifting)
 
-	DeadRegFailTraditional int // sites where plain liveness found no dead register
-	DeadRegFailShifted     int // sites where even exit shifting failed
+	DeadRegFailTraditional int `json:"-"` // sites where plain liveness found no dead register
+	DeadRegFailShifted     int `json:"-"` // sites where even exit shifting failed
 
-	UpgradeSites int
-	BlockInsts   int    // total generated target-block instructions
-	PaddingBytes uint64 // inter-block layout padding from compressed-mode constraints
-	TargetBytes  int    // generated target-section size
-	RedirectKeys int
+	UpgradeSites int    `json:"upgrade_sites,omitempty"`
+	BlockInsts   int    `json:"-"`                      // total generated target-block instructions
+	PaddingBytes uint64 `json:"-"`                      // inter-block layout padding from compressed-mode constraints
+	TargetBytes  int    `json:"target_bytes,omitempty"` // generated target-section size
+	RedirectKeys int    `json:"-"`
 
 	// Resolver integration (Options.Resolve).
-	ResolvedSites        int // indirect sites resolved High/exhaustive
-	ResolvedTargets      int // High-confidence targets across those sites
-	RecoveredInsts       int // instructions reachable only through resolved targets
-	PrematerializedSites int // trap sites in recovered code with pre-built fault-table rows
-	AvoidedRewrites      int // runtime-rewrite faults those rows avoid (unique source pcs)
+	ResolvedSites        int `json:"resolved_sites,omitempty"`        // indirect sites resolved High/exhaustive
+	ResolvedTargets      int `json:"resolved_targets,omitempty"`      // High-confidence targets across those sites
+	RecoveredInsts       int `json:"recovered_insts,omitempty"`       // instructions reachable only through resolved targets
+	PrematerializedSites int `json:"prematerialized_sites,omitempty"` // trap sites in recovered code with pre-built fault-table rows
+	AvoidedRewrites      int `json:"avoided_rewrites,omitempty"`      // runtime-rewrite faults those rows avoid (unique source pcs)
 }
 
 // Result is a completed rewrite.
@@ -104,7 +106,15 @@ var ErrRewriteReject = errors.New("rewrite rejected")
 // images never panic out of here: any panic or image-dependent error is
 // folded into ErrRewriteReject, so callers see a typed reject instead of a
 // crash.
-func Rewrite(img *obj.Image, opts Options) (res *Result, err error) {
+func Rewrite(img *obj.Image, opts Options) (*Result, error) {
+	return RewriteWith(img, opts, nil)
+}
+
+// RewriteWith is Rewrite seeded with a resolver TargetSet the caller
+// already computed (resolve.Resolve on the same image), so one resolver
+// pass can serve several consumers. A non-nil ts acts as Options.Resolve;
+// with a nil ts, Options.Resolve runs the resolver here.
+func RewriteWith(img *obj.Image, opts Options, ts *resolve.TargetSet) (res *Result, err error) {
 	if opts.TargetISA == 0 {
 		return nil, fmt.Errorf("chbp: no target ISA")
 	}
@@ -113,14 +123,14 @@ func Rewrite(img *obj.Image, opts Options) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("%w: chbp: panic: %v", ErrRewriteReject, r)
 		}
 	}()
-	res, err = rewrite(img, opts)
+	res, err = rewrite(img, opts, ts)
 	if err != nil && !errors.Is(err, ErrRewriteReject) {
 		res, err = nil, fmt.Errorf("%w: %v", ErrRewriteReject, err)
 	}
 	return res, err
 }
 
-func rewrite(img *obj.Image, opts Options) (*Result, error) {
+func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, error) {
 	if opts.MaxShift == 0 {
 		opts.MaxShift = 16
 	}
@@ -131,8 +141,10 @@ func rewrite(img *obj.Image, opts Options) (*Result, error) {
 	stats := Stats{CodeSize: img.CodeSize()}
 	var g *cfg.Graph
 	var recovered map[uint64]bool
-	if opts.Resolve {
-		ts := resolve.Resolve(img)
+	if ts == nil && opts.Resolve {
+		ts = resolve.Resolve(img)
+	}
+	if ts != nil {
 		recovered = make(map[uint64]bool)
 		for a := range ts.Dis.Insns {
 			if _, ok := d.Insns[a]; !ok {

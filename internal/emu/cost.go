@@ -23,6 +23,13 @@ type CostModel struct {
 	VReduce    uint64 // vector reduction
 }
 
+// CPUHz converts simulated cycles to seconds for presentation, matching the
+// Banana Pi BPI-F3's 1.6GHz clock.
+const CPUHz = 1.6e9
+
+// Seconds converts cycles to seconds.
+func Seconds(cycles uint64) float64 { return float64(cycles) / CPUHz }
+
 // DefaultCost is the calibrated model used by all experiments.
 var DefaultCost = CostModel{
 	ALU:        1,

@@ -28,11 +28,9 @@ import (
 	"sort"
 	"time"
 
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/corpus"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
@@ -65,78 +63,31 @@ func (g Grade) Rank() int {
 	return 5
 }
 
-// Config is one rewriter configuration under evaluation. The "relocate"
-// lineage from the paper is represented by the strawman configs: the same
-// relocation pipeline as chbp with all-trap entries instead of SMILE.
+// Config is one rewriter configuration under evaluation: a registry
+// config under its matrix name. The "relocate" lineage from the paper is
+// represented by the strawman configs: the same relocation pipeline as
+// chbp with all-trap entries instead of SMILE.
 type Config struct {
-	Name    string
-	Resolve bool
-	rewrite func(img *obj.Image, ts *resolve.TargetSet) (kernel.Variant, error)
+	Name string
+	rewriters.Config
 }
 
 // targetISA is the downgrade-direction core every rewritten binary must
 // run on: the corpus is RV64GCV, the target core lacks V.
 const targetISA = riscv.RV64GC
 
-func fromCHBP(res *chbp.Result, err error) (kernel.Variant, error) {
-	if err != nil {
-		return kernel.Variant{}, err
-	}
-	return kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables}, nil
-}
-
 // Configs lists every evaluated rewriter configuration, each with and
 // without resolver assistance.
 func Configs() []Config {
 	return []Config{
-		{Name: "chbp", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(rewriters.CHBP(img, targetISA, false))
-		}},
-		{Name: "chbp-resolve", Resolve: true, rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(chbp.Rewrite(img, chbp.Options{TargetISA: targetISA, Resolve: true}))
-		}},
-		{Name: "strawman", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(rewriters.Strawman(img, targetISA, false))
-		}},
-		{Name: "strawman-resolve", Resolve: true, rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(chbp.Rewrite(img, chbp.Options{
-				TargetISA: targetISA, Trampoline: chbp.TrapEntry, Resolve: true,
-			}))
-		}},
-		{Name: "safer", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.Safer(img, targetISA, false)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true,
-			}, nil
-		}},
-		{Name: "safer-resolve", Resolve: true, rewrite: func(img *obj.Image, ts *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.SaferWith(img, targetISA, false, ts)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true, SaferResolved: rw.Resolved,
-			}, nil
-		}},
-		{Name: "armore", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.ARMore(img, targetISA, false)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap}, nil
-		}},
-		{Name: "armore-resolve", Resolve: true, rewrite: func(img *obj.Image, ts *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.ARMoreWith(img, targetISA, false, ts)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap}, nil
-		}},
+		{"chbp", rewriters.Config{Method: "chbp", Target: targetISA}},
+		{"chbp-resolve", rewriters.Config{Method: "chbp", Target: targetISA, Resolve: true}},
+		{"strawman", rewriters.Config{Method: "strawman", Target: targetISA}},
+		{"strawman-resolve", rewriters.Config{Method: "strawman", Target: targetISA, Resolve: true}},
+		{"safer", rewriters.Config{Method: "safer", Target: targetISA}},
+		{"safer-resolve", rewriters.Config{Method: "safer", Target: targetISA, Resolve: true}},
+		{"armore", rewriters.Config{Method: "armore", Target: targetISA}},
+		{"armore-resolve", rewriters.Config{Method: "armore", Target: targetISA, Resolve: true}},
 	}
 }
 
@@ -326,18 +277,15 @@ func evalSeed(cfg Config, prog *corpus.Program, ref *runOutcome, traceThreshold 
 			res = seedResult{grade: GradeCrash, detail: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
-	var ts *resolve.TargetSet
-	if cfg.Resolve {
-		ts = resolve.Resolve(prog.Image)
-	}
-	v, err := cfg.rewrite(prog.Image.Clone(), ts)
+	rw, err := rewriters.Rewrite(prog.Image.Clone(), cfg.Config)
 	if err != nil {
 		detail := err.Error()
-		if !errors.Is(err, chbp.ErrRewriteReject) {
+		if !errors.Is(err, rewriters.ErrRewriteReject) {
 			detail = "untyped rewrite error: " + detail
 		}
 		return seedResult{grade: GradeReject, detail: detail}
 	}
+	v := rw.Variant()
 	out := runVariant(v, prog.Image.Name+"+"+cfg.Name, targetISA, prog.Image, prog.Budget, traceThreshold)
 	if out.simErr != nil {
 		return seedResult{grade: GradeCrash, detail: "simulator: " + out.simErr.Error()}

@@ -18,7 +18,7 @@ func corruptedStrawmanDiff(s Spec) (*Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := rewriters.Strawman(img, riscv.RV64GC, false)
+	res, err := rewriters.Rewrite(img, rewriters.Config{Method: "strawman", Target: riscv.RV64GC})
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func corruptedStrawmanDiff(s Spec) (*Divergence, error) {
 	rref := report("original", ref, img, hang, simErr)
 	c := candidate{
 		name:    "strawman-corrupt",
-		variant: kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables},
+		variant: res.Variant(),
 		coreISA: riscv.RV64GC,
 	}
 	return diffVariantRun(&s, img, budget, rref, c)

@@ -7,7 +7,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
@@ -320,9 +319,11 @@ type candidate struct {
 // rewriteCandidates builds every rewriter configuration the spec can
 // exercise: downgrade rewrites of vector images for base cores (CHBP with
 // SMILE, trap-entry, and general-register trampolines; Safer and ARMore
-// regeneration baselines) and an upgrade rewrite toward a richer ISA. A
-// rewriter returning an error is itself reported as a divergence by the
-// caller, so failures come back as (nil variant, error) pairs.
+// regeneration baselines; each registry method also resolver-seeded, so
+// statically patched indirect paths and Safer's resolved-target fast path
+// get differential coverage too) and an upgrade rewrite toward a richer
+// ISA. A rewriter returning an error is itself reported as a divergence by
+// the caller, so failures come back as (nil variant, error) pairs.
 func rewriteCandidates(img *obj.Image, vector bool) []struct {
 	c   candidate
 	err error
@@ -331,69 +332,40 @@ func rewriteCandidates(img *obj.Image, vector bool) []struct {
 		c   candidate
 		err error
 	}
-	add := func(name string, v kernel.Variant, core riscv.Ext, err error) {
+	add := func(name string, core riscv.Ext, v kernel.Variant, err error) {
 		out = append(out, struct {
 			c   candidate
 			err error
 		}{candidate{name, v, core}, err})
 	}
-	fromCHBP := func(name string, res *chbp.Result, err error, core riscv.Ext) {
+	rewrite := func(name string, cfg rewriters.Config) {
+		res, err := rewriters.Rewrite(img, cfg)
 		if err != nil {
-			add(name, kernel.Variant{}, core, err)
+			add(name, cfg.Target, kernel.Variant{}, err)
 			return
 		}
-		add(name, kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables}, core, nil)
+		add(name, cfg.Target, res.Variant(), nil)
 	}
 	if vector {
 		base := riscv.RV64GC
-		res, err := rewriters.CHBP(img, base, false)
-		fromCHBP("chbp-smile", res, err, base)
-		res, err = rewriters.Strawman(img, base, false)
-		fromCHBP("chbp-trapentry", res, err, base)
-		res, err = chbp.Rewrite(img, chbp.Options{TargetISA: base, Trampoline: chbp.GeneralReg})
-		fromCHBP("chbp-generalreg", res, err, base)
-		res, err = chbp.Rewrite(img, chbp.Options{TargetISA: base, Resolve: true})
-		fromCHBP("chbp-resolve", res, err, base)
-		if rw, err := rewriters.Safer(img, base, false); err != nil {
-			add("safer", kernel.Variant{}, base, err)
+		rewrite("chbp-smile", rewriters.Config{Method: "chbp", Target: base})
+		rewrite("chbp-trapentry", rewriters.Config{Method: "strawman", Target: base})
+		// General-register trampolines are a chbp-only ablation, not a
+		// registry method.
+		if res, err := chbp.Rewrite(img, chbp.Options{TargetISA: base, Trampoline: chbp.GeneralReg}); err != nil {
+			add("chbp-generalreg", base, kernel.Variant{}, err)
 		} else {
-			add("safer", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true,
-			}, base, nil)
+			add("chbp-generalreg", base, kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables}, nil)
 		}
-		// Resolver-assisted regeneration baselines: same rewriters, seeded
-		// with the TargetSet, so statically patched indirect paths (and
-		// Safer's resolved-target fast path) get differential coverage too.
-		ts := resolve.Resolve(img)
-		if rw, err := rewriters.SaferWith(img, base, false, ts); err != nil {
-			add("safer-resolve", kernel.Variant{}, base, err)
-		} else {
-			add("safer-resolve", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true, SaferResolved: rw.Resolved,
-			}, base, nil)
-		}
-		if rw, err := rewriters.ARMore(img, base, false); err != nil {
-			add("armore", kernel.Variant{}, base, err)
-		} else {
-			add("armore", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap,
-			}, base, nil)
-		}
-		if rw, err := rewriters.ARMoreWith(img, base, false, ts); err != nil {
-			add("armore-resolve", kernel.Variant{}, base, err)
-		} else {
-			add("armore-resolve", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap,
-			}, base, nil)
-		}
+		rewrite("chbp-resolve", rewriters.Config{Method: "chbp", Target: base, Resolve: true})
+		rewrite("safer", rewriters.Config{Method: "safer", Target: base})
+		rewrite("safer-resolve", rewriters.Config{Method: "safer", Target: base, Resolve: true})
+		rewrite("armore", rewriters.Config{Method: "armore", Target: base})
+		rewrite("armore-resolve", rewriters.Config{Method: "armore", Target: base, Resolve: true})
 	}
 	// Upgrade direction: rewrite toward a richer ISA (idiom vectorization,
 	// Zba folding) and run on a core that has it.
-	rich := img.ISA | riscv.ExtV | riscv.ExtB
-	res, err := chbp.Rewrite(img, chbp.Options{TargetISA: rich})
-	fromCHBP("chbp-upgrade", res, err, rich)
+	rewrite("chbp-upgrade", rewriters.Config{Method: "chbp", Target: img.ISA | riscv.ExtV | riscv.ExtB})
 	return out
 }
 

@@ -8,7 +8,6 @@ package heterosys
 import (
 	"fmt"
 
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
@@ -57,41 +56,25 @@ func Prepare(sys System, baseImg, extImg *obj.Image, inputExt bool) (*Prepared, 
 		return &Prepared{System: sys, FAMMode: true, Variants: []kernel.Variant{
 			{ISA: input.ISA, Image: input},
 		}}, nil
-	case Chimera:
+	case Chimera, Safer:
+		// The rewritten variant runs on the core class the input cannot
+		// use directly: a downgrade of the vector build, an upgrade of the
+		// base one.
+		target, other := riscv.RV64GCV, riscv.RV64GC
 		if inputExt {
-			res, err := chbp.Rewrite(input, chbp.Options{TargetISA: riscv.RV64GC})
-			if err != nil {
-				return nil, fmt.Errorf("heterosys: chimera downgrade: %w", err)
-			}
-			return &Prepared{System: sys, Variants: []kernel.Variant{
-				{ISA: riscv.RV64GCV, Image: input},
-				{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables},
-			}}, nil
+			target, other = other, target
 		}
-		res, err := chbp.Rewrite(input, chbp.Options{TargetISA: riscv.RV64GCV})
+		method := "chbp"
+		if sys == Safer {
+			method = "safer"
+		}
+		rw, err := rewriters.Rewrite(input, rewriters.Config{Method: method, Target: target})
 		if err != nil {
-			return nil, fmt.Errorf("heterosys: chimera upgrade: %w", err)
+			return nil, fmt.Errorf("heterosys: %s rewrite to %v: %w", sys, target, err)
 		}
 		return &Prepared{System: sys, Variants: []kernel.Variant{
-			{ISA: riscv.RV64GC, Image: input},
-			{ISA: riscv.RV64GCV, Image: res.Image, Tables: res.Tables},
-		}}, nil
-	case Safer:
-		var target riscv.Ext
-		var otherISA riscv.Ext
-		if inputExt {
-			target, otherISA = riscv.RV64GC, riscv.RV64GCV
-		} else {
-			target, otherISA = riscv.RV64GCV, riscv.RV64GC
-		}
-		rw, err := rewriters.Safer(input, target, false)
-		if err != nil {
-			return nil, fmt.Errorf("heterosys: safer: %w", err)
-		}
-		return &Prepared{System: sys, Variants: []kernel.Variant{
-			{ISA: otherISA, Image: input},
-			{ISA: target, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true},
+			{ISA: other, Image: input},
+			rw.Variant(),
 		}}, nil
 	}
 	return nil, fmt.Errorf("heterosys: unknown system %q", sys)

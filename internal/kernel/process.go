@@ -24,7 +24,7 @@ type Variant struct {
 	// SaferChecks installs the regeneration pointer-check hook.
 	SaferChecks bool
 	// SaferResolved lists original-space indirect targets the resolver
-	// statically encoded (rewriters.Rewritten.Resolved): the check hook
+	// statically encoded (rewriters.Output.Resolved): the check hook
 	// skips the translation-table penalty for them.
 	SaferResolved map[uint64]bool
 }

@@ -13,7 +13,7 @@ import (
 // inside a rewriter unwinds into a typed ErrRewriteReject, never out of the
 // package.
 func TestRejectRecoversPanic(t *testing.T) {
-	out, err := func() (out *Rewritten, err error) {
+	out, err := func() (out *Output, err error) {
 		defer reject("test", &out, &err)
 		panic("boom")
 	}()

@@ -1,6 +1,7 @@
 package rewriters
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
@@ -74,7 +75,7 @@ func buildProgram(t *testing.T, compress bool) *obj.Image {
 
 // run executes a rewritten image with the baseline-appropriate runtime
 // assists and returns the CPU and trap count.
-func run(t *testing.T, rw *Rewritten, isa riscv.Ext, hook bool) (*emu.CPU, int) {
+func run(t *testing.T, rw *Output, isa riscv.Ext, hook bool) (*emu.CPU, int) {
 	t.Helper()
 	mem := emu.NewMemory()
 	mem.MapImage(rw.Image)
@@ -112,6 +113,16 @@ func run(t *testing.T, rw *Rewritten, isa riscv.Ext, hook bool) (*emu.CPU, int) 
 	return nil, 0
 }
 
+// rewrite runs one registry config and fails the test on error.
+func rewrite(t *testing.T, img *obj.Image, method string, target riscv.Ext, emptyPatch bool) *Output {
+	t.Helper()
+	out, err := Rewrite(img, Config{Method: method, Target: target, EmptyPatch: emptyPatch})
+	if err != nil {
+		t.Fatalf("%s: %v", method, err)
+	}
+	return out
+}
+
 func reference(t *testing.T, img *obj.Image) int64 {
 	t.Helper()
 	mem := emu.NewMemory()
@@ -129,10 +140,7 @@ func TestARMoreDowngrade(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		img := buildProgram(t, compress)
 		want := reference(t, img)
-		rw, err := ARMore(img, riscv.RV64GC, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rw := rewrite(t, img, "armore", riscv.RV64GC, false)
 		cpu, traps := run(t, rw, riscv.RV64GC, false)
 		if got := int64(cpu.X[riscv.A0]); got != want {
 			t.Errorf("compress=%v: result %d, want %d", compress, got, want)
@@ -147,10 +155,7 @@ func TestARMoreDowngrade(t *testing.T) {
 
 func TestARMoreTrapsOnCompressedSlots(t *testing.T) {
 	img := buildProgram(t, true)
-	rw, err := ARMore(img, riscv.RV64GC, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rw := rewrite(t, img, "armore", riscv.RV64GC, false)
 	if rw.Stats.TrapTrampolines == 0 {
 		t.Error("compressed binary produced no trap trampolines; 2-byte slots cannot hold jal")
 	}
@@ -160,10 +165,7 @@ func TestSaferDowngrade(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		img := buildProgram(t, compress)
 		want := reference(t, img)
-		rw, err := Safer(img, riscv.RV64GC, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rw := rewrite(t, img, "safer", riscv.RV64GC, false)
 		cpu, _ := run(t, rw, riscv.RV64GC, true)
 		if got := int64(cpu.X[riscv.A0]); got != want {
 			t.Errorf("compress=%v: result %d, want %d", compress, got, want)
@@ -176,28 +178,19 @@ func TestSaferDowngrade(t *testing.T) {
 
 func TestSaferDropsOriginalText(t *testing.T) {
 	img := buildProgram(t, false)
-	rw, err := Safer(img, riscv.RV64GC, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rw := rewrite(t, img, "safer", riscv.RV64GC, false)
 	if s := rw.Image.Section(obj.SecText); s == nil || s.Perm&obj.PermX != 0 {
 		t.Error("regeneration left the original text executable")
 	}
 }
 
-func TestStrawmanAndCHBPWrappers(t *testing.T) {
+func TestStrawmanAndCHBPRegistry(t *testing.T) {
 	img := buildProgram(t, true)
-	sm, err := Strawman(img, riscv.RV64GC, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sm := rewrite(t, img, "strawman", riscv.RV64GC, false)
 	if sm.Stats.TrapEntries == 0 {
 		t.Error("strawman placed no trap entries")
 	}
-	ch, err := CHBP(img, riscv.RV64GC, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := rewrite(t, img, "chbp", riscv.RV64GC, false)
 	if ch.Stats.SmileEntries == 0 {
 		t.Error("CHBP placed no SMILE entries")
 	}
@@ -206,18 +199,12 @@ func TestStrawmanAndCHBPWrappers(t *testing.T) {
 func TestEmptyPatchBaselines(t *testing.T) {
 	img := buildProgram(t, true)
 	want := reference(t, img)
-	ar, err := ARMore(img, riscv.RV64GCV, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar := rewrite(t, img, "armore", riscv.RV64GCV, true)
 	cpu, _ := run(t, ar, riscv.RV64GCV, false)
 	if got := int64(cpu.X[riscv.A0]); got != want {
 		t.Errorf("armore empty-patch result %d, want %d", got, want)
 	}
-	sf, err := Safer(img, riscv.RV64GCV, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := rewrite(t, img, "safer", riscv.RV64GCV, true)
 	cpu, _ = run(t, sf, riscv.RV64GCV, true)
 	if got := int64(cpu.X[riscv.A0]); got != want {
 		t.Errorf("safer empty-patch result %d, want %d", got, want)
@@ -229,27 +216,18 @@ func TestCostOrdering(t *testing.T) {
 	// then Safer, then ARMore (trap-heavy on compressed RISC-V binaries).
 	img := buildProgram(t, true)
 
-	runCycles := func(rewritten *Rewritten, hook bool, isa riscv.Ext) uint64 {
+	runCycles := func(rewritten *Output, hook bool, isa riscv.Ext) uint64 {
 		cpu, _ := run(t, rewritten, isa, hook)
 		return cpu.Cycles
 	}
 
-	ch, err := CHBP(img, riscv.RV64GCV, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chCPU, _ := run(t, &Rewritten{Image: ch.Image, Tables: ch.Tables}, riscv.RV64GCV, false)
+	ch := rewrite(t, img, "chbp", riscv.RV64GCV, true)
+	chCPU, _ := run(t, ch, riscv.RV64GCV, false)
 
-	sf, err := Safer(img, riscv.RV64GCV, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := rewrite(t, img, "safer", riscv.RV64GCV, true)
 	sfCycles := runCycles(sf, true, riscv.RV64GCV)
 
-	ar, err := ARMore(img, riscv.RV64GCV, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar := rewrite(t, img, "armore", riscv.RV64GCV, true)
 	arCPU, arTraps := run(t, ar, riscv.RV64GCV, false)
 	// Traps cost kernel time not visible in cpu.Cycles; add the charge here
 	// the way the kernel does.
@@ -260,5 +238,57 @@ func TestCostOrdering(t *testing.T) {
 	}
 	if !(sfCycles < arCycles) {
 		t.Errorf("Safer (%d) not cheaper than ARMore (%d, %d traps)", sfCycles, arCycles, arTraps)
+	}
+}
+
+// TestRegistryConfig pins the registry's contract: one unknown-method
+// error, canonical configs that drop options a method ignores, and
+// Variant as the single rewrite-to-view mapping.
+func TestRegistryConfig(t *testing.T) {
+	for _, m := range Methods {
+		if err := CheckMethod(m); err != nil {
+			t.Errorf("CheckMethod(%q) = %v", m, err)
+		}
+	}
+	const want = `unknown method "nope" (want one of [strawman safer armore chbp])`
+	if _, err := Rewrite(raceImage(t), Config{Method: "nope", Target: riscv.RV64GC}); err == nil ||
+		err.Error() != want || errors.Is(err, ErrRewriteReject) {
+		t.Errorf("unknown method: got %v, want plain %q", err, want)
+	}
+
+	flags := Config{DisableExitShift: true, DisableBatching: true, DisableUpgrade: true, Resolve: true, EmptyPatch: true}
+	for _, m := range Methods {
+		c := flags
+		c.Method = m
+		got := c.Canonical()
+		ignores := m == "safer" || m == "armore"
+		if kept := got.DisableExitShift || got.DisableBatching || got.DisableUpgrade; kept == ignores {
+			t.Errorf("%s: Canonical() = %+v", m, got)
+		}
+		if !got.Resolve || !got.EmptyPatch || got.Method != m {
+			t.Errorf("%s: Canonical() dropped an option the method reads: %+v", m, got)
+		}
+	}
+
+	img := raceImage(t)
+	for _, m := range Methods {
+		out, err := Rewrite(img, Config{Method: m, Target: riscv.RV64GC, Resolve: true})
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		v := out.Variant()
+		regenerated := m == "safer" || m == "armore"
+		if v.Image != out.Image || v.Tables != out.Tables || v.ISA != riscv.RV64GC {
+			t.Errorf("%s: variant does not carry the rewrite: %+v", m, v)
+		}
+		if (v.AddrMap != nil) != regenerated {
+			t.Errorf("%s: variant AddrMap set = %t, want %t", m, v.AddrMap != nil, regenerated)
+		}
+		if v.SaferChecks != (m == "safer") || (m == "safer" && len(v.SaferResolved) != len(out.Resolved)) {
+			t.Errorf("%s: SaferChecks %t, %d resolved targets", m, v.SaferChecks, len(v.SaferResolved))
+		}
+		if out.Stats.Resolve == nil {
+			t.Errorf("%s: resolver summary missing from stats", m)
+		}
 	}
 }

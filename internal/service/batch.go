@@ -119,7 +119,7 @@ func (s *Server) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		live = append(live, i)
 	}
-	ctx, tr := s.startTrace(w, r.Context(), "rewrite_batch")
+	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite_batch")
 	defer tr.Finish()
 	liveReqs := make([]*RewriteRequest, len(live))
 	for j, i := range live {

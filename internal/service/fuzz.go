@@ -225,7 +225,7 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return
 	}
-	_, tr := s.startTrace(w, r.Context(), "fuzz")
+	w, _, tr := s.startTrace(w, r.Context(), "fuzz")
 	defer tr.Finish()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	fc := &fuzzCampaign{id: id, c: camp, cancel: cancel, done: make(chan struct{}), created: time.Now()}

@@ -141,7 +141,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, tr := s.startTrace(w, r.Context(), "rewrite")
+	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite")
 	defer tr.Finish()
 	res, err := s.Rewrite(ctx, &RewriteRequest{
 		Method:           body.Method,
@@ -182,7 +182,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, tr := s.startTrace(w, r.Context(), "run")
+	w, ctx, tr := s.startTrace(w, r.Context(), "run")
 	defer tr.Finish()
 	res, err := s.Run(ctx, req)
 	if err != nil {
@@ -215,13 +215,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // startTrace begins a request trace (when tracing is enabled), threads it
 // through the context so the pipeline can record spans, and announces its
 // id in the X-Chimera-Trace response header so clients can fetch the full
-// timeline from /trace/{id} after the response.
-func (s *Server) startTrace(w http.ResponseWriter, ctx context.Context, name string) (context.Context, *telemetry.Trace) {
+// timeline from /trace/{id} after the response. The returned writer
+// finishes the trace before the response body goes out, so the trace is
+// there as soon as the client has its answer.
+func (s *Server) startTrace(w http.ResponseWriter, ctx context.Context, name string) (http.ResponseWriter, context.Context, *telemetry.Trace) {
 	tr := s.tracer.Start(name)
 	if tr != nil {
 		w.Header().Set("X-Chimera-Trace", tr.ID)
+		w = tracedWriter{w, tr}
 	}
-	return telemetry.ContextWithTrace(ctx, tr), tr
+	return w, telemetry.ContextWithTrace(ctx, tr), tr
+}
+
+// tracedWriter finishes its trace on the first body write.
+type tracedWriter struct {
+	http.ResponseWriter
+	tr *telemetry.Trace
+}
+
+func (w tracedWriter) Write(b []byte) (int, error) {
+	w.tr.Finish()
+	return w.ResponseWriter.Write(b)
 }
 
 // handleTrace serves one finished trace as JSON: GET /trace/{id}.

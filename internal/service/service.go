@@ -23,14 +23,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/eurosys26p57/chimera/internal/bench"
 	"github.com/eurosys26p57/chimera/internal/chaos"
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/store"
@@ -43,10 +40,6 @@ var (
 	ErrBadRequest   = errors.New("service: bad request")
 	ErrShuttingDown = errors.New("service: shutting down")
 )
-
-// Methods lists the rewriters the service exposes, in the paper's
-// presentation order.
-var Methods = []string{"strawman", "safer", "armore", "chbp"}
 
 // Config sizes the server. Zero values pick defaults.
 type Config struct {
@@ -168,48 +161,22 @@ func (c Config) withDefaults() Config {
 // RewriteRequest asks for one image to be rewritten for one target core
 // class. Image is the service's unit of content addressing: two requests
 // with byte-identical wire forms and equal canonicalized options share one
-// cache entry.
+// cache entry. The options mean what the same-named rewriters.Config
+// fields mean.
 type RewriteRequest struct {
-	Method           string // chbp, strawman, safer, armore
+	Method           string // one of rewriters.Methods
 	Target           string // rv64g, rv64gc, rv64gcv, rv64gcb, rv64gcbv
-	EmptyPatch       bool   // §6.2 methodology: replicate sources
-	DisableExitShift bool   // ablation A2
-	DisableBatching  bool   // ablation A3
-	DisableUpgrade   bool   // no idiom upgrading
-	// Resolve runs the static indirect-target resolver first: CHBP
-	// pre-materializes fault-table rows for recovered jump-table arms,
-	// Safer/ARMore regenerate the recovered code and (for Safer) skip the
-	// translation-table penalty on resolved targets.
-	Resolve bool
-	Image   *obj.Image
+	EmptyPatch       bool
+	DisableExitShift bool
+	DisableBatching  bool
+	DisableUpgrade   bool
+	Resolve          bool
+	Image            *obj.Image
 }
 
-// RewriteStats carries the per-method rewrite counters. Fields are a union
-// across methods; unset ones are zero.
-type RewriteStats struct {
-	TotalInsts      int     `json:"total_insts,omitempty"`
-	SourceInsts     int     `json:"source_insts,omitempty"`
-	ExtPct          float64 `json:"ext_pct,omitempty"`
-	Sites           int     `json:"sites,omitempty"`
-	SmileEntries    int     `json:"smile_entries,omitempty"`
-	TrapEntries     int     `json:"trap_entries,omitempty"`
-	TrapExits       int     `json:"trap_exits,omitempty"`
-	UpgradeSites    int     `json:"upgrade_sites,omitempty"`
-	TargetBytes     int     `json:"target_bytes,omitempty"`
-	Trampolines     int     `json:"trampolines,omitempty"`
-	TrapTrampolines int     `json:"trap_trampolines,omitempty"`
-	Insts           int     `json:"insts,omitempty"`
-	NewCodeBytes    int     `json:"new_code_bytes,omitempty"`
-
-	// Resolver integration (RewriteRequest.Resolve).
-	ResolvedSites        int `json:"resolved_sites,omitempty"`
-	ResolvedTargets      int `json:"resolved_targets,omitempty"`
-	RecoveredInsts       int `json:"recovered_insts,omitempty"`
-	PrematerializedSites int `json:"prematerialized_sites,omitempty"`
-	AvoidedRewrites      int `json:"avoided_rewrites,omitempty"`
-	// Resolve is the per-tier site/target breakdown of the resolver pass.
-	Resolve *resolve.Summary `json:"resolve,omitempty"`
-}
+// RewriteStats carries the per-method rewrite counters: the rewriters'
+// own union stats, served as is.
+type RewriteStats = rewriters.Stats
 
 // RewriteResult is a completed rewrite. ImageBytes is the rewritten image
 // in the obj wire format — a cache hit returns the exact bytes the cold
@@ -581,41 +548,45 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// cacheKey canonicalizes a request into its content address. The target is
-// keyed by its parsed extension set so spelling variants ("rv64gcbv" vs
-// "rv64gcvb") share entries.
-func cacheKey(req *RewriteRequest, isa riscv.Ext) (string, error) {
-	id, err := req.Image.ContentID()
+// cacheKey canonicalizes a request into its content address. The config
+// is keyed in canonical form, so options the method ignores never split
+// entries, and the target by its parsed extension set, so spelling
+// variants ("rv64gcbv" vs "rv64gcvb") share entries.
+func cacheKey(img *obj.Image, c rewriters.Config) (string, error) {
+	id, err := img.ContentID()
 	if err != nil {
 		return "", fmt.Errorf("service: hashing image: %w", err)
 	}
+	c = c.Canonical()
 	return fmt.Sprintf("m=%s;t=%x;empty=%t;noshift=%t;nobatch=%t;noupg=%t;res=%t;img=%s",
-		req.Method, uint32(isa), req.EmptyPatch, req.DisableExitShift,
-		req.DisableBatching, req.DisableUpgrade, req.Resolve, id), nil
+		c.Method, uint32(c.Target), c.EmptyPatch, c.DisableExitShift,
+		c.DisableBatching, c.DisableUpgrade, c.Resolve, id), nil
 }
 
-func validateRewrite(req *RewriteRequest) (riscv.Ext, error) {
-	known := false
-	for _, m := range Methods {
-		if req.Method == m {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return 0, fmt.Errorf("%w: unknown method %q (want one of %v)", ErrBadRequest, req.Method, Methods)
+// validateRewrite checks a request and returns its rewriter config.
+func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
+	if err := rewriters.CheckMethod(req.Method); err != nil {
+		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	isa, err := riscv.ParseISA(req.Target)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if req.Image == nil {
-		return 0, fmt.Errorf("%w: no image", ErrBadRequest)
+		return rewriters.Config{}, fmt.Errorf("%w: no image", ErrBadRequest)
 	}
 	if err := req.Image.Validate(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return isa, nil
+	return rewriters.Config{
+		Method:           req.Method,
+		Target:           isa,
+		EmptyPatch:       req.EmptyPatch,
+		DisableExitShift: req.DisableExitShift,
+		DisableBatching:  req.DisableBatching,
+		DisableUpgrade:   req.DisableUpgrade,
+		Resolve:          req.Resolve,
+	}, nil
 }
 
 // Rewrite serves one rewrite request: cache lookup, then singleflight, then
@@ -627,14 +598,14 @@ func validateRewrite(req *RewriteRequest) (riscv.Ext, error) {
 func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResult, error) {
 	startAt := time.Now()
 	tr := telemetry.TraceFrom(ctx)
-	isa, err := validateRewrite(req)
+	cfg, err := validateRewrite(req)
 	if err != nil {
 		s.tel.requestErrors.With("rewrite").Inc()
 		return nil, err
 	}
 	tr.Annotate("method", req.Method)
-	tr.Annotate("target", isa.String())
-	key, err := cacheKey(req, isa)
+	tr.Annotate("target", cfg.Target.String())
+	key, err := cacheKey(req.Image, cfg)
 	if err != nil {
 		s.tel.requestErrors.With("rewrite").Inc()
 		return nil, err
@@ -662,7 +633,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		return &out, nil
 	}
 
-	cfgKey := req.Method + "/" + isa.String()
+	cfgKey := req.Method + "/" + cfg.Target.String()
 	flightSpan := tr.Span("singleflight")
 	flightStart := time.Now()
 	val, err, shared := s.flight.do(ctx, key, func() (*RewriteResult, error) {
@@ -679,7 +650,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		if quarantined {
 			return nil, fmt.Errorf("%w: %s", ErrQuarantined, cfgKey)
 		}
-		return s.rewriteWithRetries(ctx, req, isa, key, cfgKey)
+		return s.rewriteWithRetries(ctx, req.Image, cfg, key, cfgKey)
 	})
 	if shared {
 		s.tel.deduped.Inc()
@@ -703,7 +674,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 				s.tel.deadlineHits.Inc()
 				err = fmt.Errorf("%w: %v", ErrDeadline, err)
 			}
-			return s.degrade(ctx, req, key, isa, startAt, err)
+			return s.degrade(ctx, req, key, cfg.Target, startAt, err)
 		}
 	}
 	s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
@@ -716,7 +687,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 // rewriteWithRetries is the singleflight leader body: submit the rewrite to
 // the pool, retrying transient failures with exponential backoff + jitter,
 // and feed the config's circuit breaker with the request outcome.
-func (s *Server) rewriteWithRetries(ctx context.Context, req *RewriteRequest, isa riscv.Ext, key, cfgKey string) (*RewriteResult, error) {
+func (s *Server) rewriteWithRetries(ctx context.Context, img *obj.Image, cfg rewriters.Config, key, cfgKey string) (*RewriteResult, error) {
 	tr := telemetry.TraceFrom(ctx)
 	attempts := s.cfg.MaxRetries + 1
 	var lastErr error
@@ -724,7 +695,7 @@ func (s *Server) rewriteWithRetries(ctx context.Context, req *RewriteRequest, is
 		asp := tr.Span("rewrite_attempt")
 		asp.Annotate("attempt", fmt.Sprint(attempt))
 		v, err := s.submit(ctx, func() (any, error) {
-			return s.doRewriteChaos(ctx, req, isa, key)
+			return s.doRewriteChaos(ctx, img, cfg, key)
 		})
 		if err == nil {
 			asp.End()
@@ -745,7 +716,7 @@ func (s *Server) rewriteWithRetries(ctx context.Context, req *RewriteRequest, is
 			// count toward quarantine. Rejects are tallied separately so an
 			// adversarial-input wave is distinguishable from an
 			// infrastructure failure wave on /stats.
-			if errors.Is(err, chbp.ErrRewriteReject) {
+			if errors.Is(err, rewriters.ErrRewriteReject) {
 				s.tel.rewriteRejects.Inc()
 				tr.Annotate("rewrite_rejected", err.Error())
 			}
@@ -776,7 +747,7 @@ func (s *Server) rewriteWithRetries(ctx context.Context, req *RewriteRequest, is
 // rewriter: stalls hold the worker for real (bounded only by the request
 // context), panics unwind through the worker's recover, and transients
 // exercise the retry path. With a nil injector every roll is false.
-func (s *Server) doRewriteChaos(ctx context.Context, req *RewriteRequest, isa riscv.Ext, key string) (any, error) {
+func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewriters.Config, key string) (any, error) {
 	inj := s.cfg.Chaos
 	if inj.Roll(chaos.RewriteStall) {
 		if err := inj.Stall(ctx); err != nil {
@@ -790,7 +761,7 @@ func (s *Server) doRewriteChaos(ctx context.Context, req *RewriteRequest, isa ri
 		return nil, chaos.ErrTransient
 	}
 	start := time.Now()
-	v, err := doRewrite(req, isa, key)
+	v, err := doRewrite(img, cfg, key)
 	if err == nil {
 		observeStage(s.tel.stageRewrite, time.Since(start))
 		s.tel.recordResolve(&v.Stats)
@@ -912,77 +883,26 @@ func (s *Server) offerToOwner(res *RewriteResult) {
 }
 
 // doRewrite performs the actual rewrite on a worker. The rewriters clone
-// the input internally, so req.Image may be shared across requests. With
+// the input internally, so img may be shared across requests. With
 // Resolve set, the resolver pass runs here on the worker too, and its
 // per-tier summary rides along in the stats.
-func doRewrite(req *RewriteRequest, isa riscv.Ext, key string) (*RewriteResult, error) {
-	out := &RewriteResult{Key: key, Method: req.Method, Target: isa.String()}
-	var ts *resolve.TargetSet
-	if req.Resolve {
-		ts = resolve.Resolve(req.Image)
-		sum := ts.Summary()
-		out.Stats.Resolve = &sum
-	}
-	var img *obj.Image
-	switch req.Method {
-	case "chbp", "strawman":
-		opts := chbp.Options{
-			TargetISA:        isa,
-			EmptyPatch:       req.EmptyPatch,
-			DisableExitShift: req.DisableExitShift,
-			DisableBatching:  req.DisableBatching,
-			DisableUpgrade:   req.DisableUpgrade,
-			Resolve:          req.Resolve,
-		}
-		if req.Method == "strawman" {
-			opts.Trampoline = chbp.TrapEntry
-		}
-		res, err := chbp.Rewrite(req.Image, opts)
-		if err != nil {
-			return nil, err
-		}
-		img = res.Image
-		st := res.Stats
-		sum := out.Stats.Resolve
-		out.Stats = RewriteStats{
-			TotalInsts: st.TotalInsts, SourceInsts: st.SourceInsts, ExtPct: st.ExtPct,
-			Sites: st.Sites, SmileEntries: st.SmileEntries, TrapEntries: st.TrapEntries,
-			TrapExits: st.TrapExits, UpgradeSites: st.UpgradeSites, TargetBytes: st.TargetBytes,
-			ResolvedSites: st.ResolvedSites, ResolvedTargets: st.ResolvedTargets,
-			RecoveredInsts: st.RecoveredInsts, PrematerializedSites: st.PrematerializedSites,
-			AvoidedRewrites: st.AvoidedRewrites, Resolve: sum,
-		}
-	case "safer":
-		res, err := rewriters.SaferWith(req.Image, isa, req.EmptyPatch, ts)
-		if err != nil {
-			return nil, err
-		}
-		img = res.Image
-		out.Stats.Insts = res.Stats.Insts
-		out.Stats.NewCodeBytes = res.Stats.NewCodeBytes
-		out.Stats.RecoveredInsts = res.Stats.RecoveredInsts
-		out.Stats.ResolvedTargets = len(res.Resolved)
-	case "armore":
-		res, err := rewriters.ARMoreWith(req.Image, isa, req.EmptyPatch, ts)
-		if err != nil {
-			return nil, err
-		}
-		img = res.Image
-		out.Stats.Insts = res.Stats.Insts
-		out.Stats.NewCodeBytes = res.Stats.NewCodeBytes
-		out.Stats.Trampolines = res.Stats.Trampolines
-		out.Stats.TrapTrampolines = res.Stats.TrapTrampolines
-		out.Stats.RecoveredInsts = res.Stats.RecoveredInsts
-		out.Stats.ResolvedTargets = len(res.Resolved)
-	default:
-		return nil, fmt.Errorf("%w: unknown method %q", ErrBadRequest, req.Method)
+func doRewrite(img *obj.Image, cfg rewriters.Config, key string) (*RewriteResult, error) {
+	res, err := rewriters.Rewrite(img, cfg)
+	if err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if _, err := img.WriteTo(&buf); err != nil {
+	if _, err := res.Image.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("service: serializing result: %w", err)
 	}
-	out.ImageBytes = buf.Bytes()
-	return out, nil
+	st, err := wireStats(res.Stats)
+	if err != nil {
+		return nil, err
+	}
+	return &RewriteResult{
+		Key: key, Method: cfg.Method, Target: cfg.Target.String(),
+		ImageBytes: buf.Bytes(), Stats: st,
+	}, nil
 }
 
 // Run executes an image on a simulated core through the worker pool, under
@@ -1129,7 +1049,7 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 		ExitCode:   p.ExitCode,
 		Cycles:     cycles,
 		Instret:    p.CPU.Instret,
-		SimSeconds: bench.Seconds(cycles),
+		SimSeconds: emu.Seconds(cycles),
 		Output:     string(p.Output),
 		Counters:   p.Counters,
 		Blocks:     p.CPU.Blocks,

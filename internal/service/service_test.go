@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/bench"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
@@ -52,7 +54,7 @@ func wire(t testing.TB, img *obj.Image) []byte {
 func combos(images []*obj.Image) []*RewriteRequest {
 	var out []*RewriteRequest
 	for _, img := range images {
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods {
 			out = append(out,
 				&RewriteRequest{Method: m, Target: "rv64gc", Image: img},
 				&RewriteRequest{Method: m, Target: "rv64gcv", EmptyPatch: true, Image: img})
@@ -194,6 +196,50 @@ func TestServiceSingleflight(t *testing.T) {
 	}
 	if st.Deduped+st.Cache.Hits == 0 {
 		t.Error("no request was deduplicated or served from cache")
+	}
+}
+
+// TestIgnoredOptionsShareCacheKey checks that options a method ignores do
+// not split its cache entries: Safer has no batching switch, so a safer
+// /rewrite with disable_batching set after one without it is a cache hit
+// under the same key, while chbp, which reads the flag, keys it apart.
+func TestIgnoredOptionsShareCacheKey(t *testing.T) {
+	img := testImages(t, 1)[0]
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := func(method string, noBatch bool) RewriteResult {
+		t.Helper()
+		body, _ := json.Marshal(rewriteHTTPRequest{
+			Method: method, Target: "rv64gc", DisableBatching: noBatch, Image: wire(t, img),
+		})
+		resp, err := http.Post(ts.URL+"/rewrite", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", method, resp.StatusCode)
+		}
+		var res RewriteResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := post("safer", false)
+	nobatch := post("safer", true)
+	if !nobatch.CacheHit || nobatch.Key != plain.Key || !bytes.Equal(nobatch.ImageBytes, plain.ImageBytes) {
+		t.Errorf("safer with disable_batching: cache_hit %t, key %q, want a hit on %q",
+			nobatch.CacheHit, nobatch.Key, plain.Key)
+	}
+	if !strings.Contains(plain.Key, "nobatch=false") {
+		t.Errorf("key %q lost its option fields", plain.Key)
+	}
+	if ch, chNoBatch := post("chbp", false), post("chbp", true); chNoBatch.CacheHit || chNoBatch.Key == ch.Key {
+		t.Errorf("chbp with disable_batching shared key %q with the batched rewrite", ch.Key)
 	}
 }
 

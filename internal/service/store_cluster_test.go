@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
@@ -172,11 +173,11 @@ func TestClusterPeerFill(t *testing.T) {
 	servers, urls := startCluster(t, 3, func(int) Config { return Config{Workers: 2} })
 
 	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}
-	isa, err := validateRewrite(req)
+	cfg, err := validateRewrite(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := cacheKey(req, isa)
+	key, err := cacheKey(req.Image, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestChaosSoakCluster(t *testing.T) {
 	}
 	var rw []rwCase
 	for _, img := range images {
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods {
 			ref, err := refSrv.Rewrite(context.Background(), &RewriteRequest{Method: m, Target: "rv64gc", Image: img})
 			if err != nil {
 				t.Fatalf("reference %s: %v", m, err)
@@ -415,7 +416,7 @@ func BenchmarkRewriteBatch(b *testing.B) {
 
 	var items []rewriteHTTPRequest
 	for _, img := range images {
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods {
 			items = append(items, rewriteHTTPRequest{Method: m, Target: "rv64gc", Image: wire(b, img)})
 		}
 	}

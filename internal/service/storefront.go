@@ -53,6 +53,21 @@ type entryMeta struct {
 	Stats  RewriteStats `json:"stats"`
 }
 
+// wireStats returns st as a stored entry carries it: the JSON round trip
+// drops the rewriter internals that stay off the wire, so a cold answer
+// and a cache hit report the same stats.
+func wireStats(st RewriteStats) (RewriteStats, error) {
+	var out RewriteStats
+	b, err := json.Marshal(st)
+	if err == nil {
+		err = json.Unmarshal(b, &out)
+	}
+	if err != nil {
+		return RewriteStats{}, fmt.Errorf("service: encoding stats: %w", err)
+	}
+	return out, nil
+}
+
 // entryFromResult renders a completed rewrite as a store entry.
 func entryFromResult(res *RewriteResult) (*store.Entry, error) {
 	meta, err := json.Marshal(entryMeta{Method: res.Method, Target: res.Target, Stats: res.Stats})

@@ -18,6 +18,21 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+echo "== layering gate (dependencies point downward)"
+# forbid PKG DEP: fail if PKG transitively imports DEP (non-test imports).
+mod=$(go list -m)
+layering_bad=0
+forbid() {
+    if go list -deps "./internal/$1" | grep -qx "$mod/internal/$2"; then
+        echo "layering: internal/$1 depends on internal/$2" >&2
+        layering_bad=1
+    fi
+}
+forbid service bench
+for up in service bench evalmatrix fuzz; do
+    forbid rewriters "$up"
+done
+[ "$layering_bad" = 0 ] || exit 1
 echo "== metrics lint (chimera_[a-z_]+ naming + help text)"
 go test -run 'TestMetricsLint|TestMetricNameValidation' -count=1 ./internal/service ./internal/telemetry
 echo "== go test -race ./..."

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/emu"
+	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -78,16 +79,9 @@ func main() {
 	}
 	p.CPU.ISA = isa
 	p.CPU.TraceThreshold = uint32(*traceThreshold)
-	var prof *telemetry.GuestProfiler
-	var syms *telemetry.SymTable
 	if *profile {
-		prof = telemetry.NewGuestProfiler()
-		p.CPU.Prof = prof
-		imgs := []*obj.Image{img}
-		for _, v := range variants[1:] {
-			imgs = append(imgs, v.Image)
-		}
-		syms = emu.SymTableOf(imgs...)
+		p.Hooks().Prof = instrument.NewProfile()
+		p.CPU.RefreshHooks()
 	}
 
 	var total uint64
@@ -104,8 +98,8 @@ func main() {
 	}
 	wall := time.Since(startAt)
 	os.Stdout.Write(p.Output)
-	fmt.Printf("[%s on %v: exit %d, %d cycles (%.3fms at 1.6GHz), %d instructions]\n",
-		img.Name, isa, p.ExitCode, total, float64(total)/1.6e6, p.CPU.Instret)
+	fmt.Printf("[%s on %v: exit %d, %d cycles (%.3fms at %.1fGHz), %d instructions]\n",
+		img.Name, isa, p.ExitCode, total, emu.Seconds(total)*1e3, emu.CPUHz/1e9, p.CPU.Instret)
 	if *verbose {
 		c := p.Counters
 		fmt.Printf("[faults recovered: %d, traps: %d, checks: %d, runtime rewrites: %d, syscalls: %d]\n",
@@ -125,14 +119,17 @@ func main() {
 			b.TracesBuilt, b.TraceHits, b.TraceRetired, b.Retired, 100*b.SideExitRate(), b.PICHits, b.PICHits+b.PICMisses)
 	}
 	if *profile {
-		fmt.Printf("\n[guest profile: %d distinct blocks]\n", prof.Blocks())
-		prof.WriteTable(os.Stdout, syms, *top)
+		samples, syms := p.Hooks().Prof.Samples(), p.SymTable()
+		fmt.Printf("\n[guest profile: %d distinct blocks]\n", len(samples))
+		telemetry.WriteTable(os.Stdout, samples, syms, *top)
 		if *folded != "" {
 			f, err := os.Create(*folded)
 			if err != nil {
 				fatal(err)
 			}
-			prof.FoldedStacks(f, img.Name, syms)
+			for _, l := range telemetry.Folded(img.Name, samples, syms) {
+				fmt.Fprintln(f, l)
+			}
 			if err := f.Close(); err != nil {
 				fatal(err)
 			}

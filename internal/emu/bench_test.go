@@ -21,7 +21,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
@@ -141,29 +140,34 @@ func BenchmarkCPURunMatmulRVV(b *testing.B) {
 	}, riscv.RV64GCV)
 }
 
-// BenchmarkCPURunProfiler measures the guest profiler's cost on the block
-// engine's hot loop: "off" is the production default (one nil check per
-// block dispatch), "on" pays a map update per dispatch. scripts/bench.sh
-// derives profiler_overhead_pct from the two ns/inst numbers; the off case
-// must stay within noise of the pre-profiler baseline.
+// BenchmarkCPURunProfiler measures the guest profiler's cost on the matmul
+// hot loop on both translation tiers: "off"/"traces-off" are a bare CPU,
+// "on"/"traces-on" install Hooks.Prof, which samples once per stitched
+// block a dispatch enters. "off"/"on" pin the block tier. scripts/check.sh
+// bounds each tier's on/off ns/inst ratio (median of five paired runs) at
+// 1.15, and scripts/bench.sh derives profiler_overhead_pct per tier.
 func BenchmarkCPURunProfiler(b *testing.B) {
 	img, err := workload.Matmul(24, false, true)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name string
-		prof bool
-	}{{"off", false}, {"on", true}} {
+		name      string
+		threshold uint32
+		prof      bool
+	}{
+		{"off", 0, false},
+		{"on", 0, true},
+		{"traces-off", emu.DefaultTraceThreshold, false},
+		{"traces-on", emu.DefaultTraceThreshold, true},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			mem := emu.NewMemory()
 			mem.MapImage(img)
 			cpu := emu.NewCPU(mem, riscv.RV64GC)
-			// Pin the block tier so the profiler numbers stay comparable
-			// with the pre-trace baseline (per-block attribution).
-			cpu.TraceThreshold = 0
+			cpu.TraceThreshold = mode.threshold
 			if mode.prof {
-				cpu.Prof = telemetry.NewGuestProfiler()
+				cpu.SetHooks(&instrument.Hooks{Prof: instrument.NewProfile()})
 			}
 			warmStable(cpu.TraceThreshold, func() emu.BlockStats { return cpu.Blocks }, func() {
 				cpu.Reset(img)

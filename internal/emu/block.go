@@ -34,6 +34,7 @@ package emu
 import (
 	"encoding/binary"
 
+	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
@@ -52,11 +53,11 @@ const (
 // Observer-mask bits (CPU.obs, block.obs, trace.obs) and per-µop hook
 // flags. Cmp and Mem observer participation is burned into µops at build
 // time so a nil observer set compiles to the exact µop stream an
-// uninstrumented CPU builds; the coverage observer fires per dispatch and
-// needs neither a mask bit nor µop changes.
+// uninstrumented CPU builds; the coverage and profile observers fire per
+// dispatch (observeDispatch) and need neither a mask bit nor µop changes.
 const (
 	hookCmp uint8 = 1 << iota // log branch operands to Hooks.Cmp
-	hookMem                   // log integer load/store accesses to Hooks.Mem
+	hookMem                   // log scalar integer/FP load/store accesses to Hooks.Mem
 )
 
 // covIDOf hashes a block start pc into its stable coverage ID. Edge indices
@@ -385,7 +386,8 @@ func makeUop(inst riscv.Inst, pc uint64, cost *CostModel, obs uint8) uop {
 		u.target = pc + uint64(inst.Imm<<12)
 	case riscv.LB, riscv.LH, riscv.LW, riscv.LD,
 		riscv.LBU, riscv.LHU, riscv.LWU,
-		riscv.SB, riscv.SH, riscv.SW, riscv.SD:
+		riscv.SB, riscv.SH, riscv.SW, riscv.SD,
+		riscv.FLW, riscv.FLD, riscv.FSW, riscv.FSD:
 		u.hook = obs & hookMem
 	}
 	return u
@@ -499,27 +501,8 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 					c.Blocks.Retired += retired
 					c.Blocks.TraceRetired += retired
 					remaining -= retired
-					if c.Prof != nil {
-						c.Prof.Sample(blk.pc, retired, c.Cycles-cyclesBefore)
-					}
-					if h := c.Hooks; h != nil && h.Cov != nil {
-						// Record an edge for every stitched block the trace
-						// actually entered, in stitch order, for exact parity
-						// with block-tier dispatch. Block k was entered iff
-						// its first µop started executing: its start index is
-						// below the retired count — or equal to it when the
-						// run halted, since the halting µop (ecall, fault)
-						// started without retiring.
-						limit := retired
-						if halted {
-							limit++
-						}
-						h.Cov.Edge(t.covIDs[0])
-						for k := 1; k < len(t.covIDs); k++ {
-							if uint64(t.covStarts[k]) < limit {
-								h.Cov.Edge(t.covIDs[k])
-							}
-						}
+					if h := c.Hooks; h != nil && (h.Cov != nil || h.Prof != nil) {
+						observeDispatch(h, t.stitches, retired, c.Cycles-cyclesBefore, halted)
 					}
 					if halted {
 						return stop
@@ -547,9 +530,6 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 				}
 			}
 		}
-		if h := c.Hooks; h != nil && h.Cov != nil {
-			h.Cov.Edge(blk.covID)
-		}
 		before := c.Instret
 		cyclesBefore := c.Cycles
 		stop, halted, exit := c.execUops(blk.uops, remaining)
@@ -557,8 +537,15 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 		c.Blocks.Dispatches++
 		c.Blocks.Retired += retired
 		remaining -= retired
-		if c.Prof != nil {
-			c.Prof.Sample(blk.pc, retired, c.Cycles-cyclesBefore)
+		if h := c.Hooks; h != nil {
+			// observeDispatch's one-block case, inlined: a call here costs
+			// the block-tier hot loop several percent.
+			if h.Cov != nil {
+				h.Cov.Edge(blk.covID)
+			}
+			if h.Prof != nil {
+				h.Prof.Add(blk.pc, 1, retired, c.Cycles-cyclesBefore)
+			}
 		}
 		if halted {
 			return stop
@@ -566,6 +553,43 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 		prev, prevExit = blk, exit
 	}
 	return Stop{Kind: StopLimit}
+}
+
+// observeDispatch reports one trace dispatch to the per-dispatch observers
+// (coverage edges and the guest profile) as the equivalent sequence of
+// block-tier dispatches of the stitched blocks it entered, in stitch order.
+// Block k was entered iff its first µop started executing: its start index
+// is below the retired count — or equal to it when the run halted, since
+// the halting µop (ecall, fault) started without retiring. Every entered
+// block but the last ran to completion and is credited its static instret
+// and cycles; the last gets the remainder of the measured totals, so side
+// exits, indirect-hook cycles, halts and budget truncation land exactly
+// where the block tier would put them.
+func observeDispatch(h *instrument.Hooks, ss []stitch, retired, cycles uint64, halted bool) {
+	limit := retired
+	if halted {
+		limit++
+	}
+	last := len(ss) - 1
+	for last > 0 && uint64(ss[last].start) >= limit {
+		last--
+	}
+	if h.Cov != nil {
+		for k := 0; k <= last; k++ {
+			h.Cov.Edge(ss[k].covID)
+		}
+	}
+	if h.Prof != nil {
+		// Credit each run of consecutive stitches of one block in one
+		// update, back to front: a run ends where the next one starts.
+		endInsts, endCycles := retired, cycles
+		for k := last; k >= 0; {
+			s := &ss[ss[k].first]
+			h.Prof.Add(s.pc, uint64(k-int(s.first)+1), endInsts-uint64(s.start), endCycles-s.cycles)
+			endInsts, endCycles = uint64(s.start), s.cycles
+			k = int(s.first) - 1
+		}
+	}
 }
 
 // flushUops publishes locally-accumulated retirement state: uops
@@ -740,25 +764,24 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 		case riscv.FENCE:
 			// no architectural effect
 
-		case riscv.LD:
+		case riscv.LD, riscv.FLD:
 			addr := x[u.rs1] + uint64(u.imm)
 			if u.hook&hookMem != 0 {
 				c.Hooks.Mem.Access(u.pc, addr, 8, false)
 			}
-			if v, ok := mem.loadU64(addr); ok {
-				if u.rd != 0 {
-					x[u.rd] = v
-				}
-			} else {
-				v, fa, ok := c.memLoad(addr, 8, true)
-				if !ok {
+			v, ok := mem.loadU64(addr)
+			if !ok {
+				var fa uint64
+				if v, fa, ok = c.memLoad(addr, 8, false); !ok {
 					c.flushUops(uops, base, i, cycles, u.pc)
 					stop, h := c.fault(FaultAccess, fa, errLoad)
 					return stop, h, exitPart
 				}
-				if u.rd != 0 {
-					x[u.rd] = v
-				}
+			}
+			if u.op == riscv.FLD {
+				c.F[u.rd] = v
+			} else if u.rd != 0 {
+				x[u.rd] = v
 			}
 		case riscv.LW:
 			addr := x[u.rs1] + uint64(u.imm)
@@ -780,25 +803,25 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 					x[u.rd] = v
 				}
 			}
-		case riscv.LWU:
+		case riscv.LWU, riscv.FLW:
 			addr := x[u.rs1] + uint64(u.imm)
 			if u.hook&hookMem != 0 {
 				c.Hooks.Mem.Access(u.pc, addr, 4, false)
 			}
-			if v, ok := mem.loadU32(addr); ok {
-				if u.rd != 0 {
-					x[u.rd] = uint64(v)
-				}
-			} else {
-				v, fa, ok := c.memLoad(addr, 4, false)
-				if !ok {
+			v32, ok := mem.loadU32(addr)
+			v := uint64(v32)
+			if !ok {
+				var fa uint64
+				if v, fa, ok = c.memLoad(addr, 4, false); !ok {
 					c.flushUops(uops, base, i, cycles, u.pc)
 					stop, h := c.fault(FaultAccess, fa, errLoad)
 					return stop, h, exitPart
 				}
-				if u.rd != 0 {
-					x[u.rd] = v
-				}
+			}
+			if u.op == riscv.FLW {
+				c.F[u.rd] = 0xFFFFFFFF_00000000 | v
+			} else if u.rd != 0 {
+				x[u.rd] = v
 			}
 		case riscv.LB, riscv.LH, riscv.LBU, riscv.LHU:
 			nbytes, signed := 1, true
@@ -823,25 +846,33 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 			if u.rd != 0 {
 				x[u.rd] = v
 			}
-		case riscv.SD:
+		case riscv.SD, riscv.FSD:
 			addr := x[u.rs1] + uint64(u.imm)
 			if u.hook&hookMem != 0 {
 				c.Hooks.Mem.Access(u.pc, addr, 8, true)
 			}
-			if !mem.storeU64(addr, x[u.rs2]) {
-				if fa, ok := c.memStore(addr, x[u.rs2], 8); !ok {
+			v := x[u.rs2]
+			if u.op == riscv.FSD {
+				v = c.F[u.rs2]
+			}
+			if !mem.storeU64(addr, v) {
+				if fa, ok := c.memStore(addr, v, 8); !ok {
 					c.flushUops(uops, base, i, cycles, u.pc)
 					stop, h := c.fault(FaultAccess, fa, errStore)
 					return stop, h, exitPart
 				}
 			}
-		case riscv.SW:
+		case riscv.SW, riscv.FSW:
 			addr := x[u.rs1] + uint64(u.imm)
 			if u.hook&hookMem != 0 {
 				c.Hooks.Mem.Access(u.pc, addr, 4, true)
 			}
-			if !mem.storeU32(addr, uint32(x[u.rs2])) {
-				if fa, ok := c.memStore(addr, x[u.rs2], 4); !ok {
+			v := x[u.rs2]
+			if u.op == riscv.FSW {
+				v = c.F[u.rs2]
+			}
+			if !mem.storeU32(addr, uint32(v)) {
+				if fa, ok := c.memStore(addr, v, 4); !ok {
 					c.flushUops(uops, base, i, cycles, u.pc)
 					stop, h := c.fault(FaultAccess, fa, errStore)
 					return stop, h, exitPart
@@ -860,51 +891,6 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 				c.flushUops(uops, base, i, cycles, u.pc)
 				stop, h := c.fault(FaultAccess, fa, errStore)
 				return stop, h, exitPart
-			}
-
-		case riscv.FLD:
-			addr := x[u.rs1] + uint64(u.imm)
-			if v, ok := mem.loadU64(addr); ok {
-				c.F[u.rd] = v
-			} else {
-				v, fa, ok := c.memLoad(addr, 8, false)
-				if !ok {
-					c.flushUops(uops, base, i, cycles, u.pc)
-					stop, h := c.fault(FaultAccess, fa, errLoad)
-					return stop, h, exitPart
-				}
-				c.F[u.rd] = v
-			}
-		case riscv.FSD:
-			addr := x[u.rs1] + uint64(u.imm)
-			if !mem.storeU64(addr, c.F[u.rs2]) {
-				if fa, ok := c.memStore(addr, c.F[u.rs2], 8); !ok {
-					c.flushUops(uops, base, i, cycles, u.pc)
-					stop, h := c.fault(FaultAccess, fa, errStore)
-					return stop, h, exitPart
-				}
-			}
-		case riscv.FLW:
-			addr := x[u.rs1] + uint64(u.imm)
-			if v, ok := mem.loadU32(addr); ok {
-				c.F[u.rd] = 0xFFFFFFFF_00000000 | uint64(v)
-			} else {
-				v, fa, ok := c.memLoad(addr, 4, false)
-				if !ok {
-					c.flushUops(uops, base, i, cycles, u.pc)
-					stop, h := c.fault(FaultAccess, fa, errLoad)
-					return stop, h, exitPart
-				}
-				c.F[u.rd] = 0xFFFFFFFF_00000000 | v
-			}
-		case riscv.FSW:
-			addr := x[u.rs1] + uint64(u.imm)
-			if !mem.storeU32(addr, uint32(c.F[u.rs2])) {
-				if fa, ok := c.memStore(addr, c.F[u.rs2]&0xFFFFFFFF, 4); !ok {
-					c.flushUops(uops, base, i, cycles, u.pc)
-					stop, h := c.fault(FaultAccess, fa, errStore)
-					return stop, h, exitPart
-				}
 			}
 
 		case riscv.FADDD:

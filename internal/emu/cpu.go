@@ -9,7 +9,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
 // FaultKind classifies a deterministic fault, mirroring the signals the
@@ -103,7 +102,8 @@ type CPU struct {
 	// how regeneration baselines' inline target checks (Safer's encoded
 	// pointer checks, Multiverse's tables) are modeled on the simulated
 	// hardware, with Hooks.IndirectCalls tallying invocations (the Table 2
-	// metric). The pure observers (Cov/Cmp/Mem) feed the fuzzing service.
+	// metric). The pure observers (Cov/Cmp/Mem) feed the fuzzing service;
+	// Prof is the guest profiler behind chimera-run -profile and /profile.
 	// Install with SetHooks — observer participation is burned into µops at
 	// translation time, so the translation caches are keyed on the observer
 	// set (the obs mask below). Mutating an already-installed Hooks value's
@@ -133,11 +133,6 @@ type CPU struct {
 	// sets DefaultTraceThreshold.
 	TraceThreshold uint32
 
-	// Prof, when non-nil, accumulates per-block cycle/instret samples on
-	// every block dispatch (the guest profiler). Nil means off: the block
-	// engine pays exactly one nil check per dispatch.
-	Prof *telemetry.GuestProfiler
-
 	// icache is a direct-mapped decoded-instruction cache, invalidated by
 	// the mapping generation and the code frame's patch generation.
 	icache [4096]icacheEntry
@@ -156,8 +151,8 @@ type CPU struct {
 	// hookMem bits, block.go). Blocks and traces record the mask they were
 	// built under and are revalidated against it, so flipping observers
 	// rebuilds translations instead of running stale µop streams. The
-	// coverage observer needs no µop changes (it fires per dispatch) and so
-	// does not participate in the mask.
+	// coverage and profile observers need no µop changes (they fire per
+	// dispatch) and so do not participate in the mask.
 	obs uint8
 }
 
@@ -392,8 +387,8 @@ func (c *CPU) branch(inst riscv.Inst, next uint64, cond bool) (Stop, bool) {
 	return c.retire(inst, next, false)
 }
 
-// execLoad retires a scalar load. Accesses are logged when attempted so a
-// faulting access appears as the mem trace's final entry.
+// execLoad retires a scalar integer or FP load. Accesses are logged when
+// attempted so a faulting access appears as the mem trace's final entry.
 func (c *CPU) execLoad(inst riscv.Inst, next uint64, n int, signed bool) (Stop, bool) {
 	addr := c.X[inst.Rs1] + uint64(inst.Imm)
 	if h := c.Hooks; h != nil && h.Mem != nil {
@@ -403,17 +398,28 @@ func (c *CPU) execLoad(inst riscv.Inst, next uint64, n int, signed bool) (Stop, 
 	if !ok {
 		return c.fault(FaultAccess, fa, errLoad)
 	}
-	c.X[inst.Rd] = v
+	switch inst.Op {
+	case riscv.FLW:
+		c.F[inst.Rd] = 0xFFFFFFFF_00000000 | v
+	case riscv.FLD:
+		c.F[inst.Rd] = v
+	default:
+		c.X[inst.Rd] = v
+	}
 	return c.retire(inst, next, false)
 }
 
-// execStore retires a scalar store.
+// execStore retires a scalar integer or FP store.
 func (c *CPU) execStore(inst riscv.Inst, next uint64, n int) (Stop, bool) {
 	addr := c.X[inst.Rs1] + uint64(inst.Imm)
 	if h := c.Hooks; h != nil && h.Mem != nil {
 		h.Mem.Access(c.PC, addr, uint8(n), true)
 	}
-	if fa, ok := c.memStore(addr, c.X[inst.Rs2], n); !ok {
+	v := c.X[inst.Rs2]
+	if inst.Op == riscv.FSW || inst.Op == riscv.FSD {
+		v = c.F[inst.Rs2]
+	}
+	if fa, ok := c.memStore(addr, v, n); !ok {
 		return c.fault(FaultAccess, fa, errStore)
 	}
 	return c.retire(inst, next, false)
@@ -475,15 +481,17 @@ func (c *CPU) exec(inst riscv.Inst) (Stop, bool) {
 		return c.execLoad(inst, next, 1, false)
 	case riscv.LHU:
 		return c.execLoad(inst, next, 2, false)
-	case riscv.LWU:
+	case riscv.LWU, riscv.FLW:
 		return c.execLoad(inst, next, 4, false)
+	case riscv.FLD:
+		return c.execLoad(inst, next, 8, false)
 	case riscv.SB:
 		return c.execStore(inst, next, 1)
 	case riscv.SH:
 		return c.execStore(inst, next, 2)
-	case riscv.SW:
+	case riscv.SW, riscv.FSW:
 		return c.execStore(inst, next, 4)
-	case riscv.SD:
+	case riscv.SD, riscv.FSD:
 		return c.execStore(inst, next, 8)
 	case riscv.ADDI:
 		return c.alu(inst, next, u1+uint64(imm))

@@ -213,9 +213,9 @@ func TestRunMatmulZeroAllocs(t *testing.T) {
 // — syscalls, trampolines, indirect hooks, trace promotion — without a
 // single heap allocation, under all three tiers. Every kernel process
 // carries an attached instrument.Hooks set, so the base submode is already
-// the hooked-but-nil-observer path; the coverage and cmplog submodes prove
-// that installed observers (and the per-exec ResetState inside
-// Process.Reset) stay allocation-free too.
+// the hooked-but-nil-observer path; the coverage, cmplog and profile
+// submodes prove that installed observers (and the per-exec ResetState
+// inside Process.Reset) stay allocation-free too.
 func TestRunSPECZeroAllocs(t *testing.T) {
 	c := workload.SpecSuite()[0]
 	c.Params.Rounds = 4
@@ -230,6 +230,7 @@ func TestRunSPECZeroAllocs(t *testing.T) {
 		{"nilobs", nil},
 		{"coverage", func(h *instrument.Hooks) { h.Cov = instrument.NewCoverage() }},
 		{"cmplog", func(h *instrument.Hooks) { h.Cmp = instrument.NewCmpLog() }},
+		{"profile", func(h *instrument.Hooks) { h.Prof = instrument.NewProfile() }},
 	}
 	for _, mode := range tierModes {
 		for _, obs := range observers {

@@ -31,45 +31,11 @@ func (c *CPU) xv(inst riscv.Inst, next uint64, v uint64) (Stop, bool) {
 // execFPV implements the floating-point and vector subset.
 func (c *CPU) execFPV(inst riscv.Inst, next uint64) (Stop, bool) {
 	rd, rs1, rs2, rs3 := inst.Rd, inst.Rs1, inst.Rs2, inst.Rs3
-	imm := inst.Imm
 
 	d1, d2, d3 := f64(c.F[rs1]), f64(c.F[rs2]), f64(c.F[rs3])
 	s1f, s2f, s3f := f32of(c.F[rs1]), f32of(c.F[rs2]), f32of(c.F[rs3])
 
 	switch inst.Op {
-	case riscv.FLW:
-		var b [4]byte
-		addr := c.X[rs1] + uint64(imm)
-		if fa, ok := c.Mem.Read(addr, b[:]); !ok {
-			return c.fault(FaultAccess, fa, fmt.Errorf("flw"))
-		}
-		c.F[rd] = 0xFFFFFFFF_00000000 | uint64(binary.LittleEndian.Uint32(b[:]))
-		return c.retire(inst, next, false)
-	case riscv.FLD:
-		var b [8]byte
-		addr := c.X[rs1] + uint64(imm)
-		if fa, ok := c.Mem.Read(addr, b[:]); !ok {
-			return c.fault(FaultAccess, fa, fmt.Errorf("fld"))
-		}
-		c.F[rd] = binary.LittleEndian.Uint64(b[:])
-		return c.retire(inst, next, false)
-	case riscv.FSW:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(c.F[rs2]))
-		addr := c.X[rs1] + uint64(imm)
-		if fa, ok := c.Mem.Write(addr, b[:]); !ok {
-			return c.fault(FaultAccess, fa, fmt.Errorf("fsw"))
-		}
-		return c.retire(inst, next, false)
-	case riscv.FSD:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], c.F[rs2])
-		addr := c.X[rs1] + uint64(imm)
-		if fa, ok := c.Mem.Write(addr, b[:]); !ok {
-			return c.fault(FaultAccess, fa, fmt.Errorf("fsd"))
-		}
-		return c.retire(inst, next, false)
-
 	case riscv.FADDS:
 		return c.fs(inst, next, s1f+s2f)
 	case riscv.FSUBS:

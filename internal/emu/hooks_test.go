@@ -6,6 +6,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
+	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
 // observerCPU is codeCPU with a full observer set installed.
@@ -13,9 +14,10 @@ func observerCPU(t *testing.T, text []byte) (*CPU, *instrument.Hooks) {
 	t.Helper()
 	cpu := codeCPU(t, text)
 	h := &instrument.Hooks{
-		Cov: instrument.NewCoverage(),
-		Cmp: instrument.NewCmpLog(),
-		Mem: instrument.NewMemTrace(),
+		Cov:  instrument.NewCoverage(),
+		Cmp:  instrument.NewCmpLog(),
+		Mem:  instrument.NewMemTrace(),
+		Prof: instrument.NewProfile(),
 	}
 	cpu.SetHooks(h)
 	return cpu, h
@@ -179,6 +181,139 @@ func TestCoverageParityBlocksVsTraces(t *testing.T) {
 	}
 }
 
+// TestProfileParityBlocksVsTraces requires the two translation tiers to
+// attribute identical per-block (cycles, instret, dispatches) to the guest
+// profile: every stitched block a trace enters is credited as a block-tier
+// dispatch of that block would be, including side exits, budget seams, the
+// halting dispatch and the instruction-budget stop. Totals are conserved
+// against the block engine's retirement count and the CPU's cycles.
+func TestProfileParityBlocksVsTraces(t *testing.T) {
+	mm, err := workload.Matmul(16, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// long-block's 64-instruction first block ends without a control
+	// transfer, so its seam is an unguarded fallthrough; stitched-fault's
+	// load faults on the first µop of a stitched block (the halting case of
+	// the entered rule).
+	longBody := make([]riscv.Inst, 66, 68)
+	for i := range longBody {
+		longBody[i] = riscv.Inst{Op: riscv.ADDI, Rd: riscv.A1, Rs1: riscv.A1, Imm: 1}
+	}
+	longBody = append(longBody,
+		riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
+		riscv.Inst{Op: riscv.BNE, Rs1: riscv.A0, Rs2: riscv.A2, Imm: -67 * 4},
+	)
+	programs := []struct {
+		name   string
+		budget uint64
+		want   StopKind
+		cpu    func() (*CPU, *instrument.Hooks)
+	}{
+		{"branch-flip", 4000, StopBreak, func() (*CPU, *instrument.Hooks) {
+			cpu, h := observerCPU(t, enc(t,
+				riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
+				riscv.Inst{Op: riscv.BNE, Rs1: riscv.A0, Rs2: riscv.A2, Imm: -4},
+				riscv.Inst{Op: riscv.EBREAK},
+			))
+			cpu.X[riscv.A2] = 500
+			return cpu, h
+		}},
+		{"exit-branch", 4000, StopBreak, func() (*CPU, *instrument.Hooks) {
+			cpu, h := observerCPU(t, enc(t,
+				riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
+				riscv.Inst{Op: riscv.BEQ, Rs1: riscv.A0, Rs2: riscv.A2, Imm: 8}, // stitched not-taken
+				riscv.Inst{Op: riscv.JAL, Rd: riscv.Zero, Imm: -8},
+				riscv.Inst{Op: riscv.EBREAK},
+			))
+			cpu.X[riscv.A2] = 500
+			return cpu, h
+		}},
+		{"jalr-alternate", 4000, StopBudget, func() (*CPU, *instrument.Hooks) {
+			cpu, h := observerCPU(t, append(jalrLoopText(t), enc(t, riscv.Inst{Op: riscv.EBREAK})...))
+			cpu.X[riscv.A4] = obj.TextBase + 0x20
+			return cpu, h
+		}},
+		{"long-block", 4000, StopBudget, func() (*CPU, *instrument.Hooks) {
+			cpu, h := observerCPU(t, enc(t, longBody...))
+			cpu.X[riscv.A2] = 1 << 40
+			return cpu, h
+		}},
+		{"stitched-fault", 4000, StopFault, func() (*CPU, *instrument.Hooks) {
+			cpu, h := observerCPU(t, enc(t,
+				riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
+				riscv.Inst{Op: riscv.JAL, Rd: riscv.Zero, Imm: 4},
+				riscv.Inst{Op: riscv.LD, Rd: riscv.A1, Rs1: riscv.A3, Imm: 0}, // faults past the page
+				riscv.Inst{Op: riscv.ADDI, Rd: riscv.A3, Rs1: riscv.A3, Imm: 8},
+				riscv.Inst{Op: riscv.JAL, Rd: riscv.Zero, Imm: -16},
+			))
+			cpu.Mem.Map(0x200000, obj.PageSize, obj.PermRW)
+			cpu.X[riscv.A3] = 0x200000 + 3*8 // the fault lands mid-trace, not on a trace head
+			return cpu, h
+		}},
+		{"matmul", 30011, StopBudget, func() (*CPU, *instrument.Hooks) {
+			mem := NewMemory()
+			mem.MapImage(mm)
+			cpu := NewCPU(mem, riscv.RV64GC)
+			cpu.Reset(mm)
+			h := &instrument.Hooks{Prof: instrument.NewProfile()}
+			cpu.SetHooks(h)
+			return cpu, h
+		}},
+	}
+	for _, prog := range programs {
+		run := func(threshold uint32) (map[uint64]instrument.BlockSample, Stop) {
+			cpu, h := prog.cpu()
+			cpu.TraceThreshold = threshold
+			cpu.MaxInstret = prog.budget
+			cycles0 := cpu.Cycles
+			var stop Stop
+			for {
+				stop = cpu.Run(97) // prime slice: budget seams wander
+				if stop.Kind != StopLimit {
+					break
+				}
+			}
+			if stop.Kind != prog.want {
+				t.Fatalf("%s/threshold %d: stop %+v, want kind %v", prog.name, threshold, stop, prog.want)
+			}
+			if threshold != 0 && cpu.Blocks.TraceHits == 0 {
+				t.Fatalf("%s: trace tier not exercised", prog.name)
+			}
+			cycles, instret := h.Prof.Totals()
+			if instret != cpu.Blocks.Retired {
+				t.Errorf("%s/threshold %d: profile instret %d != retired %d", prog.name, threshold, instret, cpu.Blocks.Retired)
+			}
+			if cycles != cpu.Cycles-cycles0 {
+				t.Errorf("%s/threshold %d: profile cycles %d != cpu cycles %d", prog.name, threshold, cycles, cpu.Cycles-cycles0)
+			}
+			bySite := make(map[uint64]instrument.BlockSample)
+			for _, s := range h.Prof.Samples() {
+				bySite[s.PC] = s
+			}
+			return bySite, stop
+		}
+		blocks, bstop := run(0)
+		traces, tstop := run(2)
+		if bstop != tstop {
+			t.Fatalf("%s: tiers stopped differently: %+v vs %+v", prog.name, bstop, tstop)
+		}
+		if len(blocks) < 2 {
+			t.Errorf("%s: only %d blocks profiled", prog.name, len(blocks))
+		}
+		for pc, b := range blocks {
+			if tr := traces[pc]; tr != b {
+				t.Errorf("%s: block %#x: blocks tier %+v, traces tier %+v", prog.name, pc, b, tr)
+			}
+		}
+		for pc, tr := range traces {
+			if _, ok := blocks[pc]; !ok {
+				t.Errorf("%s: block %#x profiled only on the trace tier: %+v", prog.name, pc, tr)
+			}
+		}
+	}
+}
+
 // TestCmpLogParityAcrossTiers requires identical comparison logs from the
 // interpreter, the block tier, and the trace tier: same entries, same order,
 // same operand values.
@@ -225,56 +360,75 @@ func TestCmpLogParityAcrossTiers(t *testing.T) {
 }
 
 // TestMemTraceParityAcrossTiers requires identical access logs from all
-// three engines, with a faulting access appearing as the final entry.
+// three engines, for integer and floating-point loads and stores, with a
+// faulting access appearing as the final entry.
 func TestMemTraceParityAcrossTiers(t *testing.T) {
 	// Store then load a scratch cell each iteration; final load faults.
-	text := enc(t,
-		riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
-		riscv.Inst{Op: riscv.SD, Rs1: riscv.A3, Rs2: riscv.A0, Imm: 0},
-		riscv.Inst{Op: riscv.LW, Rd: riscv.A1, Rs1: riscv.A3, Imm: 0},
-		riscv.Inst{Op: riscv.BNE, Rs1: riscv.A0, Rs2: riscv.A2, Imm: -12},
-		riscv.Inst{Op: riscv.LD, Rd: riscv.A1, Rs1: riscv.Zero, Imm: 0}, // faults
-	)
-	run := func(interp bool, threshold uint32) *instrument.MemTrace {
-		cpu, h := observerCPU(t, text)
-		cpu.Interp = interp
-		cpu.TraceThreshold = threshold
-		cpu.Mem.Map(0x200000, obj.PageSize, obj.PermRW)
-		cpu.X[riscv.A3] = 0x200000
-		cpu.X[riscv.A2] = 200
-		for {
-			stop := cpu.Run(103)
-			if stop.Kind == StopFault {
-				if stop.Fault.Kind != FaultAccess {
-					t.Fatalf("fault %+v", stop.Fault)
+	programs := []struct {
+		name    string
+		perIter uint64 // accesses per loop iteration
+		text    []byte
+	}{
+		{"int", 2, enc(t,
+			riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
+			riscv.Inst{Op: riscv.SD, Rs1: riscv.A3, Rs2: riscv.A0, Imm: 0},
+			riscv.Inst{Op: riscv.LW, Rd: riscv.A1, Rs1: riscv.A3, Imm: 0},
+			riscv.Inst{Op: riscv.BNE, Rs1: riscv.A0, Rs2: riscv.A2, Imm: -12},
+			riscv.Inst{Op: riscv.LD, Rd: riscv.A1, Rs1: riscv.Zero, Imm: 0}, // faults
+		)},
+		{"fp", 4, enc(t,
+			riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
+			riscv.Inst{Op: riscv.FCVTDL, Rd: 1, Rs1: riscv.A0},
+			riscv.Inst{Op: riscv.FSD, Rs1: riscv.A3, Rs2: 1, Imm: 0},
+			riscv.Inst{Op: riscv.FLW, Rd: 2, Rs1: riscv.A3, Imm: 4},
+			riscv.Inst{Op: riscv.FSW, Rs1: riscv.A3, Rs2: 2, Imm: 8},
+			riscv.Inst{Op: riscv.FLD, Rd: 3, Rs1: riscv.A3, Imm: 8},
+			riscv.Inst{Op: riscv.BNE, Rs1: riscv.A0, Rs2: riscv.A2, Imm: -24},
+			riscv.Inst{Op: riscv.FLD, Rd: 4, Rs1: riscv.Zero, Imm: 0}, // faults
+		)},
+	}
+	for _, prog := range programs {
+		run := func(interp bool, threshold uint32) *instrument.MemTrace {
+			cpu, h := observerCPU(t, prog.text)
+			cpu.Interp = interp
+			cpu.TraceThreshold = threshold
+			cpu.Mem.Map(0x200000, obj.PageSize, obj.PermRW)
+			cpu.X[riscv.A3] = 0x200000
+			cpu.X[riscv.A2] = 200
+			for {
+				stop := cpu.Run(103)
+				if stop.Kind == StopFault {
+					if stop.Fault.Kind != FaultAccess {
+						t.Fatalf("%s: fault %+v", prog.name, stop.Fault)
+					}
+					break
 				}
-				break
+				if stop.Kind != StopLimit {
+					t.Fatalf("%s: stop %+v", prog.name, stop)
+				}
 			}
-			if stop.Kind != StopLimit {
-				t.Fatalf("stop %+v", stop)
+			return h.Mem
+		}
+		interp := run(true, 0)
+		blocks := run(false, 0)
+		traces := run(false, 2)
+		if want := 200*prog.perIter + 1; interp.N != want {
+			t.Fatalf("%s: interpreter logged %d accesses, want %d", prog.name, interp.N, want)
+		}
+		last := interp.Entry(interp.Len() - 1)
+		if last.Addr != 0 || last.Size != 8 || last.Write {
+			t.Fatalf("%s: faulting access not final entry: %+v", prog.name, last)
+		}
+		for tier, log := range map[string]*instrument.MemTrace{"blocks": blocks, "traces": traces} {
+			if log.N != interp.N {
+				t.Errorf("%s/%s: logged %d accesses, interpreter %d", prog.name, tier, log.N, interp.N)
+				continue
 			}
-		}
-		return h.Mem
-	}
-	interp := run(true, 0)
-	blocks := run(false, 0)
-	traces := run(false, 2)
-	if want := uint64(200*2 + 1); interp.N != want {
-		t.Fatalf("interpreter logged %d accesses, want %d", interp.N, want)
-	}
-	last := interp.Entry(interp.Len() - 1)
-	if last.Addr != 0 || last.Size != 8 || last.Write {
-		t.Fatalf("faulting access not final entry: %+v", last)
-	}
-	for tier, log := range map[string]*instrument.MemTrace{"blocks": blocks, "traces": traces} {
-		if log.N != interp.N {
-			t.Errorf("%s: logged %d accesses, interpreter %d", tier, log.N, interp.N)
-			continue
-		}
-		for i := 0; i < interp.Len(); i++ {
-			if log.Entry(i) != interp.Entry(i) {
-				t.Errorf("%s: entry %d = %+v, interpreter %+v", tier, i, log.Entry(i), interp.Entry(i))
-				break
+			for i := 0; i < interp.Len(); i++ {
+				if log.Entry(i) != interp.Entry(i) {
+					t.Errorf("%s/%s: entry %d = %+v, interpreter %+v", prog.name, tier, i, log.Entry(i), interp.Entry(i))
+					break
+				}
 			}
 		}
 	}

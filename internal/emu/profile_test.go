@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/emu"
+	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
-// TestGuestProfilerMatmul runs the matmul workload with the profiler on and
-// asserts the hot block — the dot-product inner loop — is ranked first and
-// symbolizes into main, and that the profiler's accounting exactly matches
-// the block engine's.
+// TestGuestProfilerMatmul runs the matmul workload with the profiler on, on
+// the default (trace) tier, and asserts the hot block — the dot-product
+// inner loop — is ranked first and symbolizes into main, and that the
+// profiler's accounting exactly matches the block engine's.
 func TestGuestProfilerMatmul(t *testing.T) {
 	const n = 16
 	img, err := workload.Matmul(n, false, true)
@@ -23,11 +24,9 @@ func TestGuestProfilerMatmul(t *testing.T) {
 	mem := emu.NewMemory()
 	mem.MapImage(img)
 	cpu := emu.NewCPU(mem, riscv.RV64GC)
-	// Pin the block tier: this test asserts per-block dispatch attribution,
-	// which the trace tier legitimately coarsens (one sample per trace).
-	cpu.TraceThreshold = 0
 	cpu.Reset(img)
-	cpu.Prof = telemetry.NewGuestProfiler()
+	prof := instrument.NewProfile()
+	cpu.SetHooks(&instrument.Hooks{Prof: prof})
 	for {
 		stop := cpu.Run(50_000_000)
 		if stop.Kind == emu.StopEcall {
@@ -40,7 +39,10 @@ func TestGuestProfilerMatmul(t *testing.T) {
 
 	// Conservation: every block-retired instruction and every cycle must be
 	// attributed to exactly one sampled block.
-	cycles, instret := cpu.Prof.Totals()
+	if cpu.Blocks.TraceHits == 0 {
+		t.Fatal("trace tier not exercised")
+	}
+	cycles, instret := prof.Totals()
 	if instret != cpu.Blocks.Retired {
 		t.Errorf("profiler instret %d != block-engine retired %d", instret, cpu.Blocks.Retired)
 	}
@@ -48,11 +50,16 @@ func TestGuestProfilerMatmul(t *testing.T) {
 		t.Errorf("profiler cycles %d != cpu cycles %d", cycles, cpu.Cycles)
 	}
 
-	st := emu.SymTableOf(img)
-	if st == nil {
+	var syms []telemetry.Sym
+	for _, s := range img.FuncSymbols() {
+		syms = append(syms, telemetry.Sym{Name: s.Name, Addr: s.Addr, Size: s.Size})
+	}
+	if len(syms) == 0 {
 		t.Fatal("matmul image has no function symbols")
 	}
-	rep := cpu.Prof.Report(st, 5)
+	st := telemetry.NewSymTable(syms)
+	samples := prof.Samples()
+	rep := telemetry.Report(samples, st, 5)
 	if len(rep) == 0 {
 		t.Fatal("empty profile report")
 	}
@@ -75,11 +82,9 @@ func TestGuestProfilerMatmul(t *testing.T) {
 	}
 
 	// Folded-stack output: one line per block, root prefix, hot line present.
-	var folded strings.Builder
-	cpu.Prof.FoldedStacks(&folded, "matmul", st)
-	lines := strings.Split(strings.TrimSpace(folded.String()), "\n")
-	if len(lines) != cpu.Prof.Blocks() {
-		t.Errorf("folded lines = %d, blocks = %d", len(lines), cpu.Prof.Blocks())
+	lines := telemetry.Folded("matmul", samples, st)
+	if len(lines) != prof.Blocks() {
+		t.Errorf("folded lines = %d, blocks = %d", len(lines), prof.Blocks())
 	}
 	for _, l := range lines {
 		if !strings.HasPrefix(l, "matmul;") {
@@ -101,7 +106,7 @@ func TestProfilerOffUnchanged(t *testing.T) {
 		cpu := emu.NewCPU(mem, riscv.RV64GC)
 		cpu.Reset(img)
 		if prof {
-			cpu.Prof = telemetry.NewGuestProfiler()
+			cpu.SetHooks(&instrument.Hooks{Prof: instrument.NewProfile()})
 		}
 		stop := cpu.Run(50_000_000)
 		if stop.Kind != emu.StopEcall {

@@ -40,7 +40,6 @@ const (
 
 // trace is one compiled superblock.
 type trace struct {
-	pc     uint64
 	mapGen uint64
 	mem    *Memory
 	isa    riscv.Ext
@@ -58,11 +57,23 @@ type trace struct {
 	pages []*Page
 	pgens []uint64
 
-	// Coverage bookkeeping: the covID of every stitched block in stitch
-	// order, and each block's first-µop index in uops, so runBlocks can
-	// record exactly the edges a block-tier dispatch sequence would have.
-	covIDs    []uint32
-	covStarts []int
+	// stitches lists the stitched blocks in stitch order, so a dispatch
+	// reports to the per-dispatch observers exactly what the equivalent
+	// block-tier dispatch sequence would have (observeDispatch).
+	stitches []stitch
+}
+
+// stitch is one block stitched into a trace. start and cycles are what the
+// stitches before it retire and charge when they run to completion (seam
+// expectations burned in), so a run of stitches costs the difference of its
+// ends. first indexes the first stitch of this block's run of consecutive
+// stitches (an unrolled loop).
+type stitch struct {
+	pc     uint64
+	cycles uint64
+	covID  uint32
+	start  int32 // first-µop index in trace.uops
+	first  int32
 }
 
 // traceValid reports whether t may still run on the CPU's current address
@@ -94,15 +105,15 @@ func (c *CPU) newTrace() *trace {
 // recycleTrace detaches and pools b's trace (on invalidation or entry-block
 // eviction), keeping the backing arrays for reuse.
 func (c *CPU) recycleTrace(b *block) {
-	t := b.trace
-	b.trace = nil
-	if t == nil {
-		return
+	if t := b.trace; t != nil {
+		b.trace = nil
+		c.freeTrace(t)
 	}
-	*t = trace{
-		uops: t.uops[:0], pages: t.pages[:0], pgens: t.pgens[:0],
-		covIDs: t.covIDs[:0], covStarts: t.covStarts[:0],
-	}
+}
+
+// freeTrace clears t and parks it on the free list with its backing arrays.
+func (c *CPU) freeTrace(t *trace) {
+	*t = trace{uops: t.uops[:0], pages: t.pages[:0], pgens: t.pgens[:0], stitches: t.stitches[:0]}
 	c.freeTraces = append(c.freeTraces, t)
 }
 
@@ -125,17 +136,21 @@ func (t *trace) addFrame(p *Page, gen uint64) {
 // that ended it.
 func (c *CPU) buildTrace(entry *block) {
 	t := c.newTrace()
-	t.pc, t.mapGen, t.mem, t.isa, t.cost = entry.pc, c.Mem.mapGen, entry.mem, entry.isa, entry.cost
+	t.mapGen, t.mem, t.isa, t.cost = c.Mem.mapGen, entry.mem, entry.isa, entry.cost
 	t.obs = entry.obs
 	b := entry
 	nblocks := 0
+	var cycles uint64
 	for {
 		t.addFrame(b.pg0, b.pgen0)
 		if b.pg1 != nil {
 			t.addFrame(b.pg1, b.pgen1)
 		}
-		t.covIDs = append(t.covIDs, b.covID)
-		t.covStarts = append(t.covStarts, len(t.uops))
+		s := stitch{pc: b.pc, covID: b.covID, start: int32(len(t.uops)), cycles: cycles, first: int32(nblocks)}
+		if nblocks > 0 && t.stitches[nblocks-1].pc == b.pc {
+			s.first = t.stitches[nblocks-1].first
+		}
+		t.stitches = append(t.stitches, s)
 		t.uops = append(t.uops, b.uops...)
 		t.last = b
 		nblocks++
@@ -153,15 +168,19 @@ func (c *CPU) buildTrace(entry *block) {
 			last.expect = expNone
 			break
 		}
+		for _, u := range b.uops[:len(b.uops)-1] {
+			cycles += u.costN
+		}
+		if last.expect == expNotTaken || last.expect == expNone {
+			cycles += last.costN
+		} else {
+			cycles += last.costT
+		}
 		b = next
 	}
 	if nblocks < 2 {
 		entry.noTrace = true
-		*t = trace{
-			uops: t.uops[:0], pages: t.pages[:0], pgens: t.pgens[:0],
-			covIDs: t.covIDs[:0], covStarts: t.covStarts[:0],
-		}
-		c.freeTraces = append(c.freeTraces, t)
+		c.freeTrace(t)
 		return
 	}
 	entry.trace = t

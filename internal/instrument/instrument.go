@@ -1,9 +1,10 @@
 // Package instrument defines the guest instrumentation ABI: a hook set the
 // emulator compiles into its basic blocks and superblock traces at
-// translation time. Three observers are defined — AFL-style edge-coverage
+// translation time. Four observers are defined — AFL-style edge-coverage
 // bitmaps, cmp-operand logging (input-to-state correspondence, the REDQUEEN
-// trick), and memory-access tracing — plus the indirect-jump interceptor
-// that regeneration baselines (Safer's pointer checks) have always used.
+// trick), memory-access tracing, and the per-block guest profile — plus the
+// indirect-jump interceptor that regeneration baselines (Safer's pointer
+// checks) have always used.
 //
 // The contract that makes the emulator usable as a fuzzing backend (Icicle's
 // observation) is zero-cost-when-off: a nil hook set, or a hook set with no
@@ -14,19 +15,32 @@
 // the fuzzing loop's steady state is allocation-free like every other hot
 // path in the tree.
 //
-// The package is dependency-free (the emulator imports it, not the other
-// way around), mirroring how internal/telemetry hosts the guest profiler.
+// The package is dependency-free: the emulator, the kernel and the
+// renderers in internal/telemetry import it, never the other way around.
 package instrument
+
+import "sort"
 
 const (
 	// CovMapSize is the edge-coverage bitmap size (AFL's classic 64 KiB).
 	// Edge indices are (cur ^ prev) masked to this range, with prev shifted
 	// right one bit so A→B and B→A hash differently.
 	CovMapSize = 1 << 16
-	// CmpLogSize is the cmp-operand ring capacity (entries).
-	CmpLogSize = 1 << 12
-	// MemLogSize is the memory-access ring capacity (entries).
-	MemLogSize = 1 << 12
+	// CmpLogSize and MemLogSize are the cmp-operand and memory-access ring
+	// capacities (entries).
+	CmpLogSize = ringSize
+	MemLogSize = ringSize
+	// ProfileSize is the guest-profile table's slot count. At most
+	// ProfileBlocks distinct blocks get a slot of their own, so linear
+	// probes stay short; samples of later blocks fold into the spill sample.
+	ProfileSize   = 1 << profileBits
+	ProfileBlocks = ProfileSize * 3 / 4
+	// SpillPC is the pseudo-pc under which Profile.Samples reports the
+	// spill sample.
+	SpillPC = ^uint64(0)
+
+	ringSize    = 1 << 12
+	profileBits = 12
 )
 
 // Coverage is an AFL-style edge-coverage bitmap. Edge records the
@@ -75,41 +89,15 @@ type CmpEntry struct {
 	A, B uint64
 }
 
-// CmpLog is a fixed ring of comparison operands, fed by every conditional
-// branch the translator flagged at build time. N counts all logged entries
-// (it can exceed CmpLogSize; the ring keeps the most recent).
-type CmpLog struct {
-	Buf [CmpLogSize]CmpEntry
-	N   uint64
-}
+// CmpLog is a ring of comparison operands, fed by every conditional branch
+// the translator flagged at build time.
+type CmpLog struct{ ring[CmpEntry] }
 
 // NewCmpLog returns an empty comparison log.
 func NewCmpLog() *CmpLog { return &CmpLog{} }
 
 // Log records one comparison.
-func (l *CmpLog) Log(pc, a, b uint64) {
-	l.Buf[l.N&(CmpLogSize-1)] = CmpEntry{PC: pc, A: a, B: b}
-	l.N++
-}
-
-// Reset empties the log without allocating.
-func (l *CmpLog) Reset() { l.N = 0 }
-
-// Len reports how many entries are currently readable (at most CmpLogSize).
-func (l *CmpLog) Len() int {
-	if l.N > CmpLogSize {
-		return CmpLogSize
-	}
-	return int(l.N)
-}
-
-// Entry returns readable entry i (0 ≤ i < Len()), oldest first.
-func (l *CmpLog) Entry(i int) CmpEntry {
-	if l.N > CmpLogSize {
-		return l.Buf[(l.N+uint64(i))&(CmpLogSize-1)]
-	}
-	return l.Buf[i]
-}
+func (l *CmpLog) Log(pc, a, b uint64) { l.push(CmpEntry{PC: pc, A: a, B: b}) }
 
 // MemEntry is one logged memory access.
 type MemEntry struct {
@@ -120,41 +108,152 @@ type MemEntry struct {
 }
 
 // MemTrace is a fixed ring of guest memory accesses, fed by every scalar
-// load/store µop the translator flagged at build time. Accesses are logged
-// when attempted, so a faulting access appears as the trace's final entry —
-// exactly what crash triage wants to see. (The interpreter's vector
-// long-tail is not traced; DESIGN.md §13 records the limitation.)
-type MemTrace struct {
-	Buf [MemLogSize]MemEntry
-	N   uint64
-}
+// integer and floating-point load/store (LB…SD, FLW/FLD/FSW/FSD) on all
+// three engines. Accesses are logged when attempted, so a faulting access
+// appears as the trace's final entry — exactly what crash triage wants to
+// see. Vector loads/stores (VLE/VSE) are traced on no engine; DESIGN.md §13
+// records the limitation.
+type MemTrace struct{ ring[MemEntry] }
 
 // NewMemTrace returns an empty access trace.
 func NewMemTrace() *MemTrace { return &MemTrace{} }
 
 // Access records one attempted access.
 func (t *MemTrace) Access(pc, addr uint64, size uint8, write bool) {
-	t.Buf[t.N&(MemLogSize-1)] = MemEntry{PC: pc, Addr: addr, Size: size, Write: write}
-	t.N++
+	t.push(MemEntry{PC: pc, Addr: addr, Size: size, Write: write})
 }
 
-// Reset empties the trace without allocating.
-func (t *MemTrace) Reset() { t.N = 0 }
-
-// Len reports how many entries are currently readable (at most MemLogSize).
-func (t *MemTrace) Len() int {
-	if t.N > MemLogSize {
-		return MemLogSize
-	}
-	return int(t.N)
+// ring is a fixed buffer keeping the most recent ringSize entries. N counts
+// every entry recorded (it can exceed ringSize).
+type ring[E any] struct {
+	Buf [ringSize]E
+	N   uint64
 }
+
+func (r *ring[E]) push(e E) {
+	r.Buf[r.N&(ringSize-1)] = e
+	r.N++
+}
+
+// Reset empties the ring without allocating.
+func (r *ring[E]) Reset() { r.N = 0 }
+
+// Len reports how many entries are currently readable (at most ringSize).
+func (r *ring[E]) Len() int { return int(min(r.N, ringSize)) }
 
 // Entry returns readable entry i (0 ≤ i < Len()), oldest first.
-func (t *MemTrace) Entry(i int) MemEntry {
-	if t.N > MemLogSize {
-		return t.Buf[(t.N+uint64(i))&(MemLogSize-1)]
+func (r *ring[E]) Entry(i int) E {
+	if r.N > ringSize {
+		return r.Buf[(r.N+uint64(i))&(ringSize-1)]
 	}
-	return t.Buf[i]
+	return r.Buf[i]
+}
+
+// BlockSample accumulates one basic block's execution totals.
+type BlockSample struct {
+	PC         uint64 `json:"pc"`
+	Cycles     uint64 `json:"cycles"`
+	Instret    uint64 `json:"instret"`
+	Dispatches uint64 `json:"dispatches"`
+}
+
+// Profile is the guest profiler: per-block cycle, instret and dispatch
+// totals in a fixed open-addressed table keyed by block start pc, so
+// sampling never allocates. A slot is free while its Dispatches is zero
+// (every Add counts at least one dispatch). Once ProfileBlocks blocks hold
+// slots, samples of further blocks accumulate in one spill sample, so totals
+// stay exact however many blocks run. Create one with NewProfile.
+type Profile struct {
+	tab   [ProfileSize]BlockSample
+	n     int // occupied slots
+	spill BlockSample
+}
+
+// NewProfile returns an empty profile.
+func NewProfile() *Profile { return &Profile{spill: BlockSample{PC: SpillPC}} }
+
+// slot returns pc's accumulator, claiming a free slot on first sight.
+func (p *Profile) slot(pc uint64) *BlockSample {
+	for i := (pc * 0x9E3779B97F4A7C15) >> (64 - profileBits); ; i = (i + 1) & (ProfileSize - 1) {
+		s := &p.tab[i]
+		if s.Dispatches == 0 {
+			if p.n == ProfileBlocks {
+				return &p.spill
+			}
+			p.n++
+			s.PC = pc
+			return s
+		}
+		if s.PC == pc {
+			return s
+		}
+	}
+}
+
+// Add records dispatches (at least one) of the block at pc that together
+// retired instret instructions and charged cycles.
+func (p *Profile) Add(pc, dispatches, instret, cycles uint64) {
+	s := p.slot(pc)
+	s.Instret += instret
+	s.Cycles += cycles
+	s.Dispatches += dispatches
+}
+
+// Merge folds o's samples into p (o's spill into p's spill).
+func (p *Profile) Merge(o *Profile) {
+	if o == nil {
+		return
+	}
+	for _, s := range o.tab {
+		if s.Dispatches != 0 {
+			p.Add(s.PC, s.Dispatches, s.Instret, s.Cycles)
+		}
+	}
+	p.spill.Cycles += o.spill.Cycles
+	p.spill.Instret += o.spill.Instret
+	p.spill.Dispatches += o.spill.Dispatches
+}
+
+// Reset empties the profile without allocating.
+func (p *Profile) Reset() { *p = Profile{spill: BlockSample{PC: SpillPC}} }
+
+// Samples returns every sample ranked by cycles (descending), ties broken
+// by pc so the order is deterministic. A non-empty spill sample is
+// included under SpillPC.
+func (p *Profile) Samples() []BlockSample {
+	out := make([]BlockSample, 0, p.n+1)
+	for _, s := range p.tab {
+		if s.Dispatches != 0 {
+			out = append(out, s)
+		}
+	}
+	if p.spill.Dispatches != 0 {
+		out = append(out, p.spill)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Cycles != out[j].Cycles {
+			return out[i].Cycles > out[j].Cycles
+		}
+		return out[i].PC < out[j].PC
+	})
+	return out
+}
+
+// Blocks returns the number of samples Samples would return.
+func (p *Profile) Blocks() int {
+	if p.spill.Dispatches != 0 {
+		return p.n + 1
+	}
+	return p.n
+}
+
+// Totals sums cycles and instret over all samples, spill included.
+func (p *Profile) Totals() (cycles, instret uint64) {
+	for i := range p.tab {
+		cycles += p.tab[i].Cycles
+		instret += p.tab[i].Instret
+	}
+	return cycles + p.spill.Cycles, instret + p.spill.Instret
 }
 
 // Hooks is the emulator's single hook registration surface.
@@ -166,23 +265,26 @@ func (t *MemTrace) Entry(i int) MemEntry {
 // invalidates translations — but it does veto jalr trace stitching, since a
 // hook may redirect or patch code at every call.
 //
-// Cov, Cmp and Mem are pure observers: they cannot change guest behavior,
-// so traces stitch and promote exactly as if they were absent (including
-// across indirect jumps). Cmp and Mem participation is burned into µops at
-// translation time — install them through emu.CPU.SetHooks, which keys the
-// translation caches on the observer set so stale translations rebuild.
+// Cov, Cmp, Mem and Prof are pure observers: they cannot change guest
+// behavior, so traces stitch and promote exactly as if they were absent
+// (including across indirect jumps). Cmp and Mem participation is burned
+// into µops at translation time — install them through emu.CPU.SetHooks,
+// which keys the translation caches on the observer set so stale
+// translations rebuild. Cov and Prof fire once per stitched block a
+// dispatch enters, identically on the block and trace tiers.
 type Hooks struct {
 	Indirect      func(pc, target uint64) (newTarget, extraCycles uint64)
 	IndirectCalls uint64
 
-	Cov *Coverage
-	Cmp *CmpLog
-	Mem *MemTrace
+	Cov  *Coverage
+	Cmp  *CmpLog
+	Mem  *MemTrace
+	Prof *Profile
 }
 
 // ResetState clears per-execution observer state (coverage bitmap, cmp log,
-// access trace) without allocating and without touching the registration
-// itself or the cumulative IndirectCalls counter.
+// access trace, profile) without allocating and without touching the
+// registration itself or the cumulative IndirectCalls counter.
 func (h *Hooks) ResetState() {
 	if h == nil {
 		return
@@ -196,9 +298,12 @@ func (h *Hooks) ResetState() {
 	if h.Mem != nil {
 		h.Mem.Reset()
 	}
+	if h.Prof != nil {
+		h.Prof.Reset()
+	}
 }
 
 // Observing reports whether any pure observer is installed.
 func (h *Hooks) Observing() bool {
-	return h != nil && (h.Cov != nil || h.Cmp != nil || h.Mem != nil)
+	return h != nil && (h.Cov != nil || h.Cmp != nil || h.Mem != nil || h.Prof != nil)
 }

@@ -92,16 +92,17 @@ func TestHooksResetState(t *testing.T) {
 	var nilHooks *Hooks
 	nilHooks.ResetState() // must not panic
 
-	h := &Hooks{Cov: NewCoverage(), Cmp: NewCmpLog(), Mem: NewMemTrace()}
+	h := &Hooks{Cov: NewCoverage(), Cmp: NewCmpLog(), Mem: NewMemTrace(), Prof: NewProfile()}
 	h.IndirectCalls = 42
 	h.Cov.Edge(1)
 	h.Cmp.Log(1, 2, 3)
 	h.Mem.Access(1, 2, 8, false)
+	h.Prof.Add(1, 1, 2, 3)
 	allocs := testing.AllocsPerRun(10, func() { h.ResetState() })
 	if allocs != 0 {
 		t.Fatalf("Hooks.ResetState allocates: %v allocs/op", allocs)
 	}
-	if h.Cov.Edges() != 0 || h.Cmp.Len() != 0 || h.Mem.Len() != 0 {
+	if h.Cov.Edges() != 0 || h.Cmp.Len() != 0 || h.Mem.Len() != 0 || h.Prof.Blocks() != 0 {
 		t.Fatal("ResetState did not clear observer state")
 	}
 	if h.IndirectCalls != 42 {
@@ -121,5 +122,118 @@ func TestObserving(t *testing.T) {
 	h.Cov = NewCoverage()
 	if !h.Observing() {
 		t.Fatal("coverage installed but not observing")
+	}
+	h.Cov = nil
+	h.Prof = NewProfile()
+	if !h.Observing() {
+		t.Fatal("profile installed but not observing")
+	}
+}
+
+func TestProfileSamplesAndTotals(t *testing.T) {
+	p := NewProfile()
+	// Hot block at 0x100: 10 dispatches of 8 instructions, 2 cycles each.
+	for i := 0; i < 10; i++ {
+		p.Add(0x100, 1, 8, 16)
+	}
+	p.Add(0x200, 1, 4, 4)
+	p.Add(0x300, 1, 2, 2)
+
+	if p.Blocks() != 3 {
+		t.Fatalf("blocks = %d, want 3", p.Blocks())
+	}
+	cycles, instret := p.Totals()
+	if cycles != 166 || instret != 86 {
+		t.Errorf("totals = (%d, %d), want (166, 86)", cycles, instret)
+	}
+	top := p.Samples()
+	if len(top) != 3 || top[0].PC != 0x100 || top[1].PC != 0x200 {
+		t.Fatalf("samples = %+v", top)
+	}
+	if top[0].Cycles != 160 || top[0].Instret != 80 || top[0].Dispatches != 10 {
+		t.Errorf("hot block = %+v", top[0])
+	}
+	// Ties break by pc ascending.
+	q := NewProfile()
+	q.Add(0x20, 1, 1, 5)
+	q.Add(0x10, 1, 1, 5)
+	if s := q.Samples(); s[0].PC != 0x10 || s[1].PC != 0x20 {
+		t.Errorf("tie order = %+v", s)
+	}
+}
+
+func TestProfileMerge(t *testing.T) {
+	a := NewProfile()
+	a.Add(0x100, 1, 2, 4)
+	b := NewProfile()
+	b.Add(0x100, 1, 3, 6)
+	b.Add(0x200, 1, 1, 1)
+	a.Merge(b)
+	a.Merge(nil)
+	cycles, instret := a.Totals()
+	if cycles != 11 || instret != 6 {
+		t.Errorf("merged totals = (%d, %d), want (11, 6)", cycles, instret)
+	}
+	if a.Blocks() != 2 {
+		t.Errorf("merged blocks = %d, want 2", a.Blocks())
+	}
+	if hot := a.Samples()[0]; hot.PC != 0x100 || hot.Dispatches != 2 {
+		t.Errorf("merged hot = %+v", hot)
+	}
+}
+
+// TestProfileSpillConservesTotals fills the table past ProfileBlocks
+// distinct blocks: later blocks fold into the spill sample, totals stay
+// exact (also through Merge), and Reset empties everything without
+// allocating.
+func TestProfileSpillConservesTotals(t *testing.T) {
+	const extra = 100
+	p := NewProfile()
+	var wantCycles, wantInstret uint64
+	for i := uint64(0); i < ProfileBlocks+extra; i++ {
+		pc := 0x10000 + 4*i
+		p.Add(pc, 1, 3, 5+i)
+		p.Add(pc, 1, 1, 1)
+		wantCycles += 6 + i
+		wantInstret += 4
+	}
+	if cycles, instret := p.Totals(); cycles != wantCycles || instret != wantInstret {
+		t.Fatalf("totals = (%d, %d), want (%d, %d)", cycles, instret, wantCycles, wantInstret)
+	}
+	if p.Blocks() != ProfileBlocks+1 {
+		t.Fatalf("blocks = %d, want %d slots plus the spill", p.Blocks(), ProfileBlocks+1)
+	}
+	var spill *BlockSample
+	var sum uint64
+	for _, s := range p.Samples() {
+		sum += s.Cycles
+		if s.PC == SpillPC {
+			s := s
+			spill = &s
+		}
+	}
+	if sum != wantCycles {
+		t.Errorf("sum over samples = %d, want %d", sum, wantCycles)
+	}
+	if spill == nil || spill.Dispatches != 2*extra || spill.Instret != 4*extra {
+		t.Errorf("spill sample = %+v, want %d dispatches", spill, 2*extra)
+	}
+
+	m := NewProfile()
+	m.Merge(p)
+	m.Merge(p)
+	if cycles, instret := m.Totals(); cycles != 2*wantCycles || instret != 2*wantInstret {
+		t.Errorf("merged totals = (%d, %d), want (%d, %d)", cycles, instret, 2*wantCycles, 2*wantInstret)
+	}
+
+	if allocs := testing.AllocsPerRun(10, func() {
+		p.Reset()
+		p.Add(0x10000, 1, 1, 1)
+	}); allocs != 0 {
+		t.Fatalf("Profile.Reset+Sample allocates: %v allocs/op", allocs)
+	}
+	p.Reset()
+	if cycles, instret := p.Totals(); cycles != 0 || instret != 0 || p.Blocks() != 0 {
+		t.Fatalf("Reset left (%d, %d) over %d blocks", cycles, instret, p.Blocks())
 	}
 }

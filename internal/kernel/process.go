@@ -105,7 +105,7 @@ type Process struct {
 }
 
 // Hooks exposes the process's instrumentation hook set for observer
-// installation. After mutating observer fields (Cov/Cmp/Mem), call
+// installation. After mutating observer fields (Cov/Cmp/Mem/Prof), call
 // CPU.RefreshHooks so translations are keyed on the new observer set.
 func (p *Process) Hooks() *instrument.Hooks { return &p.hooks }
 

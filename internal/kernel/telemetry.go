@@ -106,3 +106,18 @@ func (t *SchedTelemetry) AddCounters(c Counters) {
 	t.signals.Add(c.SignalsTaken)
 	t.kernelCycles.Add(c.KernelCycles)
 }
+
+// SymTable symbolizes guest pcs (Hooks().Prof samples) against the function
+// symbols of every loaded variant image; nil when none has any.
+func (p *Process) SymTable() *telemetry.SymTable {
+	var syms []telemetry.Sym
+	for _, v := range p.views {
+		for _, s := range v.img.FuncSymbols() {
+			syms = append(syms, telemetry.Sym{Name: s.Name, Addr: s.Addr, Size: s.Size})
+		}
+	}
+	if len(syms) == 0 {
+		return nil
+	}
+	return telemetry.NewSymTable(syms)
+}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +25,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/emu"
+	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
@@ -98,10 +98,10 @@ type Config struct {
 	// TraceCapacity bounds the request-trace ring buffer (default 256;
 	// negative disables tracing entirely).
 	TraceCapacity int
-	// GuestProfile enables the guest-level profiler on every /run: per-block
-	// cycle/instret accumulation, aggregated per image and exposed on
-	// /profile. Off by default (the profiler-off path costs one nil check
-	// per block dispatch).
+	// GuestProfile installs the guest profiler (instrument.Hooks.Prof) on
+	// every /run: per-block cycle/instret accumulation, aggregated per image
+	// and exposed on /profile. Off by default (off costs nothing beyond the
+	// per-dispatch observer check every hooked process already pays).
 	GuestProfile bool
 	// MaxCampaigns caps concurrently running fuzzing campaigns (POST
 	// /fuzz). Campaigns run on dedicated goroutines outside the worker
@@ -291,7 +291,7 @@ type Server struct {
 // imageProfile aggregates guest-profiler samples across every /run of one
 // image name, with the symbol table captured from the first run.
 type imageProfile struct {
-	prof *telemetry.GuestProfiler
+	prof *instrument.Profile
 	syms *telemetry.SymTable
 }
 
@@ -1013,8 +1013,9 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 		}
 	}
 	if s.cfg.GuestProfile {
-		p.CPU.Prof = telemetry.NewGuestProfiler()
-		defer s.foldProfile(req, p.CPU.Prof)
+		p.Hooks().Prof = instrument.NewProfile()
+		p.CPU.RefreshHooks()
+		defer s.foldProfile(p)
 	}
 	execSpan := telemetry.TraceFrom(ctx).Span("run_exec")
 	defer execSpan.End()
@@ -1063,22 +1064,20 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 // foldProfile merges one run's guest-profiler samples into the per-image
 // aggregate. The map is capped: past maxProfiledImages distinct image
 // names, new images are silently unprofiled (existing ones keep folding).
-func (s *Server) foldProfile(req *RunRequest, prof *telemetry.GuestProfiler) {
-	if prof == nil || prof.Blocks() == 0 {
+func (s *Server) foldProfile(p *kernel.Process) {
+	prof := p.Hooks().Prof
+	if prof.Blocks() == 0 {
 		return
 	}
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
-	ip := s.profiles[req.Image.Name]
+	ip := s.profiles[p.Name]
 	if ip == nil {
 		if len(s.profiles) >= maxProfiledImages {
 			return
 		}
-		ip = &imageProfile{
-			prof: telemetry.NewGuestProfiler(),
-			syms: emu.SymTableOf(req.Image, req.With),
-		}
-		s.profiles[req.Image.Name] = ip
+		ip = &imageProfile{prof: instrument.NewProfile(), syms: p.SymTable()}
+		s.profiles[p.Name] = ip
 	}
 	ip.prof.Merge(prof)
 }
@@ -1106,19 +1105,15 @@ func (s *Server) Profiles(topN int) []ImageProfile {
 	out := make([]ImageProfile, 0, len(s.profiles))
 	for name, ip := range s.profiles {
 		cycles, instret := ip.prof.Totals()
-		var folded strings.Builder
-		ip.prof.FoldedStacks(&folded, name, ip.syms)
-		p := ImageProfile{
+		samples := ip.prof.Samples()
+		out = append(out, ImageProfile{
 			Image:   name,
-			Blocks:  ip.prof.Blocks(),
+			Blocks:  len(samples),
 			Cycles:  cycles,
 			Instret: instret,
-			Hot:     ip.prof.Report(ip.syms, topN),
-		}
-		if f := strings.TrimSuffix(folded.String(), "\n"); f != "" {
-			p.Folded = strings.Split(f, "\n")
-		}
-		out = append(out, p)
+			Hot:     telemetry.Report(samples, ip.syms, topN),
+			Folded:  telemetry.Folded(name, samples, ip.syms),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Image < out[j].Image })
 	return out

@@ -1,102 +1,23 @@
 package telemetry
 
-// Guest-level profiler for the emulator's basic-block engine: an optional
-// per-block cycle/instret accumulator the block dispatcher feeds (one map
-// update per dispatch when enabled, one nil check when not), which ranks
-// hot blocks, symbolizes them against an image's function symbols, and
-// emits both a top-N table and folded-stack flamegraph lines.
+// Rendering for the guest profiler (instrument.Profile, which the emulator
+// feeds once per stitched block a dispatch enters): symbolization against
+// an image's function symbols, a ranked top-N table, and folded-stack
+// flamegraph lines. Every function takes samples in Profile.Samples order
+// (cycles descending, pc ascending).
 
 import (
 	"fmt"
 	"io"
 	"sort"
+
+	"github.com/eurosys26p57/chimera/internal/instrument"
 )
-
-// BlockSample accumulates one basic block's execution totals.
-type BlockSample struct {
-	PC         uint64 `json:"pc"`
-	Cycles     uint64 `json:"cycles"`
-	Instret    uint64 `json:"instret"`
-	Dispatches uint64 `json:"dispatches"`
-}
-
-// GuestProfiler accumulates per-block samples for one hart. It is not
-// goroutine-safe: each hart owns its profiler, and cross-run aggregation
-// happens via Merge under the aggregator's lock.
-type GuestProfiler struct {
-	blocks map[uint64]*BlockSample
-}
-
-// NewGuestProfiler returns an empty profiler.
-func NewGuestProfiler() *GuestProfiler {
-	return &GuestProfiler{blocks: make(map[uint64]*BlockSample)}
-}
-
-// Sample records one block dispatch: instret instructions retired and
-// cycles charged for the dispatch starting at pc.
-func (p *GuestProfiler) Sample(pc, instret, cycles uint64) {
-	s := p.blocks[pc]
-	if s == nil {
-		s = &BlockSample{PC: pc}
-		p.blocks[pc] = s
-	}
-	s.Instret += instret
-	s.Cycles += cycles
-	s.Dispatches++
-}
-
-// Merge folds o's samples into p.
-func (p *GuestProfiler) Merge(o *GuestProfiler) {
-	if o == nil {
-		return
-	}
-	for pc, os := range o.blocks {
-		s := p.blocks[pc]
-		if s == nil {
-			s = &BlockSample{PC: pc}
-			p.blocks[pc] = s
-		}
-		s.Cycles += os.Cycles
-		s.Instret += os.Instret
-		s.Dispatches += os.Dispatches
-	}
-}
-
-// Totals sums cycles and instret over all blocks.
-func (p *GuestProfiler) Totals() (cycles, instret uint64) {
-	for _, s := range p.blocks {
-		cycles += s.Cycles
-		instret += s.Instret
-	}
-	return cycles, instret
-}
-
-// Blocks returns the number of distinct blocks sampled.
-func (p *GuestProfiler) Blocks() int { return len(p.blocks) }
-
-// Top returns up to n samples ranked by cycles (descending), ties broken
-// by pc so the ranking is deterministic.
-func (p *GuestProfiler) Top(n int) []BlockSample {
-	out := make([]BlockSample, 0, len(p.blocks))
-	for _, s := range p.blocks {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
-		}
-		return out[i].PC < out[j].PC
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
 
 // --- Symbolization -------------------------------------------------------
 
 // Sym is one function symbol for the profiler's symbolizer. The telemetry
-// package stays dependency-free, so callers convert their symbol tables
+// package imports no image format, so callers convert their symbol tables
 // (e.g. obj.Image.FuncSymbols) into this shape.
 type Sym struct {
 	Name string
@@ -106,13 +27,18 @@ type Sym struct {
 
 // SymTable resolves guest addresses to function-relative names.
 type SymTable struct {
-	syms []Sym // sorted by Addr
+	syms []Sym // sorted by Addr, then Name
 }
 
 // NewSymTable builds a table from function symbols (any order).
 func NewSymTable(syms []Sym) *SymTable {
 	t := &SymTable{syms: append([]Sym(nil), syms...)}
-	sort.Slice(t.syms, func(i, j int) bool { return t.syms[i].Addr < t.syms[j].Addr })
+	sort.Slice(t.syms, func(i, j int) bool {
+		if t.syms[i].Addr != t.syms[j].Addr {
+			return t.syms[i].Addr < t.syms[j].Addr
+		}
+		return t.syms[i].Name < t.syms[j].Name
+	})
 	return t
 }
 
@@ -160,12 +86,18 @@ type HotBlock struct {
 	Dispatches uint64  `json:"dispatches"`
 }
 
-// Report symbolizes the top-n blocks against st (which may be nil).
-func (p *GuestProfiler) Report(st *SymTable, n int) []HotBlock {
-	total, _ := p.Totals()
-	top := p.Top(n)
-	out := make([]HotBlock, len(top))
-	for i, s := range top {
+// Report symbolizes the top-n ranked samples against st (which may be nil);
+// cycle shares are relative to all samples.
+func Report(samples []instrument.BlockSample, st *SymTable, n int) []HotBlock {
+	var total uint64
+	for _, s := range samples {
+		total += s.Cycles
+	}
+	if n > 0 && len(samples) > n {
+		samples = samples[:n]
+	}
+	out := make([]HotBlock, len(samples))
+	for i, s := range samples {
 		hb := HotBlock{
 			Rank: i + 1, PC: s.PC, Location: st.Location(s.PC),
 			Cycles: s.Cycles, Instret: s.Instret, Dispatches: s.Dispatches,
@@ -179,25 +111,23 @@ func (p *GuestProfiler) Report(st *SymTable, n int) []HotBlock {
 }
 
 // WriteTable renders the top-n report as an aligned text table.
-func (p *GuestProfiler) WriteTable(w io.Writer, st *SymTable, n int) {
+func WriteTable(w io.Writer, samples []instrument.BlockSample, st *SymTable, n int) {
 	fmt.Fprintf(w, "%4s  %-12s  %-28s  %12s  %6s  %12s  %10s\n",
 		"rank", "pc", "location", "cycles", "cyc%", "instret", "dispatches")
-	for _, hb := range p.Report(st, n) {
+	for _, hb := range Report(samples, st, n) {
 		fmt.Fprintf(w, "%4d  %#-12x  %-28s  %12d  %5.1f%%  %12d  %10d\n",
 			hb.Rank, hb.PC, hb.Location, hb.Cycles, hb.CyclePct, hb.Instret, hb.Dispatches)
 	}
 }
 
-// FoldedStacks emits one flamegraph-folded line per block —
+// Folded returns one flamegraph-folded line per sample —
 // "root;location cycles" — sorted by location for deterministic output.
-// Feed the result to any flamegraph renderer (e.g. flamegraph.pl).
-func (p *GuestProfiler) FoldedStacks(w io.Writer, root string, st *SymTable) {
-	lines := make([]string, 0, len(p.blocks))
-	for _, s := range p.blocks {
+// Feed the lines to any flamegraph renderer (e.g. flamegraph.pl).
+func Folded(root string, samples []instrument.BlockSample, st *SymTable) []string {
+	lines := make([]string, 0, len(samples))
+	for _, s := range samples {
 		lines = append(lines, fmt.Sprintf("%s;%s %d", root, st.Location(s.PC), s.Cycles))
 	}
 	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
-	}
+	return lines
 }

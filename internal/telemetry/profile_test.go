@@ -3,59 +3,9 @@ package telemetry
 import (
 	"strings"
 	"testing"
+
+	"github.com/eurosys26p57/chimera/internal/instrument"
 )
-
-func TestGuestProfilerTopAndTotals(t *testing.T) {
-	p := NewGuestProfiler()
-	// Hot block at 0x100: 10 dispatches of 8 instructions, 2 cycles each.
-	for i := 0; i < 10; i++ {
-		p.Sample(0x100, 8, 16)
-	}
-	p.Sample(0x200, 4, 4)
-	p.Sample(0x300, 2, 2)
-
-	if p.Blocks() != 3 {
-		t.Fatalf("blocks = %d, want 3", p.Blocks())
-	}
-	cycles, instret := p.Totals()
-	if cycles != 166 || instret != 86 {
-		t.Errorf("totals = (%d, %d), want (166, 86)", cycles, instret)
-	}
-	top := p.Top(2)
-	if len(top) != 2 || top[0].PC != 0x100 || top[1].PC != 0x200 {
-		t.Fatalf("top = %+v", top)
-	}
-	if top[0].Cycles != 160 || top[0].Instret != 80 || top[0].Dispatches != 10 {
-		t.Errorf("hot block = %+v", top[0])
-	}
-	// Ties break by pc ascending.
-	q := NewGuestProfiler()
-	q.Sample(0x20, 1, 5)
-	q.Sample(0x10, 1, 5)
-	if tt := q.Top(0); tt[0].PC != 0x10 || tt[1].PC != 0x20 {
-		t.Errorf("tie order = %+v", tt)
-	}
-}
-
-func TestGuestProfilerMerge(t *testing.T) {
-	a := NewGuestProfiler()
-	a.Sample(0x100, 2, 4)
-	b := NewGuestProfiler()
-	b.Sample(0x100, 3, 6)
-	b.Sample(0x200, 1, 1)
-	a.Merge(b)
-	a.Merge(nil)
-	cycles, instret := a.Totals()
-	if cycles != 11 || instret != 6 {
-		t.Errorf("merged totals = (%d, %d), want (11, 6)", cycles, instret)
-	}
-	if a.Blocks() != 2 {
-		t.Errorf("merged blocks = %d, want 2", a.Blocks())
-	}
-	if hot := a.Top(1)[0]; hot.PC != 0x100 || hot.Dispatches != 2 {
-		t.Errorf("merged hot = %+v", hot)
-	}
-}
 
 func TestSymTableResolve(t *testing.T) {
 	st := NewSymTable([]Sym{
@@ -89,12 +39,12 @@ func TestSymTableResolve(t *testing.T) {
 }
 
 func TestReportAndFoldedStacks(t *testing.T) {
-	p := NewGuestProfiler()
-	p.Sample(0x1010, 8, 75)
-	p.Sample(0x1000, 2, 25)
+	p := instrument.NewProfile()
+	p.Add(0x1010, 1, 8, 75)
+	p.Add(0x1000, 1, 2, 25)
 	st := NewSymTable([]Sym{{Name: "main", Addr: 0x1000}})
 
-	rep := p.Report(st, 10)
+	rep := Report(p.Samples(), st, 10)
 	if len(rep) != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -106,16 +56,18 @@ func TestReportAndFoldedStacks(t *testing.T) {
 	}
 
 	var tbl strings.Builder
-	p.WriteTable(&tbl, st, 10)
+	WriteTable(&tbl, p.Samples(), st, 10)
 	out := tbl.String()
 	if !strings.Contains(out, "main+0x10") || !strings.Contains(out, "75.0%") {
 		t.Errorf("table output:\n%s", out)
 	}
 
-	var folded strings.Builder
-	p.FoldedStacks(&folded, "matmul", st)
-	want := "matmul;main 25\nmatmul;main+0x10 75\n"
-	if folded.String() != want {
-		t.Errorf("folded = %q, want %q", folded.String(), want)
+	folded := strings.Join(Folded("matmul", p.Samples(), st), "\n")
+	want := "matmul;main 25\nmatmul;main+0x10 75"
+	if folded != want {
+		t.Errorf("folded = %q, want %q", folded, want)
+	}
+	if top := Report(p.Samples(), st, 1); len(top) != 1 || top[0].CyclePct != 75 {
+		t.Errorf("top-1 report = %+v, want one entry with its share of all cycles", top)
 	}
 }

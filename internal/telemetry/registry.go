@@ -2,11 +2,11 @@
 // a metrics registry (atomic counters, gauges, and fixed-bucket histograms
 // with label support and a zero-allocation hot path) exposed in Prometheus
 // text format, a lightweight request tracer with ring-buffer retention
-// (trace.go), and a guest-level profiler for the emulator (profile.go).
+// (trace.go), and symbolized rendering of guest profiles (profile.go).
 //
-// The package deliberately imports nothing from the repository, so every
-// layer — service, kernel, emulator, commands — can publish into it without
-// dependency cycles. All hot-path instruments (Counter, Gauge, Histogram)
+// The package deliberately imports nothing from the repository but the
+// dependency-free instrument ABI, so every layer — service, kernel,
+// commands — can publish into it without dependency cycles. All hot-path instruments (Counter, Gauge, Histogram)
 // are nil-safe: a nil instrument records nothing and costs one branch,
 // which is the "telemetry off" mode for optional call sites.
 package telemetry

@@ -47,10 +47,9 @@ go test -run=- -bench='BenchmarkResolve' -benchtime 1x \
 
 # Distill `go test -bench` lines into JSON. Lines look like:
 #   BenchmarkCPURunFib/blocks-8  865  3062081 ns/op  148.6 Minst/s  6.730 ns/inst  7 B/op  0 allocs/op
-# The BenchmarkCPURunProfiler off/on pair also yields profiler_overhead_pct:
-# the guest profiler's ns/inst cost relative to the profiler-off hot loop
-# (the acceptance bound is < 2% for the off case vs the pre-profiler
-# baseline; the on case documents the cost of enabling it).
+# The BenchmarkCPURunProfiler rows also yield profiler_overhead_pct per
+# tier: the guest profiler's ns/inst cost relative to the same tier's
+# profiler-off hot loop (off/on on blocks, traces-off/traces-on on traces).
 awk '
 BEGIN { print "{"; print "  \"benchmarks\": ["; n = 0 }
 /^Benchmark/ {
@@ -74,6 +73,8 @@ BEGIN { print "{"; print "  \"benchmarks\": ["; n = 0 }
     if (nsop == "") next
     if (name == "BenchmarkCPURunProfiler/off" && nsinst != "") prof_off = nsinst
     if (name == "BenchmarkCPURunProfiler/on"  && nsinst != "") prof_on = nsinst
+    if (name == "BenchmarkCPURunProfiler/traces-off" && nsinst != "") prof_toff = nsinst
+    if (name == "BenchmarkCPURunProfiler/traces-on"  && nsinst != "") prof_ton = nsinst
     if (name == "BenchmarkCPURunInstrument/off"      && nsinst != "") ins_off = nsinst
     if (name == "BenchmarkCPURunInstrument/nilhooks" && nsinst != "") ins_nil = nsinst
     if (name == "BenchmarkCPURunInstrument/coverage" && nsinst != "") ins_cov = nsinst
@@ -98,8 +99,9 @@ BEGIN { print "{"; print "  \"benchmarks\": ["; n = 0 }
 }
 END {
     print "\n  ],"
-    if (prof_off + 0 > 0 && prof_on != "")
-        printf "  \"profiler_overhead_pct\": %.2f,\n", (prof_on - prof_off) / prof_off * 100
+    if (prof_off + 0 > 0 && prof_on != "" && prof_toff + 0 > 0 && prof_ton != "")
+        printf "  \"profiler_overhead_pct\": {\"blocks\": %.2f, \"traces\": %.2f},\n",
+            (prof_on - prof_off) / prof_off * 100, (prof_ton - prof_toff) / prof_toff * 100
     if (ins_off + 0 > 0 && ins_cov != "" && ins_cmp != "") {
         printf "  \"instrument\": {\"ns_per_inst_off\": %s, \"ns_per_inst_nilhooks\": %s", ins_off, ins_nil
         printf ", \"ns_per_inst_coverage\": %s, \"ns_per_inst_cmplog\": %s", ins_cov, ins_cmp
@@ -118,7 +120,7 @@ END {
             printf ", \"p99_reduction_pct\": %.2f", (roff_p99 - ron_p99) / roff_p99 * 100
         print "},"
     }
-    print "  \"note\": \"profiler_overhead_pct = CPURunProfiler on-vs-off ns/inst delta; resolver = BenchmarkResolve chbp off-vs-on fault-rate and p99 deltas; instrument = CPURunInstrument hook-mode ns/inst deltas plus CampaignExecs fuzzing throughput\""
+    print "  \"note\": \"profiler_overhead_pct = CPURunProfiler on-vs-off ns/inst delta per tier; resolver = BenchmarkResolve chbp off-vs-on fault-rate and p99 deltas; instrument = CPURunInstrument hook-mode ns/inst deltas plus CampaignExecs fuzzing throughput\""
     print "}"
 }
 ' "$RAW" > BENCH_emu.json

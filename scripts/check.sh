@@ -1,8 +1,8 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, build, the full test suite under the race
-# detector, the warm-loop alloc and nil-hook instrumentation overhead
-# gates, the coverage-guided campaign smoke, and short native-fuzz smokes
-# over the differential oracles.
+# detector, the warm-loop alloc, nil-hook instrumentation and guest
+# profiler overhead gates, the coverage-guided campaign smoke, and short
+# native-fuzz smokes over the differential oracles.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -29,9 +29,17 @@ forbid() {
     fi
 }
 forbid service bench
+forbid emu telemetry
 for up in service bench evalmatrix fuzz; do
     forbid rewriters "$up"
 done
+# The instrumentation ABI imports nothing but the standard library.
+instrument_deps=$(go list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' ./internal/instrument |
+    grep -vx "$mod/internal/instrument" || true)
+if [ -n "$instrument_deps" ]; then
+    echo "layering: internal/instrument imports non-standard packages: $instrument_deps" >&2
+    layering_bad=1
+fi
 [ "$layering_bad" = 0 ] || exit 1
 echo "== metrics lint (chimera_[a-z_]+ naming + help text)"
 go test -run 'TestMetricsLint|TestMetricNameValidation' -count=1 ./internal/service ./internal/telemetry
@@ -75,6 +83,36 @@ END {
     if (nil > off * 1.02) { print "overhead gate: nil-hook ns/inst exceeds off by more than 2%" > "/dev/stderr"; exit 1 }
 }' "$OVH_RAW"
 rm -f "$OVH_RAW"
+# The profiler gate bounds the guest profiler's cost at 15% of the same
+# tier's bare hot loop. Each of five runs measures all four rows back to
+# back, and the gate takes the median over runs of the per-run on/off
+# ns/inst ratio: pairing rows measured seconds apart cancels the host drift
+# that moves separately taken medians by more than the bound.
+echo "== guest profiler overhead gate (on within 15% of off per tier, median of 5 paired runs)"
+PROF_RAW="$(mktemp)"
+for run in 1 2 3 4 5; do
+    go test -run=- -bench='BenchmarkCPURunProfiler' -benchtime=300x ./internal/emu/ | tee -a "$PROF_RAW"
+done
+awk '
+/^BenchmarkCPURunProfiler\// {
+    name = $1; sub(/^BenchmarkCPURunProfiler\//, "", name); sub(/-[0-9]+$/, "", name)
+    for (i = 2; i < NF; i++) if ($(i+1) == "ns/inst") v[name, ++n[name]] = $i + 0
+}
+END {
+    split("off:on traces-off:traces-on", pairs, " ")
+    for (p = 1; p <= 2; p++) {
+        split(pairs[p], r, ":")
+        k = n[r[1]]
+        if (k == 0 || k != n[r[2]]) { print "profiler gate: missing ns/inst samples for " pairs[p] > "/dev/stderr"; bad = 1; continue }
+        for (i = 1; i <= k; i++) q[i] = v[r[2], i] / v[r[1], i]
+        for (i = 2; i <= k; i++) for (j = i; j > 1 && q[j-1] > q[j]; j--) { t = q[j]; q[j] = q[j-1]; q[j-1] = t }
+        m = k % 2 ? q[(k+1)/2] : (q[k/2] + q[k/2+1]) / 2
+        printf "profiler overhead: %s vs %s, median of %d paired runs %+.2f%%\n", r[2], r[1], k, (m - 1) * 100
+        if (m > 1.15) { printf "profiler gate: %s exceeds %s by more than 15%%\n", r[2], r[1] > "/dev/stderr"; bad = 1 }
+    }
+    exit bad
+}' "$PROF_RAW"
+rm -f "$PROF_RAW"
 echo "== fuzz campaign smoke (coverage-guided engine finds and minimizes the seeded bug)"
 go run ./cmd/chimera-fuzz -campaign demo -campaign-execs 30000 -campaign-input 64 \
     -campaign-budget 200000 -campaign-expect-crash -campaign-o /dev/null

@@ -30,10 +30,19 @@ type Page struct {
 	// through one Memory invalidates cached translations of every CPU whose
 	// address space maps the same frame.
 	gen uint64
+
+	// dirty marks a frame a guest store has written since the last
+	// Memory.Restore. It lives on the frame, not the address space, so a
+	// frame shared by several MMViews is listed (and restored) once.
+	dirty bool
 }
 
 // Gen returns the frame's code-patch generation.
 func (p *Page) Gen() uint64 { return p.gen }
+
+// Dirty reports whether a guest store has written the frame since the last
+// Memory.Restore.
+func (p *Page) Dirty() bool { return p.dirty }
 
 // Memory is a sparse paged address space. A one-entry translation cache
 // keeps the hot-loop lookup off the page map.
@@ -56,6 +65,13 @@ type Memory struct {
 	// while a Poke invalidates only translations spanning the poked frames
 	// — in every address space sharing them.
 	mapGen uint64
+
+	// dirty lists, in first-store order, the page numbers whose frames a
+	// guest store through this address space marked dirty. Only the three
+	// guest store paths (storeU64, storeU32, Write) mark; loader writes,
+	// Poke and Clone never do. The slice is reused across Restores, so the
+	// steady state does not allocate.
+	dirty []uint64
 }
 
 // Gen returns the mutation generation of the address space.
@@ -91,40 +107,31 @@ func (m *Memory) Poke(addr uint64, data []byte) bool {
 	return true
 }
 
-// RestoreBytes writes bytes bypassing permissions without bumping any
-// generation. It is a loader-grade primitive for resetting *data* frames to
-// a known image between runs (kernel.Process.Reset): because no generation
-// moves, cached code translations stay warm, so it must never be used to
-// change bytes that may be executed — that is what Poke is for.
-func (m *Memory) RestoreBytes(addr uint64, data []byte) bool {
-	if len(data) == 0 {
-		return true
-	}
-	for pn := pageOf(addr); pn <= pageOf(addr+uint64(len(data))-1); pn++ {
-		if _, ok := m.pages[pn]; !ok {
-			return false
-		}
-	}
-	m.write(addr, data)
-	return true
+// markDirty records a guest store into frame p at page pn. Callers test
+// p.dirty first, so this runs once per frame between Restores.
+func (m *Memory) markDirty(pn uint64, p *Page) {
+	p.dirty = true
+	m.dirty = append(m.dirty, pn)
 }
 
-// ZeroRange zeroes [addr, addr+size) bypassing permissions without bumping
-// any generation, with the same data-frames-only contract as RestoreBytes.
-// Unmapped pages inside the range are skipped.
-func (m *Memory) ZeroRange(addr, size uint64) {
-	for size > 0 {
-		off := addr & (obj.PageSize - 1)
-		n := uint64(obj.PageSize) - off
-		if n > size {
-			n = size
+// DirtyPages returns the number of frames listed dirty in this address
+// space since the last Restore.
+func (m *Memory) DirtyPages() int { return len(m.dirty) }
+
+// Restore hands every frame a guest store through this address space has
+// dirtied since the last Restore to fn, which must rewrite the frame's
+// bytes to their load state; then it clears the marks and empties the
+// list. It bypasses permissions and moves no generation, so cached code
+// translations stay warm: fn must only rewrite data, never code that may
+// be executed — that is what Poke is for.
+func (m *Memory) Restore(fn func(addr uint64, data *[obj.PageSize]byte)) {
+	for _, pn := range m.dirty {
+		if p := m.pages[pn]; p != nil && p.dirty {
+			p.dirty = false
+			fn(pn<<12, &p.Data)
 		}
-		if p, ok := m.pages[pageOf(addr)]; ok {
-			clear(p.Data[off : off+n])
-		}
-		addr += n
-		size -= n
 	}
+	m.dirty = m.dirty[:0]
 }
 
 // NewMemory returns an empty address space.
@@ -223,6 +230,9 @@ func (m *Memory) access(addr uint64, buf []byte, write bool, need obj.Perm) (uin
 		off := a & (obj.PageSize - 1)
 		var n int
 		if write {
+			if !p.dirty {
+				m.markDirty(pageOf(a), p)
+			}
 			n = copy(p.Data[off:], buf)
 		} else {
 			n = copy(buf, p.Data[off:])
@@ -270,9 +280,13 @@ func (m *Memory) storeU64(addr uint64, v uint64) bool {
 	if off > obj.PageSize-8 {
 		return false
 	}
-	p, ok := m.lookup(pageOf(addr), false)
+	pn := pageOf(addr)
+	p, ok := m.lookup(pn, false)
 	if !ok || p.Perm&obj.PermW == 0 {
 		return false
+	}
+	if !p.dirty {
+		m.markDirty(pn, p)
 	}
 	binary.LittleEndian.PutUint64(p.Data[off:], v)
 	return true
@@ -283,9 +297,13 @@ func (m *Memory) storeU32(addr uint64, v uint32) bool {
 	if off > obj.PageSize-4 {
 		return false
 	}
-	p, ok := m.lookup(pageOf(addr), false)
+	pn := pageOf(addr)
+	p, ok := m.lookup(pn, false)
 	if !ok || p.Perm&obj.PermW == 0 {
 		return false
+	}
+	if !p.dirty {
+		m.markDirty(pn, p)
 	}
 	binary.LittleEndian.PutUint32(p.Data[off:], v)
 	return true
@@ -340,10 +358,12 @@ func (m *Memory) WriteUint64(addr, v uint64) error {
 }
 
 // Clone returns a new address space sharing no frames with m (deep copy).
+// The copy starts with no dirty marks.
 func (m *Memory) Clone() *Memory {
 	out := NewMemory()
 	for pn, p := range m.pages {
 		cp := *p
+		cp.dirty = false
 		out.pages[pn] = &cp
 	}
 	return out

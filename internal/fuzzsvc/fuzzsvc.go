@@ -130,7 +130,9 @@ type Campaign struct {
 
 	// virgin is the accumulated coverage bitmap with AFL hit-count
 	// bucketing: a cell's bits record which count buckets have been seen.
-	virgin [instrument.CovMapSize]byte
+	// virginEdges counts its nonzero cells.
+	virgin      [instrument.CovMapSize]byte
+	virginEdges int
 
 	// started is set in New, before the Run goroutine exists, and is
 	// immutable afterwards.
@@ -192,9 +194,13 @@ func New(cfg Config) (*Campaign, error) {
 }
 
 // Run executes the campaign to completion: seeds first, then the mutation
-// loop until the exec budget runs out, StopOnCrash fires, or ctx ends.
+// loop until the exec budget runs out, StopOnCrash fires, or ctx ends. A
+// campaign runs once: when Run returns it releases the guest process and
+// its observers, and keeps only the results Snapshot and CorpusEntries
+// report.
 func (c *Campaign) Run(ctx context.Context) error {
 	defer func() {
+		c.p, c.cov, c.cmp = nil, nil, nil
 		c.mu.Lock()
 		c.done = true
 		c.elapsed = time.Since(c.started)
@@ -370,23 +376,33 @@ func bucketOf(x byte) byte {
 	}
 }
 
-// coverNew folds the execution's coverage bitmap into the virgin map and
-// reports whether any (edge, count-bucket) pair was new.
+// countBucket tabulates bucketOf for the per-exec coverage fold.
+var countBucket = func() (t [256]byte) {
+	for x := range t {
+		t[x] = bucketOf(byte(x))
+	}
+	return t
+}()
+
+// coverNew folds the execution's coverage into the virgin map and reports
+// whether any (edge, count-bucket) pair was new. Only the cells the
+// execution touched can contribute, so it folds Coverage.Touched instead of
+// scanning the bitmap.
 func (c *Campaign) coverNew() bool {
 	novel := false
-	edges := 0
-	for i, v := range c.cov.Map {
-		if b := bucketOf(v); b != 0 && c.virgin[i]&b != b {
-			c.virgin[i] |= b
+	for _, i := range c.cov.Touched() {
+		b := countBucket[c.cov.Map[i]]
+		if v := c.virgin[i]; v&b != b {
+			if v == 0 {
+				c.virginEdges++
+			}
+			c.virgin[i] = v | b
 			novel = true
-		}
-		if c.virgin[i] != 0 {
-			edges++
 		}
 	}
 	if novel {
 		c.mu.Lock()
-		c.edges = edges
+		c.edges = c.virginEdges
 		c.mu.Unlock()
 	}
 	return novel

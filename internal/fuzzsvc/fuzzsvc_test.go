@@ -106,6 +106,48 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
+// TestCampaignGoldenDigests pins whole campaigns, crash triage included, to
+// the digests and counters the engine produced when it still zeroed the
+// full stack and scanned the whole coverage bitmap on every exec: the
+// dirty-page Reset and the touched-cell coverage fold must replay every
+// execution bit for bit.
+func TestCampaignGoldenDigests(t *testing.T) {
+	golden := []struct {
+		seed          int64
+		digest        string
+		execs         uint64
+		corpus, edges int
+	}{
+		{1, "e44fe916654d16a5", 1500, 7, 14},
+		{42, "30ba56d242e9d068", 1500, 7, 14},
+		{43, "00ca097082d9f139", 1500, 7, 14},
+	}
+	for _, g := range golden {
+		c, err := New(Config{
+			Image:      targetImage(t),
+			Seeds:      [][]byte{[]byte("CHIMAAAA"), make([]byte, 12)},
+			MaxExecs:   1500,
+			MaxInput:   64,
+			ExecBudget: 200_000,
+			Seed:       g.seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s := c.Snapshot()
+		if s.TraceDigest != g.digest || s.Execs != g.execs || s.Corpus != g.corpus || s.Edges != g.edges {
+			t.Errorf("seed %d: digest %s execs %d corpus %d edges %d, want %s %d %d %d",
+				g.seed, s.TraceDigest, s.Execs, s.Corpus, s.Edges, g.digest, g.execs, g.corpus, g.edges)
+		}
+		if len(s.Crashes) != 1 {
+			t.Errorf("seed %d: %d crash buckets, want 1", g.seed, len(s.Crashes))
+		}
+	}
+}
+
 // TestCampaignHangClassification: a guest that loops past the per-exec
 // instruction budget is a hang, not a simulator error, and the campaign
 // keeps going.

@@ -48,9 +48,15 @@ const (
 // pc): the bitmap cell for (id ^ prev) is bumped and prev becomes id>>1.
 // Counts saturate at 255 rather than wrapping so hit-count bucketing stays
 // monotone.
+//
+// Edge is the only writer of Map. It also lists every cell it moves off
+// zero, so Reset and the fuzzing loop's per-exec fold cost what the guest
+// touched, not the 64 KiB bitmap.
 type Coverage struct {
-	Map  [CovMapSize]byte
-	prev uint32
+	Map     [CovMapSize]byte
+	touched [CovMapSize]uint16
+	n       int // cells listed in touched
+	prev    uint32
 }
 
 // NewCoverage returns an empty coverage map.
@@ -58,29 +64,35 @@ func NewCoverage() *Coverage { return &Coverage{} }
 
 // Edge records the transition into block id.
 func (c *Coverage) Edge(id uint32) {
-	cell := &c.Map[(id^c.prev)&(CovMapSize-1)]
+	i := (id ^ c.prev) & (CovMapSize - 1)
+	cell := &c.Map[i]
+	if *cell == 0 {
+		c.touched[c.n] = uint16(i)
+		c.n++
+	}
 	if *cell != 255 {
 		*cell++
 	}
 	c.prev = id >> 1
 }
 
-// Reset clears the bitmap and the edge-chain state without allocating.
+// Touched returns the indices of the nonzero cells, in first-hit order.
+// The slice aliases the coverage map's storage and is valid until the next
+// Reset.
+func (c *Coverage) Touched() []uint16 { return c.touched[:c.n] }
+
+// Reset clears the touched cells and the edge-chain state without
+// allocating.
 func (c *Coverage) Reset() {
-	c.Map = [CovMapSize]byte{}
+	for _, i := range c.touched[:c.n] {
+		c.Map[i] = 0
+	}
+	c.n = 0
 	c.prev = 0
 }
 
 // Edges counts the populated bitmap cells (distinct edges observed).
-func (c *Coverage) Edges() int {
-	n := 0
-	for _, b := range c.Map {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *Coverage) Edges() int { return c.n }
 
 // CmpEntry is one logged comparison: the branch pc and both operand values
 // at execution time.

@@ -1,6 +1,9 @@
 package instrument
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestCoverageEdgeHashing(t *testing.T) {
 	c := NewCoverage()
@@ -47,6 +50,47 @@ func TestCoverageResetNoAlloc(t *testing.T) {
 	}
 	if c.Edges() != 0 || c.prev != 0 {
 		t.Fatal("Reset did not clear state")
+	}
+}
+
+// TestCoverageTouchedMatchesMap: after random Edge sequences — narrow id
+// ranges so cells collide and saturate, wide ones so they scatter —
+// Touched lists every nonzero cell exactly once, and Reset, which clears
+// only the listed cells, leaves the whole bitmap zero.
+func TestCoverageTouchedMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := NewCoverage()
+	for round := 0; round < 50; round++ {
+		span := []int{4, 300, 1 << 20}[round%3]
+		for i := rng.Intn(20_000); i > 0; i-- {
+			c.Edge(uint32(rng.Intn(span)))
+		}
+		seen := make(map[uint16]bool)
+		for _, i := range c.Touched() {
+			if seen[i] {
+				t.Fatalf("round %d: cell %d listed twice", round, i)
+			}
+			seen[i] = true
+			if c.Map[i] == 0 {
+				t.Fatalf("round %d: listed cell %d is zero", round, i)
+			}
+		}
+		nonzero := 0
+		for i, v := range c.Map {
+			if v != 0 {
+				nonzero++
+				if !seen[uint16(i)] {
+					t.Fatalf("round %d: nonzero cell %d not listed", round, i)
+				}
+			}
+		}
+		if nonzero != c.Edges() {
+			t.Fatalf("round %d: Edges() = %d, %d nonzero cells", round, c.Edges(), nonzero)
+		}
+		c.Reset()
+		if c.Map != [CovMapSize]byte{} || len(c.Touched()) != 0 || c.prev != 0 {
+			t.Fatalf("round %d: Reset left coverage state behind", round)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/chbp"
@@ -45,6 +46,9 @@ type View struct {
 	revMap  map[uint64]uint64
 	// runtime rewriting area
 	patchBase, patchCursor, patchEnd uint64
+	// secs is the image's sections with data, ordered by address: the
+	// layout restorePage rebuilds a dirtied frame from.
+	secs []*obj.Section
 	// resolvedSeen records resolver-pre-materialized trap sites already
 	// credited to Counters.RewriteFaultsAvoided. It survives Reset, like
 	// the rewrites themselves.
@@ -151,6 +155,12 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 		mem := emu.NewMemory()
 		mem.MapImage(v.Image)
 		view := &View{isa: v.ISA, img: v.Image, tables: v.Tables, mem: mem}
+		for _, s := range v.Image.Sections {
+			if len(s.Data) > 0 {
+				view.secs = append(view.secs, s)
+			}
+		}
+		sort.Slice(view.secs, func(i, j int) bool { return view.secs[i].Addr < view.secs[j].Addr })
 		if v.AddrMap != nil {
 			view.addrMap = v.AddrMap
 			view.revMap = make(map[uint64]uint64, len(v.AddrMap))
@@ -227,25 +237,21 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 }
 
 // Reset rewinds the process to its load state without rebuilding it: every
-// view's writable sections are restored from its image, the stack is
-// zeroed, and the architectural state returns to the first view's entry —
-// but runtime rewrites (trap trampolines, patch-area code, trap tables) and
-// the emulator's warm translation caches survive, because no bytes they
-// depend on change and no generation moves. This is the steady-state shape
-// of a long-lived server re-running the same guest: re-execution costs
-// neither page mapping nor re-translation, which is what makes repeated
-// runs allocation-free.
+// frame a guest store dirtied since the last Reset is restored from its
+// view's image (restorePage), and the architectural state returns to the
+// first view's entry — but runtime rewrites (trap trampolines, patch-area
+// code, trap tables) and the emulator's warm translation caches survive,
+// because no bytes they depend on change and no generation moves. This is
+// the steady-state shape of a long-lived server re-running the same guest:
+// re-execution costs neither page mapping nor re-translation, which is
+// what makes repeated runs allocation-free, and the restore costs what the
+// guest touched rather than the 1 MiB stack and every writable section.
+// A frame shared by several views carries one dirty mark and sits on one
+// view's list, so it is restored once.
 func (p *Process) Reset() {
 	for _, v := range p.views {
-		for _, s := range v.img.Sections {
-			if s.Perm&obj.PermW == 0 || len(s.Data) == 0 {
-				continue
-			}
-			v.mem.RestoreBytes(s.Addr, s.Data)
-		}
+		v.mem.Restore(v.restorePage)
 	}
-	// The stack frames are shared across views; zero them once.
-	p.first.mem.ZeroRange(obj.StackTop-obj.StackSize, obj.StackSize)
 	p.cur = p.first
 	p.CPU.Mem = p.first.mem
 	p.CPU.ISA = p.first.isa
@@ -259,6 +265,34 @@ func (p *Process) Reset() {
 	p.pending = p.pending[:0]
 	p.inSignal = false
 	p.sigFrame = sigContext{}
+}
+
+// restorePage rewrites one dirtied frame at addr to its load state: bytes
+// of writable sections are copied back from the image, bytes in no section
+// (the stack, a page's tail past the last section) are zeroed, and bytes of
+// read-only sections are left alone. Only writable frames are ever dirty,
+// so the runtime rewrites Poked into code frames are never touched.
+func (v *View) restorePage(addr uint64, data *[obj.PageSize]byte) {
+	end := addr + obj.PageSize
+	cur := addr
+	for _, s := range v.secs {
+		if s.Addr >= end {
+			break
+		}
+		if s.End() <= cur {
+			continue
+		}
+		if s.Addr > cur {
+			clear(data[cur-addr : s.Addr-addr])
+			cur = s.Addr
+		}
+		hi := min(s.End(), end)
+		if s.Perm&obj.PermW != 0 {
+			copy(data[cur-addr:hi-addr], s.Data[cur-s.Addr:])
+		}
+		cur = hi
+	}
+	clear(data[cur-addr:])
 }
 
 // ViewFor returns the view whose binary runs on the given core ISA: an

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, build, the full test suite under the race
-# detector, the warm-loop alloc, nil-hook instrumentation and guest
-# profiler overhead gates, the coverage-guided campaign smoke, and short
-# native-fuzz smokes over the differential oracles.
+# detector, the warm-loop and process-reset alloc gates, the nil-hook
+# instrumentation and guest profiler overhead gates, the coverage-guided
+# campaign smoke, and short native-fuzz smokes over the differential oracles.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -56,10 +56,18 @@ echo "== robustness matrix smoke (adversarial corpus x every rewriter config, ba
 go run ./cmd/chimera-eval -baseline internal/evalmatrix/testdata/matrix_baseline.json >/dev/null
 echo "== bench smoke (1 iteration)"
 go test -run=- -bench=. -benchtime=1x ./... >/dev/null
-echo "== alloc gate (warm CPURun* hot loops must not allocate)"
+# BenchmarkProcessReset is the fuzzing loop's per-exec rewind (dirty-page
+# Process.Reset plus a short guest run); TestResetRestoresOnlyDirtyPages,
+# run by the suite above, pins that it restores only the dirtied pages.
+echo "== alloc gate (warm CPURun* hot loops and ProcessReset must not allocate)"
 ALLOC_RAW="$(mktemp)"
 go test -run=- -bench='BenchmarkCPURun' -benchtime=1x -benchmem ./internal/emu/ | tee "$ALLOC_RAW"
-awk '/^BenchmarkCPURun/ {
+go test -run=- -bench='BenchmarkProcessReset' -benchtime=1x -benchmem ./internal/kernel/ | tee -a "$ALLOC_RAW"
+if ! grep -q '^BenchmarkProcessReset' "$ALLOC_RAW"; then
+    echo "alloc gate: BenchmarkProcessReset did not run" >&2
+    exit 1
+fi
+awk '/^Benchmark(CPURun|ProcessReset)/ {
     for (i = 2; i < NF; i++)
         if ($(i+1) == "allocs/op" && $i + 0 > 0) {
             printf "alloc gate: %s reports %s allocs/op, want 0\n", $1, $i > "/dev/stderr"

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/eurosys26p57/chimera/internal/cfg"
@@ -67,7 +68,7 @@ type Stats struct {
 
 	UpgradeSites int    `json:"upgrade_sites,omitempty"`
 	BlockInsts   int    `json:"-"`                      // total generated target-block instructions
-	PaddingBytes uint64 `json:"-"`                      // inter-block layout padding from compressed-mode constraints
+	PaddingBytes uint64 `json:"-"`                      // target-section bytes from the lowest block to the end that hold no block
 	TargetBytes  int    `json:"target_bytes,omitempty"` // generated target-section size
 	RedirectKeys int    `json:"-"`
 
@@ -364,29 +365,21 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	// ---- Layout & patching -------------------------------------------------
 	tables := NewTables(img.GP)
 	avoidedSources := make(map[uint64]bool)
-	alloc := &layoutAlloc{cursor: targetBase, compressed: compressed}
-	type placed struct {
-		site *patchSite
-		addr uint64
-	}
-	var placements []placed
-	for _, site := range sites {
-		size := uint64(4 * len(site.block.insts))
-		addr := alloc.place(site.start, size, !site.trapOnly && site.genReg == 0)
-		placements = append(placements, placed{site, addr})
+	reqs := make([]blockReq, len(sites))
+	for i, site := range sites {
+		reqs[i] = blockReq{site: site.start, size: uint64(4 * len(site.block.insts)),
+			constrained: compressed && !site.trapOnly && site.genReg == 0}
 		stats.BlockInsts += len(site.block.insts)
 	}
-	// Trim the leading allocator gap (the compressed-mode residue windows
-	// start ~2MB above the section base) so the image stays compact.
-	targetEnd := alloc.cursor
-	targetStart := targetBase
-	stats.PaddingBytes = alloc.padding
-	if len(placements) > 0 {
-		targetStart = placements[0].addr &^ (obj.PageSize - 1)
-		stats.PaddingBytes -= placements[0].addr - targetBase
-	}
-	if targetEnd < targetStart {
-		targetEnd = targetStart
+	addrs := packBlocks(targetBase, reqs)
+	targetStart, targetEnd := targetBase, targetBase
+	if len(addrs) > 0 {
+		lowest := slices.Min(addrs)
+		for i, addr := range addrs {
+			targetEnd = max(targetEnd, addr+reqs[i].size)
+		}
+		targetStart = lowest &^ (obj.PageSize - 1)
+		stats.PaddingBytes = targetEnd - lowest - uint64(4*stats.BlockInsts)
 	}
 	targetData := make([]byte, targetEnd-targetStart)
 
@@ -394,16 +387,16 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	// exit targets can be resolved — an exit may resume at an address that a
 	// *later* site's trampoline overwrote, in which case it must jump
 	// straight to the relocated copy instead of faulting on every pass.
-	for _, p := range placements {
-		for orig, idx := range p.site.block.keys {
-			if p.site.genReg != 0 {
+	for i, site := range sites {
+		for orig, idx := range site.block.keys {
+			if site.genReg != 0 {
 				// Fig. 5 recovery cannot restore the pair register (its
 				// static value is unknown to the kernel); redirect to the
 				// copied lui instead, which re-establishes it. Re-executing
 				// the lui is idempotent.
-				idx = p.site.block.pos[p.site.start]
+				idx = site.block.pos[site.start]
 			}
-			tables.Redirect[orig] = p.addr + uint64(4*idx)
+			tables.Redirect[orig] = addrs[i] + uint64(4*idx)
 		}
 	}
 	remap := func(addr uint64) uint64 {
@@ -413,8 +406,8 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 		return addr
 	}
 
-	for _, p := range placements {
-		site, T := p.site, p.addr
+	for i, site := range sites {
+		T := addrs[i]
 		// Resolve exit fixups now that the block addresses are known.
 		for _, f := range site.block.fixes {
 			a := T + uint64(4*f.idx)

@@ -1,12 +1,18 @@
 package chbp
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
+	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
 // checksumData hashes the writable data pages of the running image to
@@ -383,35 +389,167 @@ func TestSmileEncodingUncompressed(t *testing.T) {
 	}
 }
 
+// checkCompressedSmile checks the compressed-mode trampoline at s jumping
+// to tgt: it encodes, both upper parcels fault when fetched as instruction
+// starts (P2/P3), and the pair lands on tgt.
+func checkCompressedSmile(t *testing.T, s, tgt uint64) {
+	t.Helper()
+	bytes8, err := EncodeSmile(s, tgt, true)
+	if err != nil {
+		t.Fatalf("s=%#x t=%#x: %v", s, tgt, err)
+	}
+	up1 := uint16(bytes8[2]) | uint16(bytes8[3])<<8
+	if _, err := riscv.ParcelLen(up1); err == nil {
+		t.Errorf("s=%#x: auipc upper parcel %#04x decodes", s, up1)
+	}
+	up2 := uint16(bytes8[6]) | uint16(bytes8[7])<<8
+	if n, err := riscv.ParcelLen(up2); err != nil || n != 2 {
+		t.Fatalf("s=%#x: jalr upper parcel shape wrong", s)
+	}
+	if _, err := riscv.DecodeCompressed(up2); err == nil {
+		t.Errorf("s=%#x: jalr upper parcel %#04x decodes as a legal compressed inst", s, up2)
+	}
+	auipc, _ := riscv.Decode(bytes8[:4])
+	jalr, _ := riscv.Decode(bytes8[4:])
+	if got := uint64(int64(s) + auipc.Imm<<12 + jalr.Imm); got != tgt {
+		t.Errorf("s=%#x: lands at %#x, want %#x", s, got, tgt)
+	}
+}
+
 func TestSmileEncodingCompressedConstraints(t *testing.T) {
-	alloc := &layoutAlloc{cursor: 0x100000, compressed: true}
-	for _, s := range []uint64{0x10000, 0x10002, 0x10006, 0x2F000, 0x2F00A} {
-		tgt := alloc.place(s, 64, true)
-		bytes8, err := EncodeSmile(s, tgt, true)
-		if err != nil {
-			t.Fatalf("s=%#x t=%#x: %v", s, tgt, err)
+	sites := []uint64{0x10000, 0x10002, 0x10006, 0x2F000, 0x2F00A}
+	reqs := make([]blockReq, len(sites))
+	for i, s := range sites {
+		reqs[i] = blockReq{site: s, size: 64, constrained: true}
+	}
+	for i, tgt := range packBlocks(0x100000, reqs) {
+		checkCompressedSmile(t, sites[i], tgt)
+	}
+}
+
+// TestPackBlocksProperties packs seeded random site sets — sorted, 2-byte
+// aligned, mixing constrained and unconstrained blocks of 8-512 B — and
+// checks the layout invariants: blocks are disjoint, every constrained
+// address encodes a compressed-mode trampoline, every block sits at or
+// above the base (unconstrained ones 4-aligned, constrained ones at their
+// trampoline's residue), unconstrained blocks fill from the first
+// constrained page without widening the section, an all-unconstrained set
+// packs contiguously from the base, and the same input gives the same
+// layout.
+func TestPackBlocksProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		base := uint64(0x200000) + uint64(rng.Intn(256))<<12
+		allFree := trial%10 == 0
+		site := uint64(0x10000)
+		reqs := make([]blockReq, 1+rng.Intn(200))
+		for i := range reqs {
+			site += 8 + 2*uint64(rng.Intn(1+rng.Intn(2048)))
+			reqs[i] = blockReq{site: site, size: 4 * uint64(2+rng.Intn(127)),
+				constrained: !allFree && rng.Intn(3) != 0}
 		}
-		// Both upper parcels must fault when fetched as instruction starts.
-		up1 := uint16(bytes8[2]) | uint16(bytes8[3])<<8
-		if _, err := riscv.ParcelLen(up1); err == nil {
-			t.Errorf("s=%#x: auipc upper parcel %#04x decodes", s, up1)
+		addrs := packBlocks(base, reqs)
+		if again := packBlocks(base, slices.Clone(reqs)); !slices.Equal(addrs, again) {
+			t.Fatalf("trial %d: layout not deterministic", trial)
 		}
-		up2 := uint16(bytes8[6]) | uint16(bytes8[7])<<8
-		if n, err := riscv.ParcelLen(up2); err != nil || n != 2 {
-			t.Fatalf("s=%#x: jalr upper parcel shape wrong", s)
+		spans := make([]span, len(reqs))
+		next := base
+		for i, r := range reqs {
+			a := addrs[i]
+			spans[i] = span{a, a + r.size}
+			switch {
+			case a < base:
+				t.Fatalf("trial %d: block %d at %#x below base %#x", trial, i, a, base)
+			case r.constrained:
+				if a%4 != r.site%4 {
+					t.Fatalf("trial %d: constrained block %d at %#x off its site's residue", trial, i, a)
+				}
+				checkCompressedSmile(t, r.site, a)
+			case a%4 != 0:
+				t.Fatalf("trial %d: block %d at %#x not 4-aligned", trial, i, a)
+			}
+			if allFree {
+				if a != next {
+					t.Fatalf("trial %d: unconstrained block %d at %#x, want contiguous %#x", trial, i, a, next)
+				}
+				next += r.size
+			}
 		}
-		if _, err := riscv.DecodeCompressed(up2); err == nil {
-			t.Errorf("s=%#x: jalr upper parcel %#04x decodes as a legal compressed inst", s, up2)
+		// Unconstrained blocks fill from the lowest constrained block's
+		// page and end at most their own (aligned) bytes past the last
+		// constrained block: they never widen the section downward, and
+		// never open gaps of their own.
+		floor, ceil, free := base, base, uint64(0)
+		for i, r := range reqs {
+			if r.constrained {
+				if floor == base || addrs[i] < floor {
+					floor = addrs[i]
+				}
+				ceil = max(ceil, addrs[i]+r.size)
+			} else {
+				free += r.size + 3
+			}
 		}
-		// And the full pair must land on the allocated target.
-		auipc, _ := riscv.Decode(bytes8[:4])
-		jalr, _ := riscv.Decode(bytes8[4:])
-		if got := uint64(int64(s) + auipc.Imm<<12 + jalr.Imm); got != tgt {
-			t.Errorf("s=%#x: lands at %#x, want %#x", s, got, tgt)
+		floor &^= obj.PageSize - 1
+		for i, r := range reqs {
+			if !r.constrained && (addrs[i] < floor || addrs[i]+r.size > max(ceil, floor)+free) {
+				t.Fatalf("trial %d: unconstrained block %d at %#x outside [%#x, %#x+%d]",
+					trial, i, addrs[i], floor, max(ceil, floor), free)
+			}
+		}
+		slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.start, y.start) })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].start < spans[i-1].end {
+				t.Fatalf("trial %d: blocks [%#x,%#x) and [%#x,%#x) overlap", trial,
+					spans[i-1].start, spans[i-1].end, spans[i].start, spans[i].end)
+			}
 		}
 	}
-	if alloc.padding == 0 {
-		t.Log("note: no padding needed for these placements")
+}
+
+// TestSpecTargetSectionSize rewrites every SPEC-suite shape at the code
+// sizes of the benchmark's rewrite pool (12 log-spaced strata over 64-512
+// KiB) and bounds the target section: compressed-mode residue windows once
+// left these answers 2 MiB of padding around a few KiB of blocks. It also
+// pins the size accounting: the section is the leading in-page gap, the
+// block bytes and the inter-block padding.
+func TestSpecTargetSectionSize(t *testing.T) {
+	const strata = 12
+	span := math.Log(512.0 / 64.0)
+	for j, c := range workload.SpecSuite() {
+		p := c.Params
+		p.Rounds = 4
+		p.CodeKB = int(64 * math.Exp(span*(float64(j%strata)+0.5)/strata))
+		img, err := workload.BuildSpec(p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{
+			{TargetISA: riscv.RV64GC},
+			{TargetISA: riscv.RV64GCV, EmptyPatch: true},
+		} {
+			res, err := Rewrite(img, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			st := res.Stats
+			name := fmt.Sprintf("%s@%dKiB/%v/empty=%v", p.Name, p.CodeKB, opts.TargetISA, opts.EmptyPatch)
+			if st.TargetBytes > 64<<10 {
+				t.Errorf("%s: target section %d B, want <= 64 KiB", name, st.TargetBytes)
+			}
+			sec := res.Image.Section(obj.SecTarget)
+			if sec == nil || len(sec.Data) != st.TargetBytes || sec.Addr != res.Tables.TargetStart {
+				t.Fatalf("%s: target section missing or mismatched with stats/tables", name)
+			}
+			// Padding is zero and a block's first byte never is (every
+			// 32-bit encoding has low bits 11), so the first nonzero byte
+			// is the lowest block.
+			lead := slices.IndexFunc(sec.Data, func(b byte) bool { return b != 0 })
+			if want := uint64(lead) + uint64(4*st.BlockInsts) + st.PaddingBytes; uint64(st.TargetBytes) != want {
+				t.Errorf("%s: target %d B != lead %d + blocks %d + padding %d", name,
+					st.TargetBytes, lead, 4*st.BlockInsts, st.PaddingBytes)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,10 @@ package chbp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sort"
 
+	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
@@ -85,48 +88,80 @@ func EncodeSmile(s, t uint64, compressed bool) ([8]byte, error) {
 	return out, nil
 }
 
-// layoutAlloc places target blocks in the target section, honoring the
-// compressed-mode address-residue constraints: for a trampoline at s, the
-// block address t must satisfy t ≡ s + SmileJalrImm (mod 4096) with the
-// page delta's bits 4-8 all ones. The allocator tracks the padding these
-// constraints cost (reported in Stats).
-type layoutAlloc struct {
-	cursor     uint64
-	compressed bool
-	padding    uint64
+// blockReq is one target block to place: size bytes entered from a
+// trampoline at site. constrained marks a gp-SMILE entry in a compressed
+// binary, whose block address the compressed-mode residue rule fixes.
+type blockReq struct {
+	site, size  uint64
+	constrained bool
 }
 
-// place returns the address for a block of size bytes whose trampoline sits
-// at s. constrained selects the compressed-mode residue windows (gp-SMILE
-// in a compressed binary); other entries place freely.
-func (a *layoutAlloc) place(s uint64, size uint64, constrained bool) uint64 {
-	if !a.compressed || !constrained {
-		t := (a.cursor + 3) &^ 3
-		a.padding += t - a.cursor
-		a.cursor = t + size
-		return t
-	}
-	// Find the smallest pd >= some minimum with pd mod 512 in [496, 511]
-	// such that t = s + SmileJalrImm + pd<<12 >= cursor.
-	base := s + SmileJalrImm
-	var pd uint64
-	if a.cursor > base {
-		pd = (a.cursor - base) >> 12
-	}
-	for {
-		if pd%512 >= 496 {
-			t := base + pd<<12
-			if t >= a.cursor {
-				a.padding += t - a.cursor
-				a.cursor = t + size
-				return t
-			}
+// span is a placed block's address range [start, end).
+type span struct{ start, end uint64 }
+
+// packBlocks lays out the target section at or above base and returns each
+// block's address (paper §4.2, Fig. 7). For a constrained block with
+// trampoline at s, t ≡ s + SmileJalrImm (mod 4096) and the page delta's
+// bits 4-8 are all ones, so t may sit on any of 16 consecutive pages that
+// recur every 2 MiB. Constrained blocks go first, in site order, each at
+// the lowest address of those pages that overlaps no block placed so far;
+// the next 2 MiB window is the last resort when all 16 pages are taken at
+// that in-page offset. Unconstrained blocks then fill the gaps, 4-aligned,
+// in one forward sweep from the first constrained block's page, and append
+// after the last block — with no constrained blocks that is a contiguous
+// run from base.
+func packBlocks(base uint64, reqs []blockReq) []uint64 {
+	addrs := make([]uint64, len(reqs))
+	var used []span // constrained placements, sorted and disjoint
+	for i, r := range reqs {
+		if !r.constrained {
+			continue
 		}
-		// Jump straight to the next valid residue window when outside it.
+		t := placeConstrained(used, base, r)
+		addrs[i] = t
+		at := sort.Search(len(used), func(k int) bool { return used[k].start > t })
+		used = slices.Insert(used, at, span{t, t + r.size})
+	}
+	cursor := base
+	if len(used) > 0 {
+		cursor = used[0].start &^ (obj.PageSize - 1)
+	}
+	next := 0 // first constrained span not wholly below cursor
+	for i, r := range reqs {
+		if r.constrained {
+			continue
+		}
+		for {
+			t := (cursor + 3) &^ 3
+			for next < len(used) && used[next].end <= t {
+				next++
+			}
+			if next == len(used) || t+r.size <= used[next].start {
+				addrs[i], cursor = t, t+r.size
+				break
+			}
+			cursor = used[next].end
+		}
+	}
+	return addrs
+}
+
+// placeConstrained returns the lowest t >= base that satisfies r's residue
+// rule and overlaps no span in used.
+func placeConstrained(used []span, base uint64, r blockReq) uint64 {
+	anchor := r.site + SmileJalrImm
+	var pd uint64 // page delta: t = anchor + pd<<12
+	if base > anchor {
+		pd = (base - anchor + obj.PageSize - 1) >> 12
+	}
+	for ; ; pd++ {
 		if pd%512 < 496 {
-			pd += 496 - pd%512
-		} else {
-			pd++
+			pd += 496 - pd%512 // up to the next residue window
+		}
+		t := anchor + pd<<12
+		k := sort.Search(len(used), func(k int) bool { return used[k].end > t })
+		if k == len(used) || used[k].start >= t+r.size {
+			return t
 		}
 	}
 }

@@ -25,29 +25,46 @@ echo "== go test -bench CPURun (internal/emu, -benchtime $BENCHTIME)"
 go test -run=- -bench='BenchmarkCPURun' -benchmem -benchtime "$BENCHTIME" \
     ./internal/emu/ | tee "$RAW"
 
+# median_rows keeps, per benchmark name, the row with the median ns/op
+# among the -count runs in the given raw `go test -bench` output.
+median_rows() {
+    awk '/^Benchmark/ {
+        for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") {
+            if (!($1 in n)) order[++names] = $1
+            k = ++n[$1]; v[$1, k] = $i + 0; line[$1, k] = $0
+        }
+    }
+    END {
+        for (m = 1; m <= names; m++) {
+            b = order[m]
+            for (i = 2; i <= n[b]; i++)
+                for (j = i; j > 1 && v[b, j-1] > v[b, j]; j--) {
+                    t = v[b, j]; v[b, j] = v[b, j-1]; v[b, j-1] = t
+                    t = line[b, j]; line[b, j] = line[b, j-1]; line[b, j-1] = t
+                }
+            print line[b, int((n[b] + 1) / 2)]
+        }
+    }' "$1"
+}
+
 # One campaign iteration is 2000 whole guest executions in a few ms, so a
 # single iteration is one noisy sample (1x samples spread ±30%). Run it for
-# the steady-state -benchtime, five times, and keep the median execs/s row.
+# the steady-state -benchtime, five times, and keep the median row.
 echo "== go test -bench CampaignExecs (internal/fuzzsvc, campaign throughput, median of 5)"
 CAMPAIGN_RAW="$(mktemp)"
 go test -run=- -bench='BenchmarkCampaignExecs' -benchtime "$BENCHTIME" -count 5 \
     ./internal/fuzzsvc/ | tee "$CAMPAIGN_RAW"
-awk '/^BenchmarkCampaignExecs/ {
-    for (i = 2; i < NF; i++) if ($(i+1) == "execs/s") { v[++n] = $i + 0; line[n] = $0 }
-}
-END {
-    for (i = 2; i <= n; i++)
-        for (j = i; j > 1 && v[j-1] > v[j]; j--) {
-            t = v[j]; v[j] = v[j-1]; v[j-1] = t
-            t = line[j]; line[j] = line[j-1]; line[j-1] = t
-        }
-    if (n > 0) print line[int((n + 1) / 2)]
-}' "$CAMPAIGN_RAW" >> "$RAW"
+median_rows "$CAMPAIGN_RAW" >> "$RAW"
 rm -f "$CAMPAIGN_RAW"
 
-echo "== go test -bench Service|RewriteBatch (internal/service)"
-go test -run=- -bench='BenchmarkService|BenchmarkRewriteBatch' -benchmem -benchtime 1x \
-    ./internal/service/ | tee -a "$RAW"
+# The service rows likewise: at 1x the "warm" BenchmarkServiceRewrite row
+# would time one cold miss. Steady-state -benchtime, median of five.
+echo "== go test -bench Service|RewriteBatch (internal/service, median of 5)"
+SERVICE_RAW="$(mktemp)"
+go test -run=- -bench='BenchmarkService|BenchmarkRewriteBatch' -benchmem -benchtime "$BENCHTIME" -count 5 \
+    ./internal/service/ | tee "$SERVICE_RAW"
+median_rows "$SERVICE_RAW" >> "$RAW"
+rm -f "$SERVICE_RAW"
 
 echo "== go test -bench store hit paths (internal/store, -benchtime $BENCHTIME)"
 go test -run=- -bench='BenchmarkMemoryHitParallel|BenchmarkDiskStoreHit' -benchmem \

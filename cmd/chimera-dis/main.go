@@ -26,6 +26,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/dis"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/resolve"
+	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
 func main() {
@@ -47,10 +48,12 @@ func main() {
 	}
 
 	var ts *resolve.TargetSet
-	res := dis.Disassemble(img)
+	var res *dis.Result
 	if *doResolve {
 		ts = resolve.Resolve(img)
 		res = ts.Dis
+	} else {
+		res = dis.Disassemble(img)
 	}
 
 	// Symbol index for annotation.
@@ -72,18 +75,14 @@ func main() {
 		return
 	}
 
-	indirect := map[uint64]bool{}
-	for _, a := range res.IndirectJumps {
-		indirect[a] = true
-	}
-
-	for _, a := range res.Order {
+	for i, a := range res.Order {
 		if name, ok := symAt[a]; ok {
 			fmt.Printf("\n%s:\n", name)
 		}
-		in := res.Insns[a]
+		in := res.Insts[i]
 		note := ""
-		if indirect[a] {
+		if in.Op == riscv.JALR { // the IndirectJumps entries
+
 			note = "\t; indirect"
 			if ts != nil {
 				if s := ts.Site(a); s != nil && len(s.Targets) > 0 {
@@ -97,14 +96,9 @@ func main() {
 	fmt.Printf("\n%d instructions, %.1f%% of executable bytes covered, %d indirect jumps, %d calls\n",
 		len(res.Order), 100*res.Coverage(img), len(res.IndirectJumps), len(res.Calls))
 	if len(res.Undecodable) > 0 {
-		var addrs []uint64
-		for a := range res.Undecodable {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		fmt.Printf("undecodable on recursive paths:\n")
-		for _, a := range addrs {
-			fmt.Printf("  %#08x: %v\n", a, res.Undecodable[a])
+		for _, bad := range res.Undecodable {
+			fmt.Printf("  %#08x: %v\n", bad.Addr, bad.Err)
 		}
 	}
 	if ts != nil {
@@ -175,7 +169,9 @@ func writeDot(w *os.File, g *cfg.Graph, symAt map[uint64]string) {
 
 		resolved := make(map[uint64]bool, len(b.ResolvedTargets))
 		for _, t := range b.ResolvedTargets {
-			resolved[g.BlockOf[t]] = true
+			if tb, ok := g.BlockContaining(t); ok {
+				resolved[tb.Start] = true
+			}
 		}
 		for _, s := range b.Succs {
 			if resolved[s] {

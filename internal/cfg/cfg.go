@@ -6,8 +6,6 @@
 package cfg
 
 import (
-	"sort"
-
 	"github.com/eurosys26p57/chimera/internal/dis"
 	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -16,7 +14,11 @@ import (
 // Block is a maximal straight-line run of instructions.
 type Block struct {
 	Start uint64
-	// Addrs lists the instruction addresses in order.
+	// Index is the position of the block's first instruction in the
+	// disassembly's Order and Insts.
+	Index int
+	// Addrs lists the instruction addresses in order: the block's window
+	// of the disassembly's Order.
 	Addrs []uint64
 	// Succs are the statically-known successor block start addresses.
 	Succs []uint64
@@ -38,16 +40,16 @@ type Block struct {
 
 // End returns the address one past the final instruction.
 func (b *Block) End(d *dis.Result) uint64 {
-	last := b.Addrs[len(b.Addrs)-1]
-	in, _ := d.At(last)
-	return last + uint64(in.Len)
+	last := b.Index + len(b.Addrs) - 1
+	return d.Order[last] + uint64(d.Insts[last].Len)
 }
 
 // Graph is the control-flow graph of an image.
 type Graph struct {
 	Blocks map[uint64]*Block // keyed by start address
-	// BlockOf maps every instruction address to its block start.
-	BlockOf map[uint64]uint64
+	// BlockOf holds, for every instruction (indexed like Dis.Order), the
+	// start address of its block.
+	BlockOf []uint64
 	// Order lists block starts ascending.
 	Order []uint64
 	Dis   *dis.Result
@@ -55,46 +57,49 @@ type Graph struct {
 
 // Build constructs the CFG from a disassembly.
 func Build(d *dis.Result) *Graph {
-	leaders := make(map[uint64]bool)
-	for _, addr := range d.Order {
-		in := d.Insns[addr]
-		switch {
-		case in.Op == riscv.JAL:
-			leaders[addr+uint64(in.Imm)] = true
-			leaders[addr+uint64(in.Len)] = true
-		case in.IsBranch():
-			leaders[addr+uint64(in.Imm)] = true
-			leaders[addr+uint64(in.Len)] = true
-		case in.Op == riscv.JALR:
-			leaders[addr+uint64(in.Len)] = true
+	n := len(d.Order)
+	leader := make([]bool, n)
+	mark := func(addr uint64) {
+		if i, ok := d.Index(addr); ok {
+			leader[i] = true
 		}
 	}
-	if len(d.Order) > 0 {
-		leaders[d.Order[0]] = true
+	for i, in := range d.Insts {
+		addr := d.Order[i]
+		switch {
+		case in.Op == riscv.JAL, in.IsBranch():
+			mark(addr + uint64(in.Imm))
+			mark(addr + uint64(in.Len))
+		case in.Op == riscv.JALR:
+			mark(addr + uint64(in.Len))
+		}
+	}
+	if n > 0 {
+		leader[0] = true
 	}
 	for _, root := range d.Roots {
-		leaders[root] = true
+		mark(root)
 	}
 
 	g := &Graph{
 		Blocks:  make(map[uint64]*Block),
-		BlockOf: make(map[uint64]uint64),
+		BlockOf: make([]uint64, n),
 		Dis:     d,
 	}
 
 	var cur *Block
-	for i, addr := range d.Order {
+	var blocks []*Block
+	for i, in := range d.Insts {
+		addr := d.Order[i]
 		// A gap in recognized addresses also starts a new block.
-		gap := i > 0 && d.Order[i-1]+uint64(d.Insns[d.Order[i-1]].Len) != addr
-		if cur == nil || leaders[addr] || gap {
-			cur = &Block{Start: addr}
+		gap := i > 0 && d.Order[i-1]+uint64(d.Insts[i-1].Len) != addr
+		if cur == nil || leader[i] || gap {
+			cur = &Block{Start: addr, Index: i}
 			g.Blocks[addr] = cur
 			g.Order = append(g.Order, addr)
+			blocks = append(blocks, cur)
 		}
-		cur.Addrs = append(cur.Addrs, addr)
-		g.BlockOf[addr] = cur.Start
 
-		in := d.Insns[addr]
 		endsBlock := false
 		switch {
 		case in.Op == riscv.JAL:
@@ -119,9 +124,8 @@ func Build(d *dis.Result) *Graph {
 			endsBlock = true
 		default:
 			// Fallthrough into a leader ends the block with one successor.
-			next := addr + uint64(in.Len)
-			if leaders[next] {
-				cur.Succs = append(cur.Succs, next)
+			if j, ok := d.Fallthrough(i); ok && leader[j] {
+				cur.Succs = append(cur.Succs, d.Order[j])
 				endsBlock = true
 			}
 		}
@@ -129,21 +133,41 @@ func Build(d *dis.Result) *Graph {
 			cur = nil
 		}
 	}
+	// Blocks partition the instructions in order: each runs up to the
+	// next one's first instruction.
+	for k, b := range blocks {
+		end := n
+		if k+1 < len(blocks) {
+			end = blocks[k+1].Index
+		}
+		b.Addrs = d.Order[b.Index:end:end]
+		for i := b.Index; i < end; i++ {
+			g.BlockOf[i] = b.Start
+		}
+	}
 
-	// Prune successors that point outside recognized code.
-	for _, b := range g.Blocks {
+	// Prune successors that point outside recognized code; a successor
+	// inside a block stands for that block.
+	for _, b := range blocks {
 		kept := b.Succs[:0]
 		for _, s := range b.Succs {
-			if _, ok := g.Blocks[s]; ok {
-				kept = append(kept, s)
-			} else if _, ok := g.BlockOf[s]; ok {
-				kept = append(kept, g.BlockOf[s])
+			if start, ok := g.blockStart(s); ok {
+				kept = append(kept, start)
 			}
 		}
 		b.Succs = kept
 	}
-	sort.Slice(g.Order, func(i, j int) bool { return g.Order[i] < g.Order[j] })
 	return g
+}
+
+// blockStart returns the start of the block holding the instruction at
+// addr.
+func (g *Graph) blockStart(addr uint64) (uint64, bool) {
+	i, ok := g.Dis.Index(addr)
+	if !ok {
+		return 0, false
+	}
+	return g.BlockOf[i], true
 }
 
 // BuildResolved constructs the CFG and completes indirect successor
@@ -170,7 +194,7 @@ func BuildResolved(d *dis.Result, ts *resolve.TargetSet) *Graph {
 			have[s] = true
 		}
 		for _, tgt := range site.HighTargets() {
-			start, ok := g.BlockOf[tgt]
+			start, ok := g.blockStart(tgt)
 			if !ok {
 				continue
 			}
@@ -186,7 +210,7 @@ func BuildResolved(d *dis.Result, ts *resolve.TargetSet) *Graph {
 
 // BlockContaining returns the block holding the instruction at addr.
 func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
-	start, ok := g.BlockOf[addr]
+	start, ok := g.blockStart(addr)
 	if !ok {
 		return nil, false
 	}

@@ -82,7 +82,8 @@ func TestCallSiteBlocks(t *testing.T) {
 
 func TestBlockOfAndPreds(t *testing.T) {
 	g, labels := buildGraph(t)
-	for addr, start := range g.BlockOf {
+	for i, start := range g.BlockOf {
+		addr := g.Dis.Order[i]
 		b := g.Blocks[start]
 		found := false
 		for _, a := range b.Addrs {

@@ -138,28 +138,29 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	if opts.MaxBatchGap == 0 {
 		opts.MaxBatchGap = 10
 	}
-	d := dis.Disassemble(img)
 	stats := Stats{CodeSize: img.CodeSize()}
+	var d *dis.Result
 	var g *cfg.Graph
-	var recovered map[uint64]bool
+	var recovered []bool // indexed like d.Order; nil without the resolver
 	if ts == nil && opts.Resolve {
 		ts = resolve.Resolve(img)
 	}
 	if ts != nil {
-		recovered = make(map[uint64]bool)
-		for a := range ts.Dis.Insns {
-			if _, ok := d.Insns[a]; !ok {
-				recovered[a] = true
-			}
-		}
 		d = ts.Dis
+		recovered = ts.Recovered()
 		sum := ts.Summary()
 		stats.ResolvedSites = sum.SitesHigh
 		stats.ResolvedTargets = sum.TargetsHigh
-		stats.RecoveredInsts = len(recovered)
+		stats.RecoveredInsts = ts.RecoveredInsts()
 		g = cfg.BuildResolved(d, ts)
 	} else {
+		d = dis.Disassemble(img)
 		g = cfg.Build(d)
+	}
+	// lenAt is the length of the recognized instruction at a.
+	lenAt := func(a uint64) uint64 {
+		in, _ := d.At(a)
+		return uint64(in.Len)
 	}
 	la := liveness.Analyze(g)
 	compressed := img.ISA.Has(riscv.ExtC)
@@ -175,20 +176,26 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	}
 	sew := resolveSEW(d)
 
-	var sourceAddrs []uint64
-	for _, a := range d.Order {
-		if isSource(d.Insns[a]) {
-			sourceAddrs = append(sourceAddrs, a)
+	var sources []int // indices of the source instructions
+	for i, in := range d.Insts {
+		if isSource(in) {
+			sources = append(sources, i)
 		}
 	}
-	stats.SourceInsts = len(sourceAddrs)
+	stats.SourceInsts = len(sources)
 	if stats.TotalInsts > 0 {
 		stats.ExtPct = 100 * float64(stats.SourceInsts) / float64(stats.TotalInsts)
 	}
 
 	// ---- Upgrade sites ----------------------------------------------------
 	var seeds []siteSeed
-	upgradeTaken := make(map[uint64]bool)
+	upgradeTaken := make([]bool, len(d.Order)) // indexed like d.Order
+	take := func(u *translate.UpgradeSite) {
+		for _, a := range u.Addrs {
+			i, _ := d.Index(a)
+			upgradeTaken[i] = true
+		}
+	}
 	if !opts.DisableUpgrade && !opts.EmptyPatch {
 		for _, u := range translate.MatchUpgrades(d) {
 			if !replacementFits(u.Replacement, opts.TargetISA) {
@@ -199,11 +206,8 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			}
 			uc := u
 			last := u.Addrs[len(u.Addrs)-1]
-			end := last + uint64(d.Insns[last].Len)
-			seeds = append(seeds, siteSeed{start: u.Addrs[0], regionEnd: end, upgrade: &uc})
-			for _, a := range u.Addrs {
-				upgradeTaken[a] = true
-			}
+			seeds = append(seeds, siteSeed{start: u.Addrs[0], regionEnd: last + lenAt(last), upgrade: &uc})
+			take(&uc)
 			stats.UpgradeSites++
 		}
 	}
@@ -217,33 +221,26 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			if !replacementFits(u.Replacement, opts.TargetISA) {
 				continue
 			}
-			conflict := false
-			for _, a := range u.Addrs {
-				if upgradeTaken[a] {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
+			if slices.ContainsFunc(u.Addrs, func(a uint64) bool {
+				i, _ := d.Index(a)
+				return upgradeTaken[i]
+			}) {
 				continue
 			}
 			uc := u
 			last := u.Addrs[len(u.Addrs)-1]
-			end := last + uint64(d.Insns[last].Len)
-			seeds = append(seeds, siteSeed{start: u.Addrs[0], regionEnd: end, upgrade: &uc})
-			for _, a := range u.Addrs {
-				upgradeTaken[a] = true
-			}
+			seeds = append(seeds, siteSeed{start: u.Addrs[0], regionEnd: last + lenAt(last), upgrade: &uc})
+			take(&uc)
 		}
 	}
 
 	// ---- Downgrade batches ------------------------------------------------
-	batchEnd := computeBatches(d, sourceAddrs, opts)
-	for _, a := range sourceAddrs {
-		if upgradeTaken[a] {
+	batchEnd := computeBatches(d, sources, opts)
+	for k, i := range sources {
+		if upgradeTaken[i] {
 			continue
 		}
-		seeds = append(seeds, siteSeed{start: a, regionEnd: batchEnd[a]})
+		seeds = append(seeds, siteSeed{start: d.Order[i], regionEnd: batchEnd[k]})
 	}
 	sort.Slice(seeds, func(i, j int) bool { return seeds[i].start < seeds[j].start })
 
@@ -263,14 +260,6 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	targetBase := obj.AlignUp(vregAddr+translate.VRegFileSize, obj.PageSize)
 	ctx := &translate.Context{VRegBase: vregAddr}
 
-	var orderIdx map[uint64]int
-	if opts.Trampoline == GeneralReg {
-		orderIdx = make(map[uint64]int, len(d.Order))
-		for i, a := range d.Order {
-			orderIdx[a] = i
-		}
-	}
-
 	var sites []*patchSite
 	covered := uint64(0)
 	for _, seed := range seeds {
@@ -278,8 +267,9 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			continue // inside a previous site's overwritten space
 		}
 		site := &patchSite{start: seed.start, upgrade: seed.upgrade}
+		seedIdx, _ := d.Index(seed.start)
 		switch {
-		case recovered[seed.start]:
+		case recovered != nil && recovered[seedIdx]:
 			// Resolver-recovered code: pre-materialize the fault-table row
 			// behind a trap entry. The trap is fail-safe — if the static
 			// resolution were ever wrong about this region, a stray landing
@@ -288,17 +278,17 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			// runtime-rewrite faults the pre-built row avoids.
 			site.trapOnly = true
 			site.resolved = true
-			site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+			site.spaceEnd = seed.start + lenAt(seed.start)
 		case opts.Trampoline == TrapEntry:
 			site.trapOnly = true
-			site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+			site.spaceEnd = seed.start + lenAt(seed.start)
 		case opts.Trampoline == GeneralReg:
 			// Fig. 5: overwrite a preceding lui+memory pair, jumping through
 			// the register that holds the data address.
-			luiAddr, reg, ok := findMemPair(d, orderIdx, seed.start, covered)
+			luiAddr, reg, ok := findMemPair(d, seedIdx, covered)
 			if !ok {
 				site.trapOnly = true
-				site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+				site.spaceEnd = seed.start + lenAt(seed.start)
 				break
 			}
 			site.start = luiAddr
@@ -308,7 +298,7 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			spaceEnd, ok := scanSpace(d, seed.start)
 			if !ok {
 				site.trapOnly = true
-				site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+				site.spaceEnd = seed.start + lenAt(seed.start)
 				break
 			}
 			site.spaceEnd = spaceEnd
@@ -321,11 +311,11 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 		if err != nil {
 			// Fall back to the smallest viable trap site.
 			site.trapOnly = true
-			site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+			site.spaceEnd = seed.start + lenAt(seed.start)
 			site.regionEnd = site.spaceEnd
 			if seed.upgrade != nil {
 				last := seed.upgrade.Addrs[len(seed.upgrade.Addrs)-1]
-				site.regionEnd = last + uint64(d.Insns[last].Len)
+				site.regionEnd = last + lenAt(last)
 			}
 			region, err = collectRegion(d, site.start, site.regionEnd, isSource, sew, upgradeTaken)
 			if err != nil {
@@ -430,7 +420,7 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 		switch {
 		case site.trapOnly:
 			stats.TrapEntries++
-			if err := writeTrap(rw, site.start, d.Insns[site.start].Len); err != nil {
+			if err := writeTrap(rw, site.start, int(lenAt(site.start))); err != nil {
 				return nil, err
 			}
 			tables.Trap[site.start] = T
@@ -510,18 +500,18 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	return &Result{Image: rw, Tables: tables, Stats: stats}, nil
 }
 
-// resolveSEW assigns the element width in effect at each instruction by a
-// linear sweep tracking the most recent vsetvli — the static vector
-// configuration compilers emit per block makes this exact in practice.
-func resolveSEW(d *dis.Result) map[uint64]riscv.SEW {
-	out := make(map[uint64]riscv.SEW)
+// resolveSEW assigns the element width in effect at each instruction
+// (indexed like d.Order) by a linear sweep tracking the most recent
+// vsetvli — the static vector configuration compilers emit per block makes
+// this exact in practice.
+func resolveSEW(d *dis.Result) []riscv.SEW {
+	out := make([]riscv.SEW, len(d.Insts))
 	cur := riscv.E64
-	for _, a := range d.Order {
-		in := d.Insns[a]
+	for i, in := range d.Insts {
 		if in.Op == riscv.VSETVLI {
 			cur = riscv.SEWOf(in.Imm)
 		}
-		out[a] = cur
+		out[i] = cur
 	}
 	return out
 }
@@ -552,19 +542,20 @@ func anyIsSource(d *dis.Result, addrs []uint64, isSource func(riscv.Inst) bool) 
 // Members keep their own trampolines for external entries, and mid-batch
 // jump targets are covered by the fault-handling table, so fusing across
 // basic-block leaders is sound. It returns, per source, the end address of
-// the region its site should cover.
-func computeBatches(d *dis.Result, sources []uint64, opts Options) map[uint64]uint64 {
-	end := make(map[uint64]uint64, len(sources))
-	selfEnd := func(a uint64) uint64 { return a + uint64(d.Insns[a].Len) }
-	for _, a := range sources {
-		end[a] = selfEnd(a)
+// the region its site should cover. sources are instruction indices,
+// ascending; the result is parallel to them.
+func computeBatches(d *dis.Result, sources []int, opts Options) []uint64 {
+	end := make([]uint64, len(sources))
+	selfEnd := func(i int) uint64 { return d.Order[i] + uint64(d.Insts[i].Len) }
+	for k, i := range sources {
+		end[k] = selfEnd(i)
 	}
 	if opts.DisableBatching {
 		return end
 	}
 	for i := 0; i < len(sources); {
 		j := i
-		for j+1 < len(sources) && gapRelocatable(d, selfEnd(sources[j]), sources[j+1], opts.MaxBatchGap) {
+		for j+1 < len(sources) && gapRelocatable(d, selfEnd(sources[j]), d.Order[sources[j+1]], opts.MaxBatchGap) {
 			j++
 		}
 		batchEnd := selfEnd(sources[j])
@@ -588,7 +579,7 @@ func computeBatches(d *dis.Result, sources []uint64, opts Options) map[uint64]ui
 			}
 		}
 		for k := i; k <= j; k++ {
-			end[sources[k]] = batchEnd
+			end[k] = batchEnd
 		}
 		i = j + 1
 	}
@@ -615,23 +606,20 @@ func gapRelocatable(d *dis.Result, from, to uint64, max int) bool {
 	return true
 }
 
-// findMemPair scans backward from addr (up to 12 instructions, staying
-// above floor) for an adjacent "lui rX, imm ; load/store rY, off(rX)" pair
-// of 4-byte instructions whose following run up to addr is relocatable —
-// the Fig. 5 overwrite site.
-func findMemPair(d *dis.Result, orderIdx map[uint64]int, addr, floor uint64) (uint64, riscv.Reg, bool) {
-	idx, ok := orderIdx[addr]
-	if !ok {
-		return 0, 0, false
-	}
+// findMemPair scans backward from the instruction at index idx (up to 12
+// instructions, staying above floor) for an adjacent "lui rX, imm ;
+// load/store rY, off(rX)" pair of 4-byte instructions whose following run
+// up to it is relocatable — the Fig. 5 overwrite site.
+func findMemPair(d *dis.Result, idx int, floor uint64) (uint64, riscv.Reg, bool) {
+	addr := d.Order[idx]
 	for back := 1; back <= 12 && idx-back-1 >= 0; back++ {
 		loadAt := d.Order[idx-back]
 		luiAt := d.Order[idx-back-1]
 		if luiAt < floor {
 			return 0, 0, false
 		}
-		lui := d.Insns[luiAt]
-		mem := d.Insns[loadAt]
+		lui := d.Insts[idx-back-1]
+		mem := d.Insts[idx-back]
 		if lui.Op != riscv.LUI || lui.Len != 4 || mem.Len != 4 || luiAt+4 != loadAt {
 			continue
 		}
@@ -677,18 +665,20 @@ func scanSpace(d *dis.Result, start uint64) (uint64, bool) {
 }
 
 // collectRegion gathers the original instructions in [start, end).
+// sew and upgradeTaken are indexed like d.Order.
 func collectRegion(d *dis.Result, start, end uint64,
-	isSource func(riscv.Inst) bool, sew map[uint64]riscv.SEW,
-	upgradeTaken map[uint64]bool) ([]regionItem, error) {
+	isSource func(riscv.Inst) bool, sew []riscv.SEW,
+	upgradeTaken []bool) ([]regionItem, error) {
 
 	var out []regionItem
+	i, ok := d.Index(start)
 	for a := start; a < end; {
-		in, ok := d.At(a)
 		if !ok {
 			return nil, fmt.Errorf("unrecognized instruction at %#x", a)
 		}
-		src := isSource(in) && !upgradeTaken[a]
-		if !src && !upgradeTaken[a] {
+		in := d.Insts[i]
+		src := isSource(in) && !upgradeTaken[i]
+		if !src && !upgradeTaken[i] {
 			// Idiom-covered instructions are replaced wholesale; only plain
 			// copied instructions face relocation constraints.
 			if ok, mustLast := relocatable(in); !ok {
@@ -697,8 +687,9 @@ func collectRegion(d *dis.Result, start, end uint64,
 				return nil, fmt.Errorf("control flow mid-region at %#x", a)
 			}
 		}
-		out = append(out, regionItem{addr: a, inst: in, isSource: src, sew: sew[a]})
+		out = append(out, regionItem{addr: a, inst: in, isSource: src, sew: sew[i]})
 		a += uint64(in.Len)
+		i, ok = d.Fallthrough(i)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty region at %#x", start)

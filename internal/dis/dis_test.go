@@ -36,8 +36,8 @@ func TestDisassembleCoversReachableCode(t *testing.T) {
 		if _, ok := res.At(entry); !ok {
 			t.Fatal("entry not recognized")
 		}
-		if len(res.Insns) < 8 {
-			t.Errorf("compress=%v: recognized only %d instructions", compress, len(res.Insns))
+		if len(res.Insts) < 8 {
+			t.Errorf("compress=%v: recognized only %d instructions", compress, len(res.Insts))
 		}
 		// Two indirect transfers: the auipc/jalr call pair and leaf's ret.
 		if len(res.IndirectJumps) != 2 {
@@ -49,7 +49,7 @@ func TestDisassembleCoversReachableCode(t *testing.T) {
 		// Addresses must be strictly increasing with no overlaps.
 		for i := 1; i < len(res.Order); i++ {
 			prev := res.Order[i-1]
-			if prev+uint64(res.Insns[prev].Len) > res.Order[i] {
+			if prev+uint64(res.Insts[i-1].Len) > res.Order[i] {
 				t.Fatalf("overlapping instructions at %#x/%#x", prev, res.Order[i])
 			}
 		}
@@ -75,7 +75,7 @@ func TestDisassembleStopsAtIndirectTargets(t *testing.T) {
 	_ = hidden
 	// "hidden" is a label, not a function symbol, so it is not a root.
 	var sawEcall bool
-	for _, in := range res.Insns {
+	for _, in := range res.Insts {
 		if in.Op == riscv.ECALL {
 			sawEcall = true
 		}
@@ -103,16 +103,42 @@ func TestDisassembleRecordsUndecodable(t *testing.T) {
 	}
 }
 
-func TestNext(t *testing.T) {
+func TestFallthrough(t *testing.T) {
 	res, entry := buildLoop(t, false)
-	next, ok := res.Next(entry)
+	i, ok := res.Index(entry)
 	if !ok {
-		t.Fatalf("Next(entry) not recognized")
+		t.Fatal("entry not recognized")
 	}
-	if next != entry+4 {
-		t.Errorf("next = %#x, want %#x", next, entry+4)
+	next, ok := res.Fallthrough(i)
+	if !ok {
+		t.Fatalf("Fallthrough(entry) not recognized")
 	}
-	if _, ok := res.Next(0xdead); ok {
-		t.Error("Next of unknown address succeeded")
+	if got := res.Order[next]; got != entry+4 {
+		t.Errorf("fallthrough = %#x, want %#x", got, entry+4)
+	}
+	if _, ok := res.Index(0xdead); ok {
+		t.Error("Index of unknown address succeeded")
+	}
+	// The last instruction is leaf's ret: nothing recognized follows it.
+	if j, ok := res.Fallthrough(len(res.Order) - 1); ok {
+		t.Errorf("Fallthrough(last) = %#x, want none", res.Order[j])
+	}
+}
+
+// TestRootsDeduplicated checks that an entry point which is also a function
+// symbol, and extra roots repeating either, appear once in Roots.
+func TestRootsDeduplicated(t *testing.T) {
+	res, entry := buildLoop(t, false)
+	for i := 1; i < len(res.Roots); i++ {
+		if res.Roots[i-1] >= res.Roots[i] {
+			t.Fatalf("Roots not strictly increasing: %#x", res.Roots)
+		}
+	}
+	if len(res.Roots) != 2 {
+		t.Errorf("Roots = %#x, want main (the entry) and leaf once each", res.Roots)
+	}
+	ext := res.Extend([]uint64{entry, res.Roots[1], entry})
+	if ext != res {
+		t.Errorf("Extend with known roots built a new Result: Roots %#x", ext.Roots)
 	}
 }

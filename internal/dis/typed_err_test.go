@@ -27,10 +27,10 @@ func TestUndecodableCarriesEncoding(t *testing.T) {
 		t.Fatal("no undecodable addresses recorded")
 	}
 	found := false
-	for addr, derr := range res.Undecodable {
+	for _, bad := range res.Undecodable {
 		var ie *riscv.IllegalInstError
-		if !errors.As(derr, &ie) {
-			t.Fatalf("Undecodable[%#x] = %v (%T), want *IllegalInstError", addr, derr, derr)
+		if !errors.As(bad.Err, &ie) {
+			t.Fatalf("Undecodable at %#x = %v (%T), want *IllegalInstError", bad.Addr, bad.Err, bad.Err)
 		}
 		if ie.Raw == badWord && ie.Width == 4 {
 			found = true

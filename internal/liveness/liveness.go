@@ -138,8 +138,8 @@ func Analyze(g *cfg.Graph) *Analysis {
 	// transfer computes live-in of a block from its live-out.
 	transfer := func(b *cfg.Block, out RegSet) RegSet {
 		live := out
-		for i := len(b.Addrs) - 1; i >= 0; i-- {
-			in := g.Dis.Insns[b.Addrs[i]]
+		for i := b.Index + len(b.Addrs) - 1; i >= b.Index; i-- {
+			in := g.Dis.Insts[i]
 			use, def := UseDef(in)
 			if isCall(in) {
 				// A call conservatively uses its argument registers and the
@@ -214,16 +214,20 @@ func (a *Analysis) outOf(b *cfg.Block) RegSet {
 // instruction at addr (i.e. at the point a jump-back trampoline placed
 // there would execute).
 func (a *Analysis) LiveAfter(addr uint64) RegSet {
-	b, ok := a.g.BlockContaining(addr)
+	i, ok := a.g.Dis.Index(addr)
 	if !ok {
 		return AllRegs
 	}
+	return a.liveAfter(i)
+}
+
+// liveAfter is LiveAfter for the instruction at index i of the
+// disassembly.
+func (a *Analysis) liveAfter(i int) RegSet {
+	b := a.g.Blocks[a.g.BlockOf[i]]
 	live := a.outOf(b)
-	for i := len(b.Addrs) - 1; i >= 0; i-- {
-		if b.Addrs[i] == addr {
-			return live
-		}
-		in := a.g.Dis.Insns[b.Addrs[i]]
+	for j := b.Index + len(b.Addrs) - 1; j > i; j-- {
+		in := a.g.Dis.Insts[j]
 		use, def := UseDef(in)
 		if isCall(in) {
 			use = argRegs | calleeSaved
@@ -237,17 +241,17 @@ func (a *Analysis) LiveAfter(addr uint64) RegSet {
 // LiveBefore returns the registers live immediately before the instruction
 // at addr executes.
 func (a *Analysis) LiveBefore(addr uint64) RegSet {
-	if _, ok := a.g.BlockContaining(addr); !ok {
+	i, ok := a.g.Dis.Index(addr)
+	if !ok {
 		return AllRegs
 	}
-	live := a.LiveAfter(addr)
-	in := a.g.Dis.Insns[addr]
+	in := a.g.Dis.Insts[i]
 	use, def := UseDef(in)
 	if isCall(in) {
 		use = argRegs | calleeSaved
 		def = retRegs.Add(riscv.RA)
 	}
-	return live&^def | use
+	return a.liveAfter(i)&^def | use
 }
 
 // DeadBefore returns a scavengeable register that is dead immediately

@@ -125,6 +125,10 @@ type TargetSet struct {
 	// Dis is the completed disassembly of the final fixpoint iteration:
 	// recursive descent seeded with every High-confidence target.
 	Dis *dis.Result
+	// Plain is the first iteration's disassembly: plain recursive descent
+	// from the entry point and function symbols, as dis.Disassemble
+	// returns it. Every instruction of Plain is in Dis.
+	Plain *dis.Result
 	// Iters is the number of macro fixpoint iterations that ran.
 	Iters int
 	// FactCounts tallies the relational facts extracted on the final
@@ -135,6 +139,24 @@ type TargetSet struct {
 
 // Site returns the site record at pc, or nil.
 func (ts *TargetSet) Site(pc uint64) *Site { return ts.Sites[pc] }
+
+// Recovered reports, for each instruction of Dis (indexed like
+// Dis.Order), whether only resolved targets reach it: it is missing from
+// Plain.
+func (ts *TargetSet) Recovered() []bool {
+	out := make([]bool, len(ts.Dis.Order))
+	j := 0
+	for i, a := range ts.Dis.Order {
+		for j < len(ts.Plain.Order) && ts.Plain.Order[j] < a {
+			j++
+		}
+		out[i] = j == len(ts.Plain.Order) || ts.Plain.Order[j] != a
+	}
+	return out
+}
+
+// RecoveredInsts counts the instructions only resolved targets reach.
+func (ts *TargetSet) RecoveredInsts() int { return len(ts.Dis.Order) - len(ts.Plain.Order) }
 
 // Roots returns the sorted, deduplicated set of High-confidence targets
 // across all sites: the addresses recursive disassembly should treat as
@@ -219,28 +241,28 @@ const maxFixpointIters = 8
 // fixpoint. Every High-confidence target recovered on one iteration
 // seeds the recursive disassembler on the next, so dispatch arms hidden
 // behind jump tables — and any nested dispatch inside them — are
-// analyzed too. The loop stops when an iteration learns no new root.
+// analyzed too. Each iteration extends the previous disassembly with the
+// new roots instead of starting over, so every instruction is decoded
+// once per run. The loop stops when an iteration learns no new root.
 func Resolve(img *obj.Image) *TargetSet {
 	ptrs := scanCodePointers(img)
+	plain := dis.Disassemble(img)
+	d := plain
 	known := make(map[uint64]bool)
-	var extra []uint64
 	var ts *TargetSet
-	for iter := 1; iter <= maxFixpointIters; iter++ {
-		d := dis.DisassembleWithRoots(img, extra)
+	for iter := 1; ; iter++ {
 		ts = analyze(img, d, ptrs)
-		ts.Dis = d
-		ts.Iters = iter
-		added := false
+		ts.Dis, ts.Plain, ts.Iters = d, plain, iter
+		var fresh []uint64
 		for _, r := range ts.Roots() {
 			if !known[r] {
 				known[r] = true
-				extra = append(extra, r)
-				added = true
+				fresh = append(fresh, r)
 			}
 		}
-		if !added {
-			break
+		if len(fresh) == 0 || iter == maxFixpointIters {
+			return ts
 		}
+		d = d.Extend(fresh)
 	}
-	return ts
 }

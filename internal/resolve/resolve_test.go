@@ -81,7 +81,7 @@ func TestDispatchFamilyRecovery(t *testing.T) {
 					if tg.Tier != resolve.TierHigh {
 						t.Fatalf("target %#x tier %v, want high", tg.Addr, tg.Tier)
 					}
-					if _, ok := ts.Dis.Insns[tg.Addr]; !ok {
+					if _, ok := ts.Dis.At(tg.Addr); !ok {
 						t.Fatalf("recovered target %#x not disassembled", tg.Addr)
 					}
 				}
@@ -89,8 +89,8 @@ func TestDispatchFamilyRecovery(t *testing.T) {
 				// hidden: the completed disassembly knows strictly more
 				// than the baseline.
 				if !tc.p.TableInData {
-					base := len(dis.Disassemble(img).Insns)
-					if got := len(ts.Dis.Insns); got <= base {
+					base := len(dis.Disassemble(img).Order)
+					if got := len(ts.Dis.Order); got <= base {
 						t.Fatalf("resolver recovered nothing: %d insns vs baseline %d", got, base)
 					}
 				}

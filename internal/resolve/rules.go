@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/eurosys26p57/chimera/internal/dis"
@@ -46,22 +47,29 @@ type absVal struct {
 	signed bool      // bound came from signed rem: not exhaustive
 }
 
+// bltuFwd is the bound a `bltu` forwards to its target: ok marks a target
+// eligible for forwarding, reg/bound the bound the main pass found.
+type bltuFwd struct {
+	ok    bool
+	reg   riscv.Reg
+	bound uint64
+}
+
 type interp struct {
 	img     *obj.Image
 	d       *dis.Result
 	ptrs    []codePtr
 	anchors map[uint64]bool
-	// jumpCount counts statically-visible jumps/branches into each
-	// address; >0 means a side entry exists and linear facts must reset.
-	jumpCount map[uint64]int
-	// bltuBound forwards `bltu reg, const, L` bounds to L (see above).
-	bltuBound map[uint64]struct {
-		reg   riscv.Reg
-		bound uint64
-	}
-	st    [32]absVal
-	ts    *TargetSet
-	facts map[string]int
+	// jumpCount counts, per instruction (indexed like d.Order), the
+	// statically-visible jumps/branches into it; >0 means a side entry
+	// exists and linear facts must reset.
+	jumpCount []int32
+	// bltuBound forwards `bltu reg, const, L` bounds to L (see above),
+	// indexed like d.Order.
+	bltuBound []bltuFwd
+	st        [32]absVal
+	ts        *TargetSet
+	facts     map[string]int
 }
 
 // analyze runs the rule engine over one disassembly iteration.
@@ -86,42 +94,34 @@ func analyze(img *obj.Image, d *dis.Result, ptrs []codePtr) *TargetSet {
 // indexFlow records every statically-visible jump/branch target and the
 // single-predecessor bltu bound forwards.
 func (it *interp) indexFlow() {
-	it.jumpCount = make(map[uint64]int)
-	it.bltuBound = make(map[uint64]struct {
-		reg   riscv.Reg
-		bound uint64
-	})
-	roots := make(map[uint64]bool, len(it.d.Roots))
-	for _, r := range it.d.Roots {
-		roots[r] = true
-	}
-	for _, pc := range it.d.Order {
-		in := it.d.Insns[pc]
-		switch {
-		case in.Op == riscv.JAL:
-			it.jumpCount[pc+uint64(in.Imm)]++
-		case in.IsBranch():
-			it.jumpCount[pc+uint64(in.Imm)]++
+	d := it.d
+	it.jumpCount = make([]int32, len(d.Order))
+	it.bltuBound = make([]bltuFwd, len(d.Order))
+	for i, in := range d.Insts {
+		if in.Op == riscv.JAL || in.IsBranch() {
+			if j, ok := d.Index(d.Order[i] + uint64(in.Imm)); ok {
+				it.jumpCount[j]++
+			}
 		}
 	}
 	// Second pass: a bltu bound is forwardable only when its target has
 	// exactly one statically-visible in-edge (the bltu itself) and is not
 	// a root (roots can be entered indirectly).
-	for _, pc := range it.d.Order {
-		in := it.d.Insns[pc]
+	for i, in := range d.Insts {
 		if in.Op != riscv.BLTU {
 			continue
 		}
-		tgt := pc + uint64(in.Imm)
-		if it.jumpCount[tgt] != 1 || roots[tgt] {
+		tgt := d.Order[i] + uint64(in.Imm)
+		j, ok := d.Index(tgt)
+		if !ok || it.jumpCount[j] != 1 {
+			continue
+		}
+		if _, root := slices.BinarySearch(d.Roots, tgt); root {
 			continue
 		}
 		// Reconstruct the bound from the state at the branch during the
 		// main pass; here we only note eligibility.
-		it.bltuBound[tgt] = struct {
-			reg   riscv.Reg
-			bound uint64
-		}{reg: riscv.Zero}
+		it.bltuBound[j] = bltuFwd{ok: true, reg: riscv.Zero}
 	}
 }
 
@@ -165,14 +165,14 @@ func sext32(v uint64) uint64 { return uint64(int64(int32(uint32(v)))) }
 func (it *interp) run() {
 	prevEnd := uint64(0)
 	cont := false // previous instruction falls through into this one
-	for _, pc := range it.d.Order {
-		in := it.d.Insns[pc]
+	for i, in := range it.d.Insts {
+		pc := it.d.Order[i]
 		if !cont || pc != prevEnd {
 			it.clear()
-			if fwd, ok := it.bltuBound[pc]; ok && fwd.reg != riscv.Zero && fwd.bound > 0 {
+			if fwd := it.bltuBound[i]; fwd.ok && fwd.reg != riscv.Zero && fwd.bound > 0 {
 				it.set(fwd.reg, absVal{kind: kIdx, val: 0, count: fwd.bound, stride: 1})
 			}
-		} else if it.jumpCount[pc] > 0 {
+		} else if it.jumpCount[i] > 0 {
 			// A statically-visible side entry joins here: linear facts
 			// from the fallthrough path do not dominate this point.
 			it.clear()
@@ -316,10 +316,9 @@ func (it *interp) transfer(pc uint64, in riscv.Inst) bool {
 		// `bltu x, bound, L`: the TAKEN side proves x < bound. Forward
 		// the bound to L when L's only static in-edge is this branch.
 		b := it.get(in.Rs2)
-		tgt := pc + uint64(in.Imm)
-		if fwd, ok := it.bltuBound[tgt]; ok && b.kind == kConst && b.val > 0 && b.val <= 1<<16 {
-			fwd.reg, fwd.bound = in.Rs1, b.val
-			it.bltuBound[tgt] = fwd
+		j, ok := it.d.Index(pc + uint64(in.Imm))
+		if ok && it.bltuBound[j].ok && b.kind == kConst && b.val > 0 && b.val <= 1<<16 {
+			it.bltuBound[j].reg, it.bltuBound[j].bound = in.Rs1, b.val
 			it.facts["bound"]++
 		}
 	case riscv.JAL:

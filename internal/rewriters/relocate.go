@@ -21,7 +21,11 @@ type relocOptions struct {
 // relocation is the engine's output: the new code and the orig→new address
 // map regeneration and patching baselines both need.
 type relocation struct {
-	code    []byte
+	code []byte
+	// newAddr holds each recognized instruction's new address, indexed
+	// like the disassembly's Order; addrMap is the same mapping keyed by
+	// original address, for the kernel's runtime translation.
+	newAddr []uint64
 	addrMap map[uint64]uint64
 	// trapResume maps ebreak addresses in the *new* code (emitted where a
 	// direct jump could not reach) to the new address execution resumes at.
@@ -40,9 +44,14 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 	}
 	// Regeneration applies upgrades inline: a matched idiom's replacement
 	// is emitted at the sequence head; the consumed instructions vanish
-	// (their addresses map to the replacement head).
-	upgradeBody := make(map[uint64][]riscv.Inst)
-	upgradeTail := make(map[uint64]uint64) // consumed addr -> site head
+	// (their addresses map to the replacement head). Per-instruction
+	// state is indexed like d.Order.
+	n := len(d.Order)
+	bodies := make([][]riscv.Inst, n)
+	head := make([]int, n) // consumed instruction -> index of its site head, else -1
+	for i := range head {
+		head[i] = -1
+	}
 	if !o.emptyPatch {
 		for _, u := range translate.MatchUpgrades(d) {
 			fits := true
@@ -62,70 +71,76 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 			if !fits || srcTainted {
 				continue
 			}
-			upgradeBody[u.Addrs[0]] = u.Replacement
+			h, _ := d.Index(u.Addrs[0])
+			bodies[h] = u.Replacement
 			for _, a := range u.Addrs[1:] {
-				upgradeTail[a] = u.Addrs[0]
+				i, _ := d.Index(a)
+				head[i] = h
 			}
 		}
 	}
 	sew := riscv.E64
-	// Pass 1: per-instruction translations and emitted sizes.
-	sizes := make(map[uint64]int, len(d.Order))
-	bodies := make(map[uint64][]riscv.Inst, len(d.Order))
-	for _, a := range d.Order {
-		in := d.Insns[a]
+	// Pass 1: per-instruction translations and emitted sizes, and with
+	// them the new addresses. A consumed instruction emits nothing.
+	newAddr := make([]uint64, n)
+	cursor := o.newBase
+	for i, in := range d.Insts {
 		if in.Op == riscv.VSETVLI {
 			sew = riscv.SEWOf(in.Imm)
 		}
-		if body, ok := upgradeBody[a]; ok {
-			bodies[a] = body
-			sizes[a] = 4 * len(body)
-			continue
-		}
-		if _, ok := upgradeTail[a]; ok {
-			sizes[a] = 0
-			continue
-		}
+		newAddr[i] = cursor
+		size := 4
 		switch {
+		case bodies[i] != nil:
+			size = 4 * len(bodies[i])
+		case head[i] >= 0:
+			size = 0
 		case isSource(in):
 			if o.emptyPatch {
 				cp := in
 				cp.Len = 4
-				bodies[a] = []riscv.Inst{cp}
-				sizes[a] = 4
-				continue
+				bodies[i] = []riscv.Inst{cp}
+				break
 			}
 			seq, err := translate.Downgrade(in, sew, o.ctx)
 			if err != nil {
-				return nil, fmt.Errorf("rewriters: translate %s at %#x: %w", in, a, err)
+				return nil, fmt.Errorf("rewriters: translate %s at %#x: %w", in, d.Order[i], err)
 			}
-			bodies[a] = seq
-			sizes[a] = 4 * len(seq)
+			bodies[i] = seq
+			size = 4 * len(seq)
 		case in.IsBranch():
-			sizes[a] = 8 // inverted branch + jal (or ebreak)
+			size = 8 // inverted branch + jal (or ebreak)
 		case in.Op == riscv.JAL:
-			sizes[a] = 8 // jal+pad, auipc/jalr pair, or ebreak+pad
+			size = 8 // jal+pad, auipc/jalr pair, or ebreak+pad
 		case in.Op == riscv.AUIPC:
-			sizes[a] = 8 // lui+addiw materialization of the original value
-		default:
-			sizes[a] = 4
+			size = 8 // lui+addiw materialization of the original value
+		}
+		cursor += uint64(size)
+	}
+	for i, h := range head {
+		if h >= 0 {
+			newAddr[i] = newAddr[h]
 		}
 	}
-	// Assign new addresses.
-	addrMap := make(map[uint64]uint64, len(d.Order))
-	cursor := o.newBase
-	for _, a := range d.Order {
-		addrMap[a] = cursor
-		cursor += uint64(sizes[a])
-	}
-	for a, head := range upgradeTail {
-		addrMap[a] = addrMap[head]
+	addrMap := make(map[uint64]uint64, n)
+	for i, a := range d.Order {
+		addrMap[a] = newAddr[i]
 	}
 	out := &relocation{
 		code:       make([]byte, cursor-o.newBase),
+		newAddr:    newAddr,
 		addrMap:    addrMap,
 		trapResume: make(map[uint64]uint64),
 		newEnd:     cursor,
+	}
+	// relocated returns the new address of the recognized instruction at
+	// an original address.
+	relocated := func(a uint64) (uint64, bool) {
+		i, ok := d.Index(a)
+		if !ok {
+			return 0, false
+		}
+		return newAddr[i], true
 	}
 
 	emitAt := func(off uint64, in riscv.Inst) error {
@@ -139,16 +154,18 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 	nop := riscv.Inst{Op: riscv.ADDI}
 
 	// Pass 2: emit.
-	for _, a := range d.Order {
-		if _, consumed := upgradeTail[a]; consumed {
+	for i, in := range d.Insts {
+		if head[i] >= 0 {
 			continue
 		}
-		in := d.Insns[a]
-		newPC := addrMap[a]
+		a := d.Order[i]
+		newPC := newAddr[i]
 		off := newPC - o.newBase
-		if body, ok := bodies[a]; ok {
-			for i, bi := range body {
-				if err := emitAt(off+uint64(4*i), bi); err != nil {
+		// Upgrade heads and sources emit their bodies (a translation may
+		// be empty).
+		if body := bodies[i]; body != nil || isSource(in) {
+			for k, bi := range body {
+				if err := emitAt(off+uint64(4*k), bi); err != nil {
 					return nil, err
 				}
 			}
@@ -157,7 +174,7 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 		switch {
 		case in.IsBranch():
 			target := a + uint64(in.Imm)
-			newTarget, known := addrMap[target]
+			newTarget, known := relocated(target)
 			inv := invertBranch(in)
 			inv.Len = 4
 			inv.Imm = 8 // skip the jump when the original branch is not taken
@@ -184,7 +201,7 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 			}
 		case in.Op == riscv.JAL:
 			target := a + uint64(in.Imm)
-			newTarget, known := addrMap[target]
+			newTarget, known := relocated(target)
 			if in.Rd == riscv.RA && known {
 				// Far-capable call pair; ra points into the new code.
 				delta := int64(newTarget) - int64(newPC)

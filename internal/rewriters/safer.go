@@ -56,13 +56,8 @@ func reject(name string, out **Output, err *error) {
 // SaferHookWith skips the table-path penalty for them.
 func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve.TargetSet) (out *Output, err error) {
 	defer reject("safer", &out, &err)
-	d := dis.Disassemble(img)
-	recovered := 0
+	d, recovered := disassembly(img, ts)
 	resolved := resolvedTargets(ts)
-	if ts != nil && ts.Dis != nil {
-		recovered = len(ts.Dis.Insns) - len(d.Insns)
-		d = ts.Dis
-	}
 	vregAddr, newBase := newLayout(img)
 	rel, err := relocateAll(d, relocOptions{
 		targetISA:  targetISA,
@@ -119,6 +114,16 @@ func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve
 	}
 	out.Stats.RecoveredInsts, out.Stats.ResolvedTargets = recovered, len(resolved)
 	return out, nil
+}
+
+// disassembly returns the code the baselines relocate — the resolver's
+// completed disassembly when there is one, else the plain one — and how
+// many instructions only resolved targets reach.
+func disassembly(img *obj.Image, ts *resolve.TargetSet) (*dis.Result, int) {
+	if ts == nil {
+		return dis.Disassemble(img), 0
+	}
+	return ts.Dis, ts.RecoveredInsts()
 }
 
 // resolvedTargets collects the High-confidence targets of a TargetSet as

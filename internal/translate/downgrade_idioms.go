@@ -22,30 +22,19 @@ import (
 // replacement sites (the same shape as upgrade sites; CHBP treats both as
 // sequence-level patches).
 func MatchVectorDowngrades(d *dis.Result) []UpgradeSite {
-	var sites []UpgradeSite
-	claimed := make(map[uint64]bool)
-	for _, addr := range d.Order {
-		if claimed[addr] {
-			continue
-		}
-		if s, ok := matchVectorDotLoop(d, addr); ok {
-			overlap := false
-			for _, a := range s.Addrs {
-				if claimed[a] {
-					overlap = true
-					break
-				}
-			}
-			if !overlap {
-				for _, a := range s.Addrs {
-					claimed[a] = true
-				}
-				sites = append(sites, s)
-			}
-		}
-	}
-	return sites
+	return scan(d, downgradeIdioms)
 }
+
+// downgradeIdioms dispatches on an idiom's first opcode: vsetvli opens
+// the strip-mined dot loop.
+func downgradeIdioms(op riscv.Op) []idiom {
+	if op == riscv.VSETVLI {
+		return vsetvliIdioms
+	}
+	return nil
+}
+
+var vsetvliIdioms = []idiom{{15, matchVectorDotLoop}}
 
 // matchVectorDotLoop recognizes the strip-mined dot-product loop:
 //
@@ -55,11 +44,7 @@ func MatchVectorDowngrades(d *dis.Result) []UpgradeSite {
 //	      sub n,n,t             ; bne n, zero, loop
 //	vsetvli t, zero, e ; vfmv.v.f vSeed, fAcc
 //	vfredusum.vs vR, vSeed, vAcc ; vfmv.f.s fAcc, vR
-func matchVectorDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 15)
-	if !ok {
-		return UpgradeSite{}, false
-	}
+func matchVectorDotLoop(is []riscv.Inst, addrs []uint64) (UpgradeSite, bool) {
 	pre0, pre1 := is[0], is[1]
 	if pre0.Op != riscv.VSETVLI || pre0.Rs1 != riscv.Zero {
 		return UpgradeSite{}, false
@@ -153,5 +138,5 @@ func matchVectorDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	if sew == riscv.E32 {
 		kind = "vdot.e32.down"
 	}
-	return UpgradeSite{Kind: kind, Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: kind, Replacement: repl}, true
 }

@@ -1,6 +1,8 @@
 package translate
 
 import (
+	"slices"
+
 	"github.com/eurosys26p57/chimera/internal/dis"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
@@ -23,52 +25,94 @@ func (u *UpgradeSite) Start() uint64 { return u.Addrs[0] }
 // loop shapes compilers (here: the workload builder) emit for dot-product
 // and axpy kernels, plus the slli+add pair that Zba's shNadd fuses.
 func MatchUpgrades(d *dis.Result) []UpgradeSite {
-	var sites []UpgradeSite
-	claimed := make(map[uint64]bool)
-	claim := func(s UpgradeSite) {
-		for _, a := range s.Addrs {
-			if claimed[a] {
-				return
-			}
-		}
-		for _, a := range s.Addrs {
-			claimed[a] = true
-		}
-		sites = append(sites, s)
+	return scan(d, upgradeIdioms)
+}
+
+// upgradeIdioms dispatches on an idiom's first opcode: fld opens the dot
+// and axpy loops (tried in that order), slli the shNadd pair.
+func upgradeIdioms(op riscv.Op) []idiom {
+	switch op {
+	case riscv.FLD:
+		return fldIdioms
+	case riscv.SLLI:
+		return slliIdioms
 	}
-	for _, addr := range d.Order {
-		if claimed[addr] {
+	return nil
+}
+
+var (
+	fldIdioms  = []idiom{{7, matchDotLoop}, {8, matchAxpyLoop}}
+	slliIdioms = []idiom{{2, matchShadd}}
+)
+
+// idiom is one template: its length in instructions and the matcher that
+// checks a chain of that many contiguous instructions and builds the
+// replacement (Kind and Replacement; scan fills in Addrs).
+type idiom struct {
+	n     int
+	match func(is []riscv.Inst, addrs []uint64) (UpgradeSite, bool)
+}
+
+// scan walks the disassembly once. At each instruction no earlier site
+// claimed, it tries the idioms the opcode dispatches to, in order; the
+// first that matches is kept unless one of its instructions is already
+// claimed, and then claims them all.
+func scan(d *dis.Result, dispatch func(riscv.Op) []idiom) []UpgradeSite {
+	var sites []UpgradeSite
+	claimed := make([]bool, len(d.Order))
+	w := new(window)
+	for i, in := range d.Insts {
+		if claimed[i] {
 			continue
 		}
-		if s, ok := matchDotLoop(d, addr); ok {
-			claim(s)
-			continue
-		}
-		if s, ok := matchAxpyLoop(d, addr); ok {
-			claim(s)
-			continue
-		}
-		if s, ok := matchShadd(d, addr); ok {
-			claim(s)
+		for _, id := range dispatch(in.Op) {
+			is, addrs, ok := w.chain(d, i, id.n)
+			if !ok {
+				continue
+			}
+			s, ok := id.match(is, addrs)
+			if !ok {
+				continue
+			}
+			idx := w.idx[:id.n]
+			if !slices.ContainsFunc(idx, func(j int) bool { return claimed[j] }) {
+				for _, j := range idx {
+					claimed[j] = true
+				}
+				s.Addrs = slices.Clone(addrs)
+				sites = append(sites, s)
+			}
+			break
 		}
 	}
 	return sites
 }
 
-// chain collects n contiguous instructions starting at addr.
-func chain(d *dis.Result, addr uint64, n int) ([]riscv.Inst, []uint64, bool) {
-	insts := make([]riscv.Inst, 0, n)
-	addrs := make([]uint64, 0, n)
-	for len(insts) < n {
-		in, ok := d.At(addr)
-		if !ok {
-			return nil, nil, false
+// maxIdiom is the longest idiom's length (the vector dot loop).
+const maxIdiom = 15
+
+// window holds the chain of contiguous instructions a matcher inspects;
+// one window serves a whole scan.
+type window struct {
+	idx   [maxIdiom]int
+	insts [maxIdiom]riscv.Inst
+	addrs [maxIdiom]uint64
+}
+
+// chain gathers the n contiguous instructions starting at index i — each
+// beginning where the previous one ends — or reports that the run breaks
+// off first.
+func (w *window) chain(d *dis.Result, i, n int) ([]riscv.Inst, []uint64, bool) {
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			var ok bool
+			if i, ok = d.Fallthrough(i); !ok {
+				return nil, nil, false
+			}
 		}
-		insts = append(insts, in)
-		addrs = append(addrs, addr)
-		addr += uint64(in.Len)
+		w.idx[k], w.insts[k], w.addrs[k] = i, d.Insts[i], d.Order[i]
 	}
-	return insts, addrs, true
+	return w.insts[:n], w.addrs[:n], true
 }
 
 // matchDotLoop recognizes the canonical scalar dot-product inner loop:
@@ -76,11 +120,7 @@ func chain(d *dis.Result, addr uint64, n int) ([]riscv.Inst, []uint64, bool) {
 //	loop: fld fX, 0(rA); fld fY, 0(rB); fmadd.d fACC, fX, fY, fACC
 //	      addi rA, rA, 8; addi rB, rB, 8; addi rN, rN, -1
 //	      bne rN, zero, loop
-func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 7)
-	if !ok {
-		return UpgradeSite{}, false
-	}
+func matchDotLoop(is []riscv.Inst, addrs []uint64) (UpgradeSite, bool) {
 	l0, l1, fma, adA, adB, adN, br := is[0], is[1], is[2], is[3], is[4], is[5], is[6]
 	if l0.Op != riscv.FLD || l0.Imm != 0 ||
 		l1.Op != riscv.FLD || l1.Imm != 0 ||
@@ -97,7 +137,7 @@ func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 		return UpgradeSite{}, false
 	}
 	if br.Op != riscv.BNE || br.Rs1 != rN || br.Rs2 != riscv.Zero ||
-		addrs[6]+uint64(br.Imm) != addr {
+		addrs[6]+uint64(br.Imm) != addrs[0] {
 		return UpgradeSite{}, false
 	}
 	acc := fma.Rd
@@ -129,7 +169,7 @@ func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	if err != nil {
 		return UpgradeSite{}, false
 	}
-	return UpgradeSite{Kind: "dot.e64", Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: "dot.e64", Replacement: repl}, true
 }
 
 // matchAxpyLoop recognizes the canonical scalar axpy inner loop:
@@ -137,11 +177,7 @@ func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 //	loop: fld fX, 0(rA); fld fY, 0(rB); fmadd.d fY, fX, fALPHA, fY; fsd fY, 0(rB)
 //	      addi rA, rA, 8; addi rB, rB, 8; addi rN, rN, -1
 //	      bne rN, zero, loop
-func matchAxpyLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 8)
-	if !ok {
-		return UpgradeSite{}, false
-	}
+func matchAxpyLoop(is []riscv.Inst, addrs []uint64) (UpgradeSite, bool) {
 	l0, l1, fma, st, adA, adB, adN, br := is[0], is[1], is[2], is[3], is[4], is[5], is[6], is[7]
 	if l0.Op != riscv.FLD || l0.Imm != 0 ||
 		l1.Op != riscv.FLD || l1.Imm != 0 ||
@@ -162,7 +198,7 @@ func matchAxpyLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 		return UpgradeSite{}, false
 	}
 	if br.Op != riscv.BNE || br.Rs1 != rN || br.Rs2 != riscv.Zero ||
-		addrs[7]+uint64(br.Imm) != addr {
+		addrs[7]+uint64(br.Imm) != addrs[0] {
 		return UpgradeSite{}, false
 	}
 
@@ -187,16 +223,12 @@ func matchAxpyLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	if err != nil {
 		return UpgradeSite{}, false
 	}
-	return UpgradeSite{Kind: "axpy.e64", Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: "axpy.e64", Replacement: repl}, true
 }
 
 // matchShadd recognizes "slli rd, rs1, k; add rd, rd, rs2" (k in 1..3,
 // rs2 != rd) and fuses it into Zba's shNadd.
-func matchShadd(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 2)
-	if !ok {
-		return UpgradeSite{}, false
-	}
+func matchShadd(is []riscv.Inst, _ []uint64) (UpgradeSite, bool) {
 	sl, ad := is[0], is[1]
 	if sl.Op != riscv.SLLI || sl.Imm < 1 || sl.Imm > 3 {
 		return UpgradeSite{}, false
@@ -204,10 +236,11 @@ func matchShadd(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	if ad.Op != riscv.ADD || ad.Rd != sl.Rd || ad.Rs1 != sl.Rd || ad.Rs2 == sl.Rd || ad.Rs2 == riscv.Zero {
 		return UpgradeSite{}, false
 	}
-	// rd must not alias rs1: shNadd reads rs1 after the original slli would
-	// have clobbered rd, so aliasing changes nothing — but keep the exact
-	// semantics by requiring the same operand shape either way.
+	// rd may alias rs1: shNadd reads rs1 before it writes rd, so
+	// "slli a0, a0, k; add a0, a0, a1" fuses to "shNadd a0, a0, a1". Only
+	// rs2 must differ from rd, since the add reads it after the slli wrote
+	// rd.
 	op := []riscv.Op{riscv.SH1ADD, riscv.SH2ADD, riscv.SH3ADD}[sl.Imm-1]
 	repl := []riscv.Inst{{Op: op, Rd: ad.Rd, Rs1: sl.Rs1, Rs2: ad.Rs2}}
-	return UpgradeSite{Kind: "shadd", Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: "shadd", Replacement: repl}, true
 }

@@ -3,11 +3,14 @@
 # benchmarks, the BenchmarkService*/BenchmarkRewriteBatch service suite, the
 # coverage-guided campaign throughput benchmark (whole fuzzing execs/s), the
 # store hit-path benchmarks (memory-tier verified hits, disk-store hit
-# latency), and the BenchmarkResolve rewriter-config rows (runtime-rewrite
-# fault rate and per-task p50/p99 with the indirect-target resolver off vs
-# on), and distills the results into BENCH_emu.json (per benchmark: ns/op,
-# emulated MIPS, ns per retired instruction, allocs/op, MB/s, batch
-# items/s, faults/avoided/crashed per op, p50/p99 kcycles), plus a
+# latency), the BenchmarkRewrite cold-rewrite rows (one SPEC-shaped image
+# under each of the 16 rewrite-cold configs), and the BenchmarkResolve
+# rewriter-config rows (runtime-rewrite fault rate and per-task p50/p99
+# with the indirect-target resolver off vs on), and distills the results
+# into BENCH_emu.json (per benchmark: ns/op, emulated MIPS, ns per retired
+# instruction, bytes/op, allocs/op, MB/s, batch items/s,
+# faults/avoided/crashed per op, p50/p99 kcycles; the mean cold rewrite
+# over the 16 configs), plus a
 # "matrix" block distilled from chimera-eval: per rewriter config, the
 # pass/degraded/reject split and mean size/cycle overheads over the
 # adversarial corpus. Run from anywhere; writes to the repo root.
@@ -70,6 +73,15 @@ echo "== go test -bench store hit paths (internal/store, -benchtime $BENCHTIME)"
 go test -run=- -bench='BenchmarkMemoryHitParallel|BenchmarkDiskStoreHit' -benchmem \
     -benchtime "$BENCHTIME" ./internal/store/ | tee -a "$RAW"
 
+# One cold rewrite of a fixed image per config: steady-state -benchtime,
+# median of five, with bytes and allocations per rewrite.
+echo "== go test -bench Rewrite (internal/rewriters, 16 cold configs, median of 5)"
+REWRITE_RAW="$(mktemp)"
+go test -run=- -bench='BenchmarkRewrite' -benchmem -benchtime "$BENCHTIME" -count 5 \
+    ./internal/rewriters/ | tee "$REWRITE_RAW"
+median_rows "$REWRITE_RAW" >> "$RAW"
+rm -f "$REWRITE_RAW"
+
 # The resolver rows are simulated-cycle metrics (fault rate, per-task
 # p50/p99), deterministic per pass — one iteration is the measurement.
 echo "== go test -bench Resolve (internal/bench, fault-rate/p99 per rewriter config)"
@@ -85,12 +97,13 @@ awk '
 BEGIN { print "{"; print "  \"benchmarks\": ["; n = 0 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    nsop = ""; mips = ""; nsinst = ""; allocs = ""; mbs = ""; items = ""
+    nsop = ""; mips = ""; nsinst = ""; bytes = ""; allocs = ""; mbs = ""; items = ""
     faults = ""; avoided = ""; crashed = ""; p50 = ""; p99 = ""; execs = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")       nsop = $i
         if ($(i+1) == "Minst/s")     mips = $i
         if ($(i+1) == "ns/inst")     nsinst = $i
+        if ($(i+1) == "B/op")        bytes = $i
         if ($(i+1) == "allocs/op")   allocs = $i
         if ($(i+1) == "MB/s")        mbs = $i
         if ($(i+1) == "items/s")     items = $i
@@ -111,12 +124,14 @@ BEGIN { print "{"; print "  \"benchmarks\": ["; n = 0 }
     if (name == "BenchmarkCPURunInstrument/coverage" && nsinst != "") ins_cov = nsinst
     if (name == "BenchmarkCPURunInstrument/cmplog"   && nsinst != "") ins_cmp = nsinst
     if (name == "BenchmarkCampaignExecs" && execs != "") campaign_execs = execs
+    if (name ~ /^BenchmarkRewrite\//) { rw_n++; rw_ns += nsop; rw_bytes += bytes; rw_allocs += allocs }
     if (name == "BenchmarkResolve/chbp-off" && faults != "") { roff_f = faults; roff_p99 = p99 }
     if (name == "BenchmarkResolve/chbp-on"  && faults != "") { ron_f = faults; ron_p99 = p99 }
     if (n++) printf ",\n"
     printf "    {\"name\": \"%s\", \"ns_per_op\": %s", name, nsop
     if (mips != "")    printf ", \"emulated_mips\": %s", mips
     if (nsinst != "")  printf ", \"ns_per_inst\": %s", nsinst
+    if (bytes != "")   printf ", \"bytes_per_op\": %s", bytes
     if (allocs != "")  printf ", \"allocs_per_op\": %s", allocs
     if (mbs != "")     printf ", \"mb_per_s\": %s", mbs
     if (items != "")   printf ", \"items_per_s\": %s", items
@@ -142,6 +157,9 @@ END {
         if (campaign_execs != "") printf ", \"campaign_execs_per_s\": %s", campaign_execs
         print "},"
     }
+    if (rw_n > 0)
+        printf "  \"rewrite\": {\"configs\": %d, \"mean_ms_per_op\": %.3f, \"mean_bytes_per_op\": %.0f, \"mean_allocs_per_op\": %.0f},\n",
+            rw_n, rw_ns / rw_n / 1e6, rw_bytes / rw_n, rw_allocs / rw_n
     if (roff_f != "" && ron_f != "") {
         printf "  \"resolver\": {\"chbp_faults_per_op_off\": %s, \"chbp_faults_per_op_on\": %s", roff_f, ron_f
         if (ron_f + 0 > 0) printf ", \"fault_reduction_x\": %.1f", roff_f / ron_f
@@ -151,7 +169,7 @@ END {
             printf ", \"p99_reduction_pct\": %.2f", (roff_p99 - ron_p99) / roff_p99 * 100
         print "},"
     }
-    print "  \"note\": \"profiler_overhead_pct = CPURunProfiler on-vs-off ns/inst delta per tier; resolver = BenchmarkResolve chbp off-vs-on fault-rate and p99 deltas; instrument = CPURunInstrument hook-mode ns/inst deltas plus CampaignExecs fuzzing throughput\""
+    print "  \"note\": \"profiler_overhead_pct = CPURunProfiler on-vs-off ns/inst delta per tier; rewrite = BenchmarkRewrite means over the 16 cold configs; resolver = BenchmarkResolve chbp off-vs-on fault-rate and p99 deltas; instrument = CPURunInstrument hook-mode ns/inst deltas plus CampaignExecs fuzzing throughput\""
     print "}"
 }
 ' "$RAW" > BENCH_emu.json

@@ -2,7 +2,8 @@
 # Pre-PR gate: formatting, vet, build, the full test suite under the race
 # detector, the warm-loop and process-reset alloc gates, the nil-hook
 # instrumentation and guest profiler overhead gates, the coverage-guided
-# campaign smoke, and short native-fuzz smokes over the differential oracles.
+# campaign smoke, and short native-fuzz smokes over the differential oracles
+# and the dense disassembler's reference.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -128,4 +129,5 @@ echo "== fuzz smoke (10s per target)"
 go test -run=- -fuzz=FuzzDifferential -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzRewrite -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzObjLoad -fuzztime=10s ./internal/obj >/dev/null
+go test -run=- -fuzz=FuzzDisassemble -fuzztime=10s ./internal/dis >/dev/null
 echo "== ok"

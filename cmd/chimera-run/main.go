@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -77,24 +78,19 @@ func main() {
 	if err := p.MigrateTo(isa); err != nil {
 		fatal(err)
 	}
-	p.CPU.ISA = isa
 	p.CPU.TraceThreshold = uint32(*traceThreshold)
 	if *profile {
 		p.Hooks().Prof = instrument.NewProfile()
 		p.CPU.RefreshHooks()
 	}
 
-	var total uint64
 	startAt := time.Now()
-	for !p.Exited {
-		cycles, st, err := p.Run(10_000_000)
-		total += cycles
-		if err != nil {
-			fatal(err)
-		}
-		if st == kernel.StatusNeedMigration {
-			fatal(fmt.Errorf("image needs a core with more extensions than %v", isa))
-		}
+	total, st, err := p.RunToExit(context.Background(), 10_000_000)
+	if err != nil {
+		fatal(err)
+	}
+	if st == kernel.StatusNeedMigration {
+		fatal(fmt.Errorf("image needs a core with more extensions than %v", isa))
 	}
 	wall := time.Since(startAt)
 	os.Stdout.Write(p.Output)
@@ -136,8 +132,8 @@ func main() {
 			fmt.Printf("[folded stacks written to %s]\n", *folded)
 		}
 	}
-	if p.ExitCode >= 128 {
-		os.Exit(int(p.ExitCode - 128))
+	if p.Signal != 0 {
+		os.Exit(p.Signal)
 	}
 }
 

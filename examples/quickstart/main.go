@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -67,17 +68,12 @@ func run(variants []kernel.Variant, isa riscv.Ext) (uint64, *kernel.Process) {
 	if err := p.MigrateTo(isa); err != nil {
 		log.Fatal(err)
 	}
-	p.CPU.ISA = isa
-	var cycles uint64
-	for !p.Exited {
-		c, st, err := p.Run(1_000_000)
-		cycles += c
-		if err != nil {
-			log.Fatal(err)
-		}
-		if st == kernel.StatusNeedMigration {
-			log.Fatal("unexpected migration request")
-		}
+	cycles, st, err := p.RunToExit(context.Background(), 1_000_000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st == kernel.StatusNeedMigration {
+		log.Fatal("unexpected migration request")
 	}
 	return cycles, p
 }

@@ -81,7 +81,6 @@ func main() {
 	if err := p.MigrateTo(riscv.RV64GC); err != nil {
 		log.Fatal(err)
 	}
-	p.CPU.ISA = riscv.RV64GC
 
 	// Let the program register its handler first.
 	if _, _, err := p.Run(200); err != nil {

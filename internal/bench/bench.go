@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -15,33 +16,29 @@ import (
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
+// maxRunInstret bounds RunOnCore: a guest still running after this many
+// retired instructions is reported as not terminating.
+const maxRunInstret = 5_000_000_000_000
+
 // RunOnCore drives a process to completion on a single core of the given
-// ISA, returning total consumed cycles (guest + kernel). Exported because
-// the rewrite service's /run endpoint executes requests through the same
-// loop the experiments use.
+// ISA, returning total consumed cycles (guest + kernel).
 func RunOnCore(p *kernel.Process, isa riscv.Ext) (uint64, error) {
 	if err := p.MigrateTo(isa); err != nil {
 		return 0, err
 	}
-	p.CPU.ISA = isa
-	var total uint64
-	for i := 0; i < 1_000_000; i++ {
-		cycles, st, err := p.Run(5_000_000)
-		total += cycles
-		if err != nil {
-			return total, err
-		}
-		switch st {
-		case kernel.StatusExited:
-			if p.ExitCode >= 128 {
-				return total, fmt.Errorf("bench: %s killed by signal %d", p.Name, p.ExitCode-128)
-			}
-			return total, nil
-		case kernel.StatusNeedMigration:
-			return total, fmt.Errorf("bench: %s cannot run on %v", p.Name, isa)
-		}
+	p.CPU.MaxInstret = p.CPU.Instret + maxRunInstret
+	total, st, err := p.RunToExit(context.Background(), 5_000_000)
+	switch {
+	case err != nil:
+		return total, err
+	case p.Signal != 0:
+		return total, fmt.Errorf("bench: %s killed by signal %d", p.Name, p.Signal)
+	case st == kernel.StatusNeedMigration:
+		return total, fmt.Errorf("bench: %s cannot run on %v", p.Name, isa)
+	case st == kernel.StatusBudget:
+		return total, fmt.Errorf("bench: %s did not terminate", p.Name)
 	}
-	return total, fmt.Errorf("bench: %s did not terminate", p.Name)
+	return total, nil
 }
 
 // nativeCycles runs an image natively (no rewriting) and returns cycles.

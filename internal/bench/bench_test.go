@@ -2,9 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"github.com/eurosys26p57/chimera/internal/asm"
 	"github.com/eurosys26p57/chimera/internal/heterosys"
+	"github.com/eurosys26p57/chimera/internal/kernel"
+	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
@@ -190,5 +194,41 @@ func TestFig14Quick(t *testing.T) {
 	row.Print(&buf)
 	if buf.Len() == 0 {
 		t.Error("empty print")
+	}
+}
+
+// TestRunOnCoreExitCodes: a voluntary exit code of 128 or more is not a
+// signal kill; a null dereference is one, reported by its signal number.
+func TestRunOnCoreExitCodes(t *testing.T) {
+	for _, c := range []struct {
+		code      int64
+		nullDeref bool
+		err       string
+	}{{200, false, ""}, {0, true, "killed by signal 11"}} {
+		b := asm.NewBuilder(riscv.RV64GC)
+		b.Func("main")
+		if c.nullDeref {
+			b.Load(riscv.LD, riscv.T0, riscv.Zero, 0)
+		}
+		b.Li(riscv.A0, c.code)
+		b.Li(riscv.A7, kernel.SysExit)
+		b.Ecall()
+		img, err := b.Build("exit", "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := kernel.NewProcess(img.Name, []kernel.Variant{{ISA: img.ISA, Image: img}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunOnCore(p, img.ISA)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("exit(%d): %v", c.code, err)
+		case c.err == "" && p.ExitCode != uint64(c.code):
+			t.Errorf("exit code %d, want %d", p.ExitCode, c.code)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("null dereference: err %v, want %q", err, c.err)
+		}
 	}
 }

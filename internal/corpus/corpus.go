@@ -11,10 +11,10 @@
 // internal/fuzz into first-class, named corpus families: the same seed
 // always yields a byte-identical image, so matrix cells are reproducible
 // and the committed baseline can gate regressions. Every family's original
-// image runs to a clean exit — never a signal kill (see KilledExit) — on a
-// matching core: the adversarial part is what the REWRITERS must survive,
-// not the program. Fuzz-derived families exit with their full 64-bit
-// checksum, so "clean" is defined by the kill range, not by code < 128.
+// image runs to a clean exit — never a signal kill (kernel.Process.Signal)
+// — on a matching core: the adversarial part is what the REWRITERS must
+// survive, not the program. Fuzz-derived families exit with their full
+// 64-bit checksum, which may be any value, 128 and up included.
 package corpus
 
 import (
@@ -77,13 +77,6 @@ func ByName(name string) (Family, bool) {
 	}
 	return Family{}, false
 }
-
-// KilledExit reports whether an exit code is a simulated-kernel signal
-// kill (128+sig, sig < 32). Checksum-style exit codes are full 64-bit
-// values, so membership in this narrow band is the kill signature; the
-// corpus determinism tests gate that no family seed's own checksum lands
-// in it.
-func KilledExit(code uint64) bool { return code >= 128 && code < 160 }
 
 // Build constructs one program by family name.
 func Build(family string, seed int64) (*Program, error) {

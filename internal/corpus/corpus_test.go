@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"testing"
 
@@ -72,8 +73,7 @@ func TestFamilySeedsDiffer(t *testing.T) {
 // TestOriginalRunsClean: every family's unmodified image must run to a
 // clean exit — never a signal kill — within its budget on a full RV64GCV
 // core. The corpus is adversarial toward rewriters, never toward the
-// reference run. This also gates that no fuzz-derived checksum exit code
-// collides with the kill range KilledExit watches.
+// reference run.
 func TestOriginalRunsClean(t *testing.T) {
 	for _, f := range Families() {
 		for _, seed := range testSeeds {
@@ -90,16 +90,16 @@ func TestOriginalRunsClean(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", f.Name, seed, err)
 			}
 			p.CPU.ISA = riscv.RV64GCV
-			for !p.Exited {
-				if p.CPU.Instret >= prog.Budget {
-					t.Fatalf("%s seed %d: exceeded budget %d", f.Name, seed, prog.Budget)
-				}
-				if _, _, err := p.Run(100_000); err != nil {
-					t.Fatalf("%s seed %d: run: %v", f.Name, seed, err)
-				}
+			p.CPU.MaxInstret = prog.Budget
+			_, st, err := p.RunToExit(context.Background(), 100_000)
+			if err != nil {
+				t.Fatalf("%s seed %d: run: %v", f.Name, seed, err)
 			}
-			if KilledExit(p.ExitCode) {
-				t.Errorf("%s seed %d: original image died with code %d", f.Name, seed, p.ExitCode)
+			if st != kernel.StatusExited {
+				t.Fatalf("%s seed %d: stopped with status %v within budget %d", f.Name, seed, st, prog.Budget)
+			}
+			if p.Signal != 0 {
+				t.Errorf("%s seed %d: original image killed by signal %d", f.Name, seed, p.Signal)
 			}
 		}
 	}

@@ -23,6 +23,7 @@
 package evalmatrix
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -210,29 +211,21 @@ func runVariant(v kernel.Variant, name string, coreISA riscv.Ext, orig *obj.Imag
 	}
 	p.CPU.ISA = coreISA
 	p.CPU.TraceThreshold = traceThreshold
+	p.CPU.MaxInstret = budget
 	start := time.Now()
-	out := &runOutcome{}
-	for !p.Exited {
-		if p.CPU.Instret >= budget {
-			out.hang = true
-			break
-		}
-		if _, st, err := p.Run(100_000); err != nil {
-			out.simErr = err
-			break
-		} else if st == kernel.StatusExited {
-			break
-		}
+	_, st, err := p.RunToExit(context.Background(), 100_000)
+	return &runOutcome{
+		wallNs:   time.Since(start).Nanoseconds(),
+		exitCode: p.ExitCode,
+		output:   string(p.Output),
+		dataHash: writableHash(p, orig),
+		instret:  p.CPU.Instret,
+		cycles:   p.CPU.Cycles + p.Counters.KernelCycles,
+		faults:   p.Counters.FaultRecoveries + p.Counters.RuntimeRewrites + p.Counters.Traps,
+		hang:     st == kernel.StatusBudget,
+		killed:   p.Signal != 0,
+		simErr:   err,
 	}
-	out.wallNs = time.Since(start).Nanoseconds()
-	out.exitCode = p.ExitCode
-	out.output = string(p.Output)
-	out.dataHash = writableHash(p, orig)
-	out.instret = p.CPU.Instret
-	out.cycles = p.CPU.Cycles + p.Counters.KernelCycles
-	out.faults = p.Counters.FaultRecoveries + p.Counters.RuntimeRewrites + p.Counters.Traps
-	out.killed = p.Exited && corpus.KilledExit(p.ExitCode)
-	return out
 }
 
 // writableHash FNV-1a-hashes the final contents of the original image's
@@ -367,7 +360,7 @@ func Run(p Params) (*Matrix, error) {
 				return nil, fmt.Errorf("evalmatrix: %s seed %d: %w", fam, seed, err)
 			}
 			ref := runVariant(v, prog.Image.Name, riscv.RV64GCV, prog.Image, prog.Budget, p.TraceThreshold)
-			if ref.simErr != nil || ref.hang || corpus.KilledExit(ref.exitCode) {
+			if ref.simErr != nil || ref.hang || ref.killed {
 				return nil, fmt.Errorf("evalmatrix: %s seed %d: reference run unusable (err=%v hang=%v exit=%d)",
 					fam, seed, ref.simErr, ref.hang, ref.exitCode)
 			}

@@ -32,14 +32,14 @@ func TestGeneratorPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: load: %v", seed, err)
 		}
-		hang, simErr := runToEnd(p, budget)
-		if simErr != nil {
-			t.Errorf("seed %d: simulator error: %v", seed, simErr)
+		r := runReport("original", p, img, budget)
+		if r.SimError != "" {
+			t.Errorf("seed %d: simulator error: %s", seed, r.SimError)
 		}
-		if hang {
+		if r.Hang {
 			t.Errorf("seed %d: exceeded budget %d", seed, budget)
 		}
-		if simErr == nil && !hang && !p.Exited {
+		if r.SimError == "" && !r.Hang && !p.Exited {
 			t.Errorf("seed %d: stopped without exiting", seed)
 		}
 	}

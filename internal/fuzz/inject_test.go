@@ -41,11 +41,10 @@ func corruptedStrawmanDiff(s Spec) (*Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	hang, simErr := runToEnd(ref, budget)
-	if hang || simErr != nil {
+	rref := runReport("original", ref, img, budget)
+	if rref.Hang || rref.SimError != "" {
 		return nil, nil // reference itself unusable; not a corruption signal
 	}
-	rref := report("original", ref, img, hang, simErr)
 	c := candidate{
 		name:    "strawman-corrupt",
 		variant: res.Variant(),

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/eurosys26p57/chimera/internal/chbp"
@@ -93,26 +94,17 @@ func newProc(v kernel.Variant, coreISA riscv.Ext, interp bool) (*kernel.Process,
 	return p, nil
 }
 
-// runToEnd drives a process until exit or until the instruction budget is
-// exceeded (reported as a hang — generated programs terminate by
-// construction, so only a broken rewrite or engine can loop).
-func runToEnd(p *kernel.Process, budget uint64) (hang bool, simErr error) {
-	for !p.Exited {
-		if p.CPU.Instret >= budget {
-			return true, nil
-		}
-		_, st, err := p.Run(runSlice)
-		if err != nil {
-			return false, err
-		}
-		switch st {
-		case kernel.StatusExited:
-			return false, nil
-		case kernel.StatusNeedMigration:
-			return false, fmt.Errorf("unexpected migration request at %#x", p.CPU.PC)
-		}
+// runReport drives a process to exit under the spec's instruction budget
+// and snapshots the outcome. Exhausting the budget is a hang: generated
+// programs terminate by construction, so only a broken rewrite or engine
+// can loop.
+func runReport(label string, p *kernel.Process, orig *obj.Image, budget uint64) *ExecReport {
+	p.CPU.MaxInstret = budget
+	_, st, err := p.RunToExit(context.Background(), runSlice)
+	if err == nil && st == kernel.StatusNeedMigration {
+		err = fmt.Errorf("unexpected migration request at %#x", p.CPU.PC)
 	}
-	return false, nil
+	return report(label, p, orig, st == kernel.StatusBudget, err)
 }
 
 // report snapshots a process into an ExecReport. The data hash always walks
@@ -385,9 +377,8 @@ func (s *Spec) DiffRewriters() (*Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	hang, simErr := runToEnd(ref, budget)
-	rref := report("original", ref, img, hang, simErr)
-	if simErr != nil || hang {
+	rref := runReport("original", ref, img, budget)
+	if rref.SimError != "" || rref.Hang {
 		return &Divergence{
 			Axis: AxisRewriters, Seed: s.Seed, Spec: s,
 			Detail: "reference execution did not exit cleanly", A: rref,
@@ -434,13 +425,12 @@ func diffVariantRun(s *Spec, orig *obj.Image, budget uint64, rref *ExecReport, c
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: loading %s: %w", c.name, err)
 	}
-	hang, simErr := runToEnd(p, budget)
-	rc := report(c.name, p, orig, hang, simErr)
+	rc := runReport(c.name, p, orig, budget)
 	var detail string
 	switch {
-	case simErr != nil:
-		detail = fmt.Sprintf("%s: simulator error: %v", c.name, simErr)
-	case hang:
+	case rc.SimError != "":
+		detail = fmt.Sprintf("%s: simulator error: %s", c.name, rc.SimError)
+	case rc.Hang:
 		detail = fmt.Sprintf("%s: exceeded budget %d (hang)", c.name, budget)
 	case !p.Exited || rc.ExitCode != rref.ExitCode:
 		detail = fmt.Sprintf("%s: exit code %d vs original %d", c.name, rc.ExitCode, rref.ExitCode)
@@ -478,9 +468,8 @@ func (s *Spec) DiffMigration() (*Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	hang, simErr := runToEnd(ref, budget)
-	rref := report("single-core", ref, img, hang, simErr)
-	if simErr != nil || hang {
+	rref := runReport("single-core", ref, img, budget)
+	if rref.SimError != "" || rref.Hang {
 		return &Divergence{
 			Axis: AxisMigration, Seed: s.Seed, Spec: s,
 			Detail: "reference execution did not exit cleanly", A: rref,

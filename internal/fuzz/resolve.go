@@ -70,9 +70,8 @@ func (s *Spec) diffResolveWith(img *obj.Image, budget uint64, ts *resolve.Target
 		}
 		return target, 0
 	}
-	hang, simErr := runToEnd(p, budget)
-	rref := report("original+recorder", p, img, hang, simErr)
-	if simErr != nil || hang {
+	rref := runReport("original+recorder", p, img, budget)
+	if rref.SimError != "" || rref.Hang {
 		return &Divergence{
 			Axis: AxisResolve, Seed: s.Seed, Spec: s,
 			Detail: "reference execution did not exit cleanly", A: rref,

@@ -31,9 +31,8 @@ func TestSchedulerMigrationStorm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		hang, simErr := runToEnd(ref, budget)
-		if hang || simErr != nil {
-			t.Fatalf("seed %d: reference did not exit cleanly (hang=%v err=%v)", seed, hang, simErr)
+		if r := runReport("original", ref, img, budget); r.Hang || r.SimError != "" {
+			t.Fatalf("seed %d: reference did not exit cleanly (hang=%v err=%s)", seed, r.Hang, r.SimError)
 		}
 
 		// Storm run: same binary under FAM on a 2-base + 2-ext machine, with

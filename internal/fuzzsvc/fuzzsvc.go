@@ -83,7 +83,7 @@ func (c Config) withDefaults() Config {
 
 // Crash is one triaged crash bucket.
 type Crash struct {
-	// Signal is the fatal signal number (exit code - 128).
+	// Signal is the fatal signal number (kernel.Process.Signal).
 	Signal int `json:"signal"`
 	// PC is the faulting program counter.
 	PC uint64 `json:"pc"`
@@ -295,29 +295,16 @@ func (c *Campaign) exec(input []byte) execResult {
 	p.SetInput(input)
 	p.Reset()
 	p.CPU.MaxInstret = p.CPU.Instret + c.cfg.ExecBudget
-	for i := 0; i < 10_000 && !p.Exited; i++ {
-		_, st, err := p.Run(c.cfg.ExecBudget)
-		if err != nil {
-			return execResult{kind: execErr}
-		}
-		switch st {
-		case kernel.StatusExited:
-			// handled below
-		case kernel.StatusBudget:
-			return execResult{kind: execHang}
-		case kernel.StatusRunning, kernel.StatusYield:
-			continue
-		default:
-			return execResult{kind: execErr}
-		}
-	}
-	if !p.Exited {
+	_, st, err := p.RunToExit(context.Background(), c.cfg.ExecBudget)
+	switch {
+	case err != nil || st == kernel.StatusNeedMigration:
+		return execResult{kind: execErr}
+	case st == kernel.StatusBudget:
 		return execResult{kind: execHang}
-	}
-	if p.ExitCode >= 128 {
+	case p.Signal != 0:
 		return execResult{
 			kind:   execCrash,
-			signal: int(p.ExitCode - 128),
+			signal: p.Signal,
 			pc:     p.CPU.PC,
 			exit:   p.ExitCode,
 		}

@@ -250,3 +250,37 @@ func TestCorpusEntriesCopies(t *testing.T) {
 		t.Error("CorpusEntries aliases campaign-internal state")
 	}
 }
+
+// TestCampaignExitCodeIsNotACrash: a guest that calls exit(139) on its own
+// is not triaged as a SIGSEGV crash; one that dereferences null is, under
+// signal 11.
+func TestCampaignExitCodeIsNotACrash(t *testing.T) {
+	for _, nullDeref := range []bool{false, true} {
+		b := asm.NewBuilder(riscv.RV64GC)
+		b.Func("main")
+		if nullDeref {
+			b.Load(riscv.LD, riscv.T0, riscv.Zero, 0)
+		}
+		b.Li(riscv.A0, 139)
+		b.Li(riscv.A7, 93)
+		b.Ecall()
+		img, err := b.Build("exit139", "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(Config{Image: img, MaxExecs: 20, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s := c.Snapshot()
+		switch {
+		case !nullDeref && len(s.Crashes) != 0:
+			t.Errorf("voluntary exit(139) triaged as crashes %+v", s.Crashes)
+		case nullDeref && (len(s.Crashes) != 1 || s.Crashes[0].Signal != 11):
+			t.Errorf("null dereference triaged as %+v, want one signal-11 bucket", s.Crashes)
+		}
+	}
+}

@@ -86,7 +86,11 @@ type Process struct {
 
 	Exited   bool
 	ExitCode uint64
-	Output   []byte
+	// Signal is the signal that killed the process, which then exits with
+	// ExitCode 128+Signal. It is 0 after a voluntary exit whatever the
+	// code: a guest calling exit(139) was not killed by SIGSEGV.
+	Signal int
+	Output []byte
 
 	// Input backs the read(2) syscall: sequential reads consume it from
 	// inputOff, then return EOF. SetInput rearms it; Reset rewinds the
@@ -258,7 +262,7 @@ func (p *Process) Reset() {
 	p.hooks.Indirect = p.first.hook
 	p.hooks.ResetState()
 	p.CPU.Reset(p.first.img)
-	p.Exited, p.ExitCode = false, 0
+	p.Exited, p.ExitCode, p.Signal = false, 0, 0
 	p.Output = p.Output[:0]
 	p.inputOff = 0
 	clear(p.handlers)
@@ -358,24 +362,30 @@ func (p *Process) syncVectorStateIn(from *View) {
 	}
 }
 
-// MigrateTo switches the process to the view for the target core ISA
-// (Fig. 9 ②). If the pc currently sits inside generated target
-// instructions, the migration is delayed by running to the block's exit
-// probe first (§4.3). The bound caps that run.
+// MigrateTo moves the process onto a core of the given ISA: it switches to
+// the view for that core (Fig. 9 ②) and pins the hart to isa, the core's
+// ISA rather than the view's, so instructions the core lacks fault even
+// when the view would allow them. Under FAM with no view for the core the
+// task keeps its only binary and relies on the illegal-instruction fault to
+// bounce back to a capable core (§2.1).
 func (p *Process) MigrateTo(isa riscv.Ext) error {
 	target, ok := p.ViewFor(isa)
-	if !ok {
-		if p.FAM {
-			// Fault-and-migrate has no per-core variants: the task runs its
-			// only binary anywhere and relies on the illegal-instruction
-			// fault to bounce back to a capable core (§2.1).
-			return nil
-		}
+	if !ok && !bool(p.FAM) {
 		return fmt.Errorf("kernel: no view runs on %v", isa)
 	}
-	if target == p.cur {
-		return nil
+	if ok && target != p.cur {
+		if err := p.switchView(target); err != nil {
+			return err
+		}
 	}
+	p.CPU.ISA = isa
+	return nil
+}
+
+// switchView makes target the active view. If the pc currently sits inside
+// generated target instructions, the switch is delayed by running to the
+// block's exit probe first (§4.3). The bound caps that run.
+func (p *Process) switchView(target *View) error {
 	// Delay while inside target instructions: the same pc is not
 	// semantically equivalent across views there.
 	if t := p.cur.tables; t != nil && t.InTargetSection(p.CPU.PC) {
@@ -412,7 +422,6 @@ func (p *Process) MigrateTo(isa riscv.Ext) error {
 	}
 	p.cur = target
 	p.CPU.Mem = target.mem
-	p.CPU.ISA = target.isa
 	p.hooks.Indirect = target.hook
 	p.Counters.Migrations++
 	p.Counters.KernelCycles += MigrationCost

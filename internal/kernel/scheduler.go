@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -243,58 +244,54 @@ func (s *Scheduler) runTask(w *Worker, t *Task) error {
 	if err := t.Proc.MigrateTo(w.Core.ISA); err != nil {
 		return fmt.Errorf("kernel: task %d on core %d: %w", t.ID, w.Core.ID, err)
 	}
-	t.Proc.CPU.ISA = w.Core.ISA
 	if w.Core.IsExt() {
 		t.RanOnExt = true
 		if t.Proc.CurrentView().isa.Has(riscv.ExtV) && t.Proc.CurrentView().img.ISA.Has(riscv.ExtV) {
 			t.Accelerated = true
 		}
 	}
-	for {
-		cycles, st, err := t.Proc.Run(s.SliceInstr)
-		w.Now += cycles
-		w.Busy += cycles
-		t.CyclesUsed += cycles
-		if err != nil {
-			return fmt.Errorf("kernel: task %d: %w", t.ID, err)
-		}
-		switch st {
-		case StatusExited:
-			t.Done = true
-			t.Failed = t.Proc.ExitCode >= 128
-			t.CompletedAt = w.Now
-			s.Tel.taskDone(t.Failed, t.Proc.Counters)
-			return nil
-		case StatusNeedMigration:
-			// FAM: hand the task to the extension pool (§2.1). The task
-			// becomes available after the migration latency.
-			w.Now += MigrationCost
-			t.Proc.Counters.Migrations++
-			s.Tel.migrate()
-			t.Proc.Counters.KernelCycles += MigrationCost
-			t.availableAt = w.Now
-			t.NeedsExt = true
-			t.Pinned = true
-			var best *Worker
-			for _, v := range s.Workers {
-				if !v.Core.IsExt() {
-					continue
-				}
-				if best == nil || len(v.queue) < len(best.queue) {
-					best = v
-				}
-			}
-			if best == nil {
-				return fmt.Errorf("kernel: task %d needs an extension core but none exists", t.ID)
-			}
-			s.enqueue(best, t)
-			return nil
-		case StatusBudget:
-			// The kernel never arms the hart watchdog itself; tripping here
-			// means a caller budgeted the hart and the guest ran it dry.
-			return fmt.Errorf("kernel: task %d exhausted its instruction budget", t.ID)
-		case StatusRunning, StatusYield:
-			// keep going on this worker (batch workload, no preemption)
-		}
+	// A batch workload without preemption: the task keeps this worker
+	// until it exits or asks to migrate.
+	cycles, st, err := t.Proc.RunToExit(context.Background(), s.SliceInstr)
+	w.Now += cycles
+	w.Busy += cycles
+	t.CyclesUsed += cycles
+	if err != nil {
+		return fmt.Errorf("kernel: task %d: %w", t.ID, err)
 	}
+	switch st {
+	case StatusExited:
+		t.Done = true
+		t.Failed = t.Proc.Signal != 0
+		t.CompletedAt = w.Now
+		s.Tel.taskDone(t.Failed, t.Proc.Counters)
+		return nil
+	case StatusNeedMigration:
+		// FAM: hand the task to the extension pool (§2.1). The task
+		// becomes available after the migration latency.
+		w.Now += MigrationCost
+		t.Proc.Counters.Migrations++
+		s.Tel.migrate()
+		t.Proc.Counters.KernelCycles += MigrationCost
+		t.availableAt = w.Now
+		t.NeedsExt = true
+		t.Pinned = true
+		var best *Worker
+		for _, v := range s.Workers {
+			if !v.Core.IsExt() {
+				continue
+			}
+			if best == nil || len(v.queue) < len(best.queue) {
+				best = v
+			}
+		}
+		if best == nil {
+			return fmt.Errorf("kernel: task %d needs an extension core but none exists", t.ID)
+		}
+		s.enqueue(best, t)
+		return nil
+	}
+	// The kernel never arms the hart watchdog itself; a StatusBudget stop
+	// means a caller budgeted the hart and the guest ran it dry.
+	return fmt.Errorf("kernel: task %d exhausted its instruction budget", t.ID)
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -36,6 +37,28 @@ const stepOK = StatusRunning
 func (p *Process) step(n uint64) Status {
 	_, st, _ := p.Run(n)
 	return st
+}
+
+// RunToExit is the one way to drive a guest to the end of its run: it calls
+// Run in slices of the given size until the process exits (voluntarily or
+// on a fatal signal, see Signal), hits an instruction its core lacks under
+// FAM (StatusNeedMigration), or runs the hart's instruction budget dry
+// (StatusBudget, emu.CPU.MaxInstret), or until Run reports a simulator
+// error. ctx is checked before every slice; once it is done RunToExit
+// returns ctx.Err(). Yields continue on the same core. cycles totals every
+// slice's consumption (guest + kernel).
+func (p *Process) RunToExit(ctx context.Context, slice uint64) (cycles uint64, st Status, err error) {
+	for {
+		if err = ctx.Err(); err != nil {
+			return cycles, st, err
+		}
+		var n uint64
+		n, st, err = p.Run(slice)
+		cycles += n
+		if err != nil || st == StatusExited || st == StatusNeedMigration || st == StatusBudget {
+			return cycles, st, err
+		}
+	}
 }
 
 // Run executes up to slice instructions on the current view, servicing
@@ -267,6 +290,7 @@ func (p *Process) deliverSignal(sig int) {
 	if !ok || p.inSignal {
 		p.Exited = true
 		p.ExitCode = 128 + uint64(sig)
+		p.Signal = sig
 		return
 	}
 	p.sigFrame = sigContext{X: p.CPU.X, F: p.CPU.F, PC: p.CPU.PC}

@@ -98,33 +98,20 @@ func (s *Server) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 	// Decode all images up front so index alignment is stable even when
 	// some items are malformed: a bad image yields a per-item 400 slot, not
 	// a whole-batch failure.
-	reqs := make([]*RewriteRequest, len(body.Items))
 	out := make([]BatchItemResult, len(body.Items))
 	var live []int
-	for i, item := range body.Items {
-		img, err := decodeImage("image", item.Image)
+	var liveReqs []*RewriteRequest
+	for i := range body.Items {
+		req, err := body.Items[i].request()
 		if err != nil {
 			out[i] = BatchItemResult{Status: statusFor(err), Error: err.Error()}
 			continue
 		}
-		reqs[i] = &RewriteRequest{
-			Method:           item.Method,
-			Target:           item.Target,
-			EmptyPatch:       item.EmptyPatch,
-			DisableExitShift: item.DisableExitShift,
-			DisableBatching:  item.DisableBatching,
-			DisableUpgrade:   item.DisableUpgrade,
-			Resolve:          item.Resolve,
-			Image:            img,
-		}
 		live = append(live, i)
+		liveReqs = append(liveReqs, req)
 	}
 	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite_batch")
 	defer tr.Finish()
-	liveReqs := make([]*RewriteRequest, len(live))
-	for j, i := range live {
-		liveReqs[j] = reqs[i]
-	}
 	for j, res := range s.RewriteBatch(ctx, liveReqs) {
 		out[live[j]] = res
 	}

@@ -32,6 +32,24 @@ type rewriteHTTPRequest struct {
 	Image            []byte `json:"image"`
 }
 
+// request decodes the body's image and converts it to a RewriteRequest.
+func (b *rewriteHTTPRequest) request() (*RewriteRequest, error) {
+	img, err := decodeImage("image", b.Image)
+	if err != nil {
+		return nil, err
+	}
+	return &RewriteRequest{
+		Method:           b.Method,
+		Target:           b.Target,
+		EmptyPatch:       b.EmptyPatch,
+		DisableExitShift: b.DisableExitShift,
+		DisableBatching:  b.DisableBatching,
+		DisableUpgrade:   b.DisableUpgrade,
+		Resolve:          b.Resolve,
+		Image:            img,
+	}, nil
+}
+
 // runHTTPRequest is the POST /run JSON body.
 type runHTTPRequest struct {
 	ISA   string `json:"isa,omitempty"`
@@ -136,23 +154,14 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	img, err := decodeImage("image", body.Image)
+	req, err := body.request()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite")
 	defer tr.Finish()
-	res, err := s.Rewrite(ctx, &RewriteRequest{
-		Method:           body.Method,
-		Target:           body.Target,
-		EmptyPatch:       body.EmptyPatch,
-		DisableExitShift: body.DisableExitShift,
-		DisableBatching:  body.DisableBatching,
-		DisableUpgrade:   body.DisableUpgrade,
-		Resolve:          body.Resolve,
-		Image:            img,
-	})
+	res, err := s.Rewrite(ctx, req)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -970,11 +970,10 @@ const runSliceInstr = 2_000_000
 const chaosLoopAddr = 0x6F00_0000
 
 // doRun executes on a worker. Images are cloned so in-process callers may
-// share one parsed image across concurrent runs. The loop mirrors
-// bench.RunOnCore (total cycles are independent of slice size, so results
-// match the experiments' loop bit-for-bit) but adds the deadline check and
-// the hard instruction budget. The returned duration is the wall-clock
-// execution time (queue wait excluded), the denominator of emulated MIPS.
+// share one parsed image across concurrent runs. The request context is
+// checked between slices and the hart carries the hard instruction budget.
+// The returned duration is the wall-clock execution time (queue wait
+// excluded), the denominator of emulated MIPS.
 func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*RunResult, time.Duration, error) {
 	variants := make([]kernel.Variant, 0, 2)
 	v, err := kernel.VariantFromImage(req.Image.Clone())
@@ -999,7 +998,6 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 	if err := p.MigrateTo(isa); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	p.CPU.ISA = isa
 	if s.cfg.RunMaxInstret > 0 {
 		p.CPU.MaxInstret = uint64(s.cfg.RunMaxInstret)
 	}
@@ -1020,30 +1018,19 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 	execSpan := telemetry.TraceFrom(ctx).Span("run_exec")
 	defer execSpan.End()
 	startAt := time.Now()
-	var cycles uint64
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		n, st, err := p.Run(runSliceInstr)
-		cycles += n
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		switch st {
-		case kernel.StatusExited:
-			if p.ExitCode >= 128 {
-				return nil, 0, fmt.Errorf("%w: %s killed by signal %d", ErrBadRequest, req.Image.Name, p.ExitCode-128)
-			}
-		case kernel.StatusNeedMigration:
-			return nil, 0, fmt.Errorf("%w: %s cannot run on %v", ErrBadRequest, req.Image.Name, isa)
-		case kernel.StatusBudget:
-			s.tel.budgetStops.Inc()
-			return nil, 0, fmt.Errorf("%w: %d instructions retired without exiting", ErrBudget, p.CPU.Instret)
-		default:
-			continue
-		}
-		break
+	cycles, st, err := p.RunToExit(ctx, runSliceInstr)
+	switch {
+	case err != nil && err == ctx.Err():
+		return nil, 0, err
+	case err != nil:
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	case p.Signal != 0:
+		return nil, 0, fmt.Errorf("%w: %s killed by signal %d", ErrBadRequest, req.Image.Name, p.Signal)
+	case st == kernel.StatusNeedMigration:
+		return nil, 0, fmt.Errorf("%w: %s cannot run on %v", ErrBadRequest, req.Image.Name, isa)
+	case st == kernel.StatusBudget:
+		s.tel.budgetStops.Inc()
+		return nil, 0, fmt.Errorf("%w: %d instructions retired without exiting", ErrBudget, p.CPU.Instret)
 	}
 	wall := time.Since(startAt)
 	res := &RunResult{

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/eurosys26p57/chimera/internal/asm"
 	"github.com/eurosys26p57/chimera/internal/bench"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
@@ -485,5 +486,43 @@ func TestServiceHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz after shutdown: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// exitImage assembles a guest that exits with code, after a null
+// dereference when nullDeref is set.
+func exitImage(t *testing.T, code int64, nullDeref bool) *obj.Image {
+	t.Helper()
+	b := asm.NewBuilder(riscv.RV64GC)
+	b.Func("main")
+	if nullDeref {
+		b.Load(riscv.LD, riscv.T0, riscv.Zero, 0)
+	}
+	b.Li(riscv.A0, code)
+	b.Li(riscv.A7, kernel.SysExit)
+	b.Ecall()
+	img, err := b.Build(fmt.Sprintf("exit%d", code), "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestRunExitCodeIsNotASignal: /run answers a voluntary exit(200) with its
+// exit code, not as a kill by signal 72, and still reports a real signal
+// kill by its own number.
+func TestRunExitCodeIsNotASignal(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	res, err := srv.Run(context.Background(), &RunRequest{Image: exitImage(t, 200, false)})
+	if err != nil {
+		t.Fatalf("exit(200): %v", err)
+	}
+	if res.ExitCode != 200 {
+		t.Errorf("exit code %d, want 200", res.ExitCode)
+	}
+	_, err = srv.Run(context.Background(), &RunRequest{Image: exitImage(t, 0, true)})
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "killed by signal 11") {
+		t.Errorf("null dereference: err %v, want a bad request killed by signal 11", err)
 	}
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Pre-PR gate: formatting, vet, build, the full test suite under the race
-# detector, the warm-loop and process-reset alloc gates, the nil-hook
-# instrumentation and guest profiler overhead gates, the coverage-guided
-# campaign smoke, and short native-fuzz smokes over the differential oracles
-# and the dense disassembler's reference.
+# Pre-PR gate: formatting, vet, build (this module and benchmark/), the
+# full test suite under the race detector, the warm-loop and process-reset
+# alloc gates, the nil-hook instrumentation and guest profiler overhead
+# gates, the coverage-guided campaign smoke, and short native-fuzz smokes
+# over the differential oracles and the dense disassembler's reference.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -19,6 +19,12 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+# benchmark/ is its own module (it imports this one through a replace), so
+# the commands above never compile it; build it offline as benchmark/run.sh
+# does, so an API change it depends on fails here, not at benchmark time.
+echo "== benchmark module: go vet ./... && go build ./..."
+(cd benchmark && export GOFLAGS= GOPROXY=off GOWORK=off GOTOOLCHAIN=local &&
+    go vet ./... && go build ./...)
 echo "== layering gate (dependencies point downward)"
 # forbid PKG DEP: fail if PKG transitively imports DEP (non-test imports).
 mod=$(go list -m)

@@ -43,15 +43,18 @@ func (s *Server) RewriteBatch(ctx context.Context, reqs []*RewriteRequest) []Bat
 	var wg sync.WaitGroup
 	for i, req := range reqs {
 		wg.Add(1)
-		go func(i int, req *RewriteRequest) {
-			defer wg.Done()
+		s.spawn("batch", func() error {
 			res, err := s.Rewrite(ctx, req)
+			if err == nil {
+				out[i] = BatchItemResult{Status: http.StatusOK, Result: res}
+			}
+			return err
+		}, func(err error) {
 			if err != nil {
 				out[i] = BatchItemResult{Status: statusFor(err), Error: err.Error()}
-				return
 			}
-			out[i] = BatchItemResult{Status: http.StatusOK, Result: res}
-		}(i, req)
+			wg.Done()
+		})
 	}
 	wg.Wait()
 	return out
@@ -79,8 +82,12 @@ func (s *Server) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
+	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite_batch")
+	defer tr.Finish()
 	var body batchHTTPRequest
-	if err := decodeBody(w, r, &body); err != nil {
+	wb, err := s.decodeBody(w, r, tr, &body)
+	wb.release() // the fallback decoder copies every field out of the body
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -95,9 +102,10 @@ func (s *Server) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 	s.tel.batchRequests.Inc()
 	s.tel.batchItems.Add(uint64(len(body.Items)))
 
-	// Decode all images up front so index alignment is stable even when
-	// some items are malformed: a bad image yields a per-item 400 slot, not
-	// a whole-batch failure.
+	// Build all requests up front so index alignment is stable even when
+	// some items are malformed: a missing image yields a per-item 400 slot,
+	// not a whole-batch failure (an unparseable one gets its 400 from
+	// Rewrite).
 	out := make([]BatchItemResult, len(body.Items))
 	var live []int
 	var liveReqs []*RewriteRequest
@@ -110,8 +118,6 @@ func (s *Server) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 		live = append(live, i)
 		liveReqs = append(liveReqs, req)
 	}
-	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite_batch")
-	defer tr.Finish()
 	for j, res := range s.RewriteBatch(ctx, liveReqs) {
 		out[live[j]] = res
 	}

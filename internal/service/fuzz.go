@@ -85,6 +85,9 @@ func (fc *fuzzCampaign) getErr() error {
 // concurrency cap, id lookup, finished-campaign retention, and shutdown.
 type fuzzManager struct {
 	max int
+	// run drives one campaign on its goroutine: (*fuzzsvc.Campaign).Run,
+	// which tests replace to exercise a panicking campaign.
+	run func(*fuzzsvc.Campaign, context.Context) error
 
 	mu     sync.Mutex
 	byID   map[string]*fuzzCampaign
@@ -96,7 +99,7 @@ type fuzzManager struct {
 }
 
 func newFuzzManager(max int) *fuzzManager {
-	return &fuzzManager{max: max, byID: make(map[string]*fuzzCampaign)}
+	return &fuzzManager{max: max, run: (*fuzzsvc.Campaign).Run, byID: make(map[string]*fuzzCampaign)}
 }
 
 // admit reserves a campaign slot and id, or reports the cap is hit.
@@ -178,8 +181,12 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "fuzzing disabled (Config.MaxCampaigns < 0)"})
 		return
 	}
+	w, _, tr := s.startTrace(w, r.Context(), "fuzz")
+	defer tr.Finish()
 	var body fuzzHTTPRequest
-	if err := decodeBody(w, r, &body); err != nil {
+	wb, err := s.decodeBody(w, r, tr, &body)
+	wb.release() // the fallback decoder copies every field out of the body
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -225,22 +232,22 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return
 	}
-	w, _, tr := s.startTrace(w, r.Context(), "fuzz")
-	defer tr.Finish()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	fc := &fuzzCampaign{id: id, c: camp, cancel: cancel, done: make(chan struct{}), created: time.Now()}
 	s.fuzz.track(fc)
 	s.tel.fuzzCampaigns.Inc()
 	s.fuzz.runs.Add(1)
-	go func() {
-		defer s.fuzz.runs.Done()
-		defer cancel()
-		defer close(fc.done)
-		err := camp.Run(ctx)
-		fc.setErr(err)
+	s.spawn("campaign", func() error {
+		err := s.fuzz.run(camp, ctx)
 		s.tel.recordFuzz(camp.Snapshot())
+		return err
+	}, func(err error) {
+		fc.setErr(err)
 		s.fuzz.release()
-	}()
+		cancel()
+		close(fc.done)
+		s.fuzz.runs.Done()
+	})
 	writeJSON(w, http.StatusAccepted, fuzzCreateResponse{ID: id})
 }
 

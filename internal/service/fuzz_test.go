@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
+	"github.com/eurosys26p57/chimera/internal/fuzzsvc"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
@@ -290,5 +292,46 @@ func TestFuzzShutdownCancelsCampaigns(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown did not drain: %v", err)
+	}
+}
+
+// TestCampaignPanicKeepsServer: a panic on a campaign goroutine fails that
+// campaign with ErrGoroutinePanic, is counted by site, and leaves the
+// server answering.
+func TestCampaignPanicKeepsServer(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	srv.fuzz.run = func(*fuzzsvc.Campaign, context.Context) error { panic("campaign bug") }
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id, resp := postFuzz(t, ts, fuzzHTTPRequest{Image: fuzzImageWire(t), MaxExecs: 10})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /fuzz status %d", resp.StatusCode)
+	}
+	fc, ok := srv.fuzz.get(id)
+	if !ok {
+		t.Fatalf("campaign %s not tracked", id)
+	}
+	select {
+	case <-fc.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("panicked campaign never finished")
+	}
+	if err := fc.getErr(); !errors.Is(err, ErrGoroutinePanic) || !strings.Contains(err.Error(), "campaign bug") {
+		t.Errorf("campaign error %v, want the recovered panic", err)
+	}
+	h, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Body.Close()
+	if h.StatusCode != http.StatusOK {
+		t.Errorf("/healthz %d after a campaign panic", h.StatusCode)
+	}
+	if got := scrape(t, srv.Handler())[`chimera_goroutine_panics_total{site="campaign"}`]; got != 1 {
+		t.Errorf("chimera_goroutine_panics_total{site=campaign} = %v, want 1", got)
+	}
+	if srv.fuzz.activeCount() != 0 {
+		t.Errorf("%d campaigns still active after the panic", srv.fuzz.activeCount())
 	}
 }

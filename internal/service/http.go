@@ -20,7 +20,8 @@ import (
 const maxBodyBytes = 64 << 20
 
 // rewriteHTTPRequest is the POST /rewrite JSON body. Image is the obj wire
-// format (WriteTo/ReadImage), base64-encoded by encoding/json.
+// format (WriteTo/ReadImage), base64-encoded as encoding/json encodes
+// []byte.
 type rewriteHTTPRequest struct {
 	Method           string `json:"method"`
 	Target           string `json:"target"`
@@ -32,11 +33,11 @@ type rewriteHTTPRequest struct {
 	Image            []byte `json:"image"`
 }
 
-// request decodes the body's image and converts it to a RewriteRequest.
+// request converts the body to a RewriteRequest that carries the image's
+// wire bytes; Rewrite parses them only on a cache miss.
 func (b *rewriteHTTPRequest) request() (*RewriteRequest, error) {
-	img, err := decodeImage("image", b.Image)
-	if err != nil {
-		return nil, err
+	if len(b.Image) == 0 {
+		return nil, fmt.Errorf("%w: missing %q", ErrBadRequest, "image")
 	}
 	return &RewriteRequest{
 		Method:           b.Method,
@@ -46,7 +47,7 @@ func (b *rewriteHTTPRequest) request() (*RewriteRequest, error) {
 		DisableBatching:  b.DisableBatching,
 		DisableUpgrade:   b.DisableUpgrade,
 		Resolve:          b.Resolve,
-		Image:            img,
+		Wire:             b.Image,
 	}, nil
 }
 
@@ -55,6 +56,21 @@ type runHTTPRequest struct {
 	ISA   string `json:"isa,omitempty"`
 	Image []byte `json:"image"`
 	With  []byte `json:"with,omitempty"`
+}
+
+// request parses the body's images into a RunRequest.
+func (b *runHTTPRequest) request() (*RunRequest, error) {
+	img, err := decodeImage("image", b.Image)
+	if err != nil {
+		return nil, err
+	}
+	req := &RunRequest{ISA: b.ISA, Image: img}
+	if len(b.With) > 0 {
+		if req.With, err = decodeImage("with", b.With); err != nil {
+			return nil, err
+		}
+	}
+	return req, nil
 }
 
 type errorResponse struct {
@@ -119,17 +135,6 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 }
 
-// decodeBody decodes a bounded JSON body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: decoding body: %v", ErrBadRequest, err)
-	}
-	return nil
-}
-
 // decodeImage parses wire-format bytes into an image, mapping failures to
 // a clean 400 (the round-trip tests assert ReadImage never panics on
 // malformed input, so hostile bodies die here).
@@ -149,8 +154,12 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
+	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite")
+	defer tr.Finish()
 	var body rewriteHTTPRequest
-	if err := decodeBody(w, r, &body); err != nil {
+	wb, err := s.decodeBody(w, r, tr, &body)
+	defer wb.release()
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -159,14 +168,12 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w, ctx, tr := s.startTrace(w, r.Context(), "rewrite")
-	defer tr.Finish()
 	res, err := s.Rewrite(ctx, req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	s.writeRewriteResult(w, tr, res)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -174,25 +181,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
+	w, ctx, tr := s.startTrace(w, r.Context(), "run")
+	defer tr.Finish()
 	var body runHTTPRequest
-	if err := decodeBody(w, r, &body); err != nil {
-		writeError(w, err)
-		return
+	wb, err := s.decodeBody(w, r, tr, &body)
+	var req *RunRequest
+	if err == nil {
+		req, err = body.request()
 	}
-	img, err := decodeImage("image", body.Image)
+	wb.release() // the request holds parsed copies of the images
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	req := &RunRequest{ISA: body.ISA, Image: img}
-	if len(body.With) > 0 {
-		if req.With, err = decodeImage("with", body.With); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
-	w, ctx, tr := s.startTrace(w, r.Context(), "run")
-	defer tr.Finish()
 	res, err := s.Run(ctx, req)
 	if err != nil {
 		writeError(w, err)

@@ -30,6 +30,7 @@ type serviceMetrics struct {
 	deadlineHits    *telemetry.Counter
 	budgetStops     *telemetry.Counter
 	breakerTrips    *telemetry.Counter
+	goroutinePanics *telemetry.CounterVec // {site}
 
 	// Rewrite cache (the tiered store's memory tier; names predate the
 	// disk tier and are kept stable for dashboards).
@@ -87,6 +88,8 @@ type serviceMetrics struct {
 	stageVerify      *telemetry.Histogram
 	stageStoreVerify *telemetry.Histogram
 	stageRunExec     *telemetry.Histogram
+	stageDecode      *telemetry.Histogram
+	stageEncode      *telemetry.Histogram
 
 	// Emulator aggregates over all /run requests.
 	guestRuns     *telemetry.Counter
@@ -139,6 +142,7 @@ func newServiceMetrics() *serviceMetrics {
 		deadlineHits:    r.Counter("chimera_deadline_exceeded_total", "requests that hit their per-request deadline"),
 		budgetStops:     r.Counter("chimera_run_budget_stops_total", "runs ended by the hard instruction budget"),
 		breakerTrips:    r.Counter("chimera_breaker_trips_total", "circuit breaker openings (rewriter config quarantines)"),
+		goroutinePanics: r.CounterVec("chimera_goroutine_panics_total", "panics recovered on the server's own goroutines, by launch site", "site"),
 
 		cacheHits:      r.Counter("chimera_cache_hits_total", "memory-tier rewrite cache hits"),
 		cacheMisses:    r.Counter("chimera_cache_misses_total", "memory-tier rewrite cache misses"),
@@ -207,6 +211,8 @@ func newServiceMetrics() *serviceMetrics {
 	m.stageVerify = m.stageSeconds.With("verify")
 	m.stageStoreVerify = m.stageSeconds.With("store_verify")
 	m.stageRunExec = m.stageSeconds.With("run_exec")
+	m.stageDecode = m.stageSeconds.With("decode")
+	m.stageEncode = m.stageSeconds.With("encode")
 	m.kernelTel = kernel.NewSchedTelemetry(r)
 	return m
 }

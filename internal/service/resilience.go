@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -25,7 +26,30 @@ var (
 	ErrBudget = errors.New("service: instruction budget exhausted")
 	// ErrQuarantined marks a rewriter config whose circuit breaker is open.
 	ErrQuarantined = errors.New("service: rewriter config quarantined")
+	// ErrGoroutinePanic wraps a panic recovered on one of the server's own
+	// goroutines (see spawn).
+	ErrGoroutinePanic = errors.New("service: goroutine panicked")
 )
+
+// spawn is the only way this package starts a goroutine. It runs fn, then
+// done with fn's error. A panic in fn is recovered into an
+// ErrGoroutinePanic error for done, counted in
+// chimera_goroutine_panics_total{site} and kept as /stats' last panic, so
+// it fails one campaign, batch item or offer instead of the server.
+func (s *Server) spawn(site string, fn func() error, done func(error)) {
+	go func() {
+		var err error
+		defer func() {
+			if r := recover(); r != nil {
+				s.tel.goroutinePanics.With(site).Inc()
+				s.lastPanic.Store(fmt.Sprint(r))
+				err = fmt.Errorf("%w: %s: %v", ErrGoroutinePanic, site, r)
+			}
+			done(err)
+		}()
+		err = fn()
+	}()
+}
 
 // FaultStats is the /stats failure-accounting block: every fault the
 // serving layer absorbed, and what it did about it. All-zero on a healthy,

@@ -14,6 +14,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -159,10 +161,17 @@ func (c Config) withDefaults() Config {
 }
 
 // RewriteRequest asks for one image to be rewritten for one target core
-// class. Image is the service's unit of content addressing: two requests
-// with byte-identical wire forms and equal canonicalized options share one
-// cache entry. The options mean what the same-named rewriters.Config
-// fields mean.
+// class. The image's wire form is the service's unit of content
+// addressing: two requests with byte-identical wire forms and equal
+// canonicalized options share one cache entry. The options mean what the
+// same-named rewriters.Config fields mean.
+//
+// The image comes either parsed (Image) or as the wire bytes a client
+// sent (Wire, used only when Image is nil). Wire is keyed by its own
+// SHA-256 and parsed only on a cache miss, so a warm hit never parses it.
+// A Wire that is not WriteTo's canonical form of the image it encodes
+// (trailing bytes, say) is served from the canonical entry all the same.
+// Rewrite reads Wire only until it returns.
 type RewriteRequest struct {
 	Method           string // one of rewriters.Methods
 	Target           string // rv64g, rv64gc, rv64gcv, rv64gcb, rv64gcbv
@@ -172,6 +181,7 @@ type RewriteRequest struct {
 	DisableUpgrade   bool
 	Resolve          bool
 	Image            *obj.Image
+	Wire             []byte
 }
 
 // RewriteStats carries the per-method rewrite counters: the rewriters'
@@ -442,7 +452,7 @@ func NewServer(cfg Config) (*Server, error) {
 
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
+		s.spawn("worker", s.worker, func(error) { s.workers.Done() })
 	}
 	return s, nil
 }
@@ -453,8 +463,8 @@ func (s *Server) Metrics() *telemetry.Registry { return s.tel.reg }
 // Tracer exposes the request tracer (nil when tracing is disabled).
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
-func (s *Server) worker() {
-	defer s.workers.Done()
+// worker serves the queue until Shutdown closes it.
+func (s *Server) worker() error {
 	for j := range s.queue {
 		select {
 		case <-j.ctx.Done():
@@ -471,6 +481,7 @@ func (s *Server) worker() {
 		s.tel.completed.Inc()
 		j.done <- jobResult{val: v, err: err}
 	}
+	return nil
 }
 
 // runJob executes one job with panic isolation: a panicking rewrite (a
@@ -531,14 +542,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closed = true
 		s.mu.Unlock()
 		close(s.queue)
-		go func() {
+		s.spawn("drain", func() error {
 			s.workers.Wait()
 			s.offers.Wait() // in-flight peer offers finish or time out
 			if s.fuzz != nil {
 				s.fuzz.stopAll() // cancel campaigns and wait for their goroutines
 			}
-			close(s.drained)
-		}()
+			return nil
+		}, func(error) { close(s.drained) })
 	})
 	select {
 	case <-s.drained:
@@ -557,13 +568,25 @@ func cacheKey(img *obj.Image, c rewriters.Config) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("service: hashing image: %w", err)
 	}
+	return keyFor(id, c), nil
+}
+
+// wireKey is cacheKey over wire bytes as received: equal to it when wire
+// is the canonical encoding of its image.
+func wireKey(wire []byte, c rewriters.Config) string {
+	sum := sha256.Sum256(wire)
+	return keyFor(hex.EncodeToString(sum[:]), c)
+}
+
+func keyFor(id string, c rewriters.Config) string {
 	c = c.Canonical()
 	return fmt.Sprintf("m=%s;t=%x;empty=%t;noshift=%t;nobatch=%t;noupg=%t;res=%t;img=%s",
 		c.Method, uint32(c.Target), c.EmptyPatch, c.DisableExitShift,
-		c.DisableBatching, c.DisableUpgrade, c.Resolve, id), nil
+		c.DisableBatching, c.DisableUpgrade, c.Resolve, id)
 }
 
-// validateRewrite checks a request and returns its rewriter config.
+// validateRewrite checks a request and returns its rewriter config. A
+// parsed Image is validated here; Wire is parsed and validated on a miss.
 func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
 	if err := rewriters.CheckMethod(req.Method); err != nil {
 		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -572,11 +595,13 @@ func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
 	if err != nil {
 		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if req.Image == nil {
+	if req.Image == nil && len(req.Wire) == 0 {
 		return rewriters.Config{}, fmt.Errorf("%w: no image", ErrBadRequest)
 	}
-	if err := req.Image.Validate(); err != nil {
-		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if req.Image != nil {
+		if err := req.Image.Validate(); err != nil {
+			return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 	}
 	return rewriters.Config{
 		Method:           req.Method,
@@ -600,15 +625,26 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	tr := telemetry.TraceFrom(ctx)
 	cfg, err := validateRewrite(req)
 	if err != nil {
+		// An image that does not parse is reported before the options, as
+		// it was when every body was parsed up front.
+		if req.Image == nil && len(req.Wire) > 0 {
+			if _, perr := decodeImage("image", req.Wire); perr != nil {
+				return nil, perr
+			}
+		}
 		s.tel.requestErrors.With("rewrite").Inc()
 		return nil, err
 	}
 	tr.Annotate("method", req.Method)
 	tr.Annotate("target", cfg.Target.String())
-	key, err := cacheKey(req.Image, cfg)
-	if err != nil {
-		s.tel.requestErrors.With("rewrite").Inc()
-		return nil, err
+	var key string
+	if req.Image != nil {
+		if key, err = cacheKey(req.Image, cfg); err != nil {
+			s.tel.requestErrors.With("rewrite").Inc()
+			return nil, err
+		}
+	} else {
+		key = wireKey(req.Wire, cfg)
 	}
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -616,21 +652,36 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		defer cancel()
 	}
 
-	lookupSpan := tr.Span("cache_lookup")
-	lookupStart := time.Now()
-	cached, tier, hit := s.cacheGet(key)
-	observeStage(s.tel.stageCacheLookup, time.Since(lookupStart))
-	lookupSpan.Annotate("hit", fmt.Sprint(hit))
-	if hit {
-		lookupSpan.Annotate("tier", tier)
+	if res, hit := s.lookup(tr, key, startAt); hit {
+		return res, nil
 	}
-	lookupSpan.End()
-	if hit {
-		s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
-		out := *cached
-		out.CacheHit = true
-		out.Tier = tier
-		return &out, nil
+	if req.Image == nil {
+		// A miss: parse the wire bytes. An unparseable image is a 400 that,
+		// like every body decode failure, is not an endpoint error.
+		img, err := decodeImage("image", req.Wire)
+		if err != nil {
+			return nil, err
+		}
+		if err := img.Validate(); err != nil {
+			s.tel.requestErrors.With("rewrite").Inc()
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		canon, err := cacheKey(img, cfg)
+		if err != nil {
+			s.tel.requestErrors.With("rewrite").Inc()
+			return nil, err
+		}
+		parsed := *req
+		parsed.Image, parsed.Wire = img, nil
+		req = &parsed
+		if canon != key {
+			// A non-canonical encoding: its image may be cached under the
+			// canonical key.
+			key = canon
+			if res, hit := s.lookup(tr, key, startAt); hit {
+				return res, nil
+			}
+		}
 	}
 
 	cfgKey := req.Method + "/" + cfg.Target.String()
@@ -797,6 +848,27 @@ func (s *Server) degrade(ctx context.Context, req *RewriteRequest, key string, i
 	}, nil
 }
 
+// lookup is the cache_lookup stage. A hit comes back marked with the tier
+// that served it, and ends the request.
+func (s *Server) lookup(tr *telemetry.Trace, key string, startAt time.Time) (*RewriteResult, bool) {
+	span := tr.Span("cache_lookup")
+	start := time.Now()
+	res, tier, hit := s.cacheGet(key)
+	observeStage(s.tel.stageCacheLookup, time.Since(start))
+	span.Annotate("hit", fmt.Sprint(hit))
+	if hit {
+		span.Annotate("tier", tier)
+	}
+	span.End()
+	if !hit {
+		return nil, false
+	}
+	s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
+	res.CacheHit = true
+	res.Tier = tier
+	return res, true
+}
+
 // cacheGet looks key up in the tiered store (hit verification included, a
 // disk hit is promoted) and reports which tier answered.
 func (s *Server) cacheGet(key string) (*RewriteResult, string, bool) {
@@ -874,12 +946,12 @@ func (s *Server) offerToOwner(res *RewriteResult) {
 		return
 	}
 	s.offers.Add(1)
-	go func() {
-		defer s.offers.Done()
+	s.spawn("offer", func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
 		defer cancel()
 		s.clu.Offer(ctx, e)
-	}()
+		return nil
+	}, func(error) { s.offers.Done() })
 }
 
 // doRewrite performs the actual rewrite on a worker. The rewriters clone
@@ -1141,8 +1213,9 @@ type Stats struct {
 	Faults    FaultStats                `json:"faults"`
 	Endpoints map[string]LatencySummary `json:"endpoints"`
 	PerMethod map[string]LatencySummary `json:"per_method"`
-	// Stages is the per-pipeline-stage latency breakdown (cache_lookup,
-	// singleflight_wait, queue_wait, rewrite, verify, run_exec).
+	// Stages is the per-pipeline-stage latency breakdown (decode,
+	// cache_lookup, singleflight_wait, queue_wait, rewrite, verify,
+	// store_verify, run_exec, encode).
 	Stages map[string]LatencySummary `json:"stages,omitempty"`
 	Errors map[string]uint64         `json:"errors"`
 	// Chaos is the injector's fire counts by fault kind; absent when chaos

@@ -62,6 +62,8 @@ rm -f "$CAMPAIGN_RAW"
 
 # The service rows likewise: at 1x the "warm" BenchmarkServiceRewrite row
 # would time one cold miss. Steady-state -benchtime, median of five.
+# BenchmarkServiceHTTPWarm is the served hit at the repo benchmark's
+# rewrite-warm image sizes (64–512 KiB of code).
 echo "== go test -bench Service|RewriteBatch (internal/service, median of 5)"
 SERVICE_RAW="$(mktemp)"
 go test -run=- -bench='BenchmarkService|BenchmarkRewriteBatch' -benchmem -benchtime "$BENCHTIME" -count 5 \

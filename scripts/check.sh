@@ -3,7 +3,8 @@
 # full test suite under the race detector, the warm-loop and process-reset
 # alloc gates, the nil-hook instrumentation and guest profiler overhead
 # gates, the coverage-guided campaign smoke, and short native-fuzz smokes
-# over the differential oracles and the dense disassembler's reference.
+# over the differential oracles, the dense disassembler's reference and
+# the service's one-pass body decoder against encoding/json.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -136,4 +137,5 @@ go test -run=- -fuzz=FuzzDifferential -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzRewrite -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzObjLoad -fuzztime=10s ./internal/obj >/dev/null
 go test -run=- -fuzz=FuzzDisassemble -fuzztime=10s ./internal/dis >/dev/null
+go test -run=- -fuzz=FuzzDecodeBody -fuzztime=10s ./internal/service >/dev/null
 echo "== ok"

@@ -59,7 +59,7 @@ func reportServiceMetrics(b *testing.B, st Stats) {
 // Reported extras: sustained throughput, p50/p99 latency, cache hit ratio.
 func BenchmarkServiceRewrite(b *testing.B) {
 	images := benchImages(b, 4)
-	reqs := combos(images)
+	reqs := combos(b, images)
 	srv := New(Config{})
 	defer srv.Shutdown(context.Background())
 
@@ -82,7 +82,7 @@ func BenchmarkServiceRewrite(b *testing.B) {
 // cache budget forces nearly every request through the worker pool.
 func BenchmarkServiceRewriteCold(b *testing.B) {
 	images := benchImages(b, 2)
-	reqs := combos(images)
+	reqs := combos(b, images)
 	srv := New(Config{CacheBytes: 1})
 	defer srv.Shutdown(context.Background())
 
@@ -104,7 +104,7 @@ func BenchmarkServiceRewriteCold(b *testing.B) {
 // BenchmarkServiceHTTP drives the same load through the full HTTP stack
 // (JSON envelope, base64 image, mux, handlers).
 func BenchmarkServiceHTTP(b *testing.B) {
-	benchHTTP(b, combos(benchImages(b, 2)))
+	benchHTTP(b, combos(b, benchImages(b, 2)), false)
 }
 
 // BenchmarkServiceHTTPWarm is the served warm hit at the benchmark's
@@ -126,15 +126,17 @@ func BenchmarkServiceHTTPWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, m := range rewriters.Methods {
-			reqs = append(reqs, &RewriteRequest{Method: m, Target: "rv64gc", Image: img})
+			reqs = append(reqs, &RewriteRequest{Method: m, Target: "rv64gc", Wire: wire(b, img)})
 		}
 	}
-	benchHTTP(b, reqs)
+	benchHTTP(b, reqs, true)
 }
 
 // benchHTTP posts reqs round-robin to /rewrite over loopback HTTP from
-// b.RunParallel's goroutines, after one untimed pass that fills the cache.
-func benchHTTP(b *testing.B, reqs []*RewriteRequest) {
+// b.RunParallel's goroutines. A warm run first posts every request once,
+// untimed, to fill the cache, and drains each response so its connection
+// is reused.
+func benchHTTP(b *testing.B, reqs []*RewriteRequest, warm bool) {
 	srv := New(Config{})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
@@ -142,23 +144,21 @@ func benchHTTP(b *testing.B, reqs []*RewriteRequest) {
 
 	bodies := make([][]byte, len(reqs))
 	for i, r := range reqs {
-		var buf bytes.Buffer
-		if _, err := r.Image.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
 		body, err := json.Marshal(rewriteHTTPRequest{
-			Method: r.Method, Target: r.Target, EmptyPatch: r.EmptyPatch, Image: buf.Bytes(),
+			Method: r.Method, Target: r.Target, EmptyPatch: r.EmptyPatch, Image: r.Wire,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		bodies[i] = body
-		resp, err := http.Post(ts.URL+"/rewrite", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
+		if warm {
+			resp, err := http.Post(ts.URL+"/rewrite", "application/json", bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 
 	var next atomic.Uint64
@@ -173,9 +173,11 @@ func benchHTTP(b *testing.B, reqs []*RewriteRequest) {
 			}
 			var res RewriteResult
 			err = json.NewDecoder(resp.Body).Decode(&res)
-			// Drain the chunked terminator the decoder leaves unread, so the
-			// connection is reused rather than redialled.
-			io.Copy(io.Discard, resp.Body)
+			if warm {
+				// Drain the chunked terminator the decoder leaves unread, so
+				// the connection is reused rather than redialled.
+				io.Copy(io.Discard, resp.Body)
+			}
 			resp.Body.Close()
 			if err != nil {
 				b.Error(err)

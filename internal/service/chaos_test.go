@@ -89,9 +89,10 @@ func TestShutdownBoundedWithHungWorker(t *testing.T) {
 		Chaos:   chaosCfg(500*time.Millisecond, chaos.RewriteStall),
 	})
 
+	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
 	done := make(chan error, 1)
 	go func() {
-		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img})
+		res, err := srv.Rewrite(context.Background(), req)
 		if err == nil && len(res.ImageBytes) == 0 {
 			err = errors.New("empty result")
 		}
@@ -140,7 +141,7 @@ func TestPanicIsolation(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 
 	for i, img := range images {
-		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img})
+		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)})
 		if err != nil {
 			t.Fatalf("request %d: %v (panic escaped isolation)", i, err)
 		}
@@ -183,7 +184,7 @@ func TestQuarantineAndDegradation(t *testing.T) {
 
 	// Two failing requests trip the breaker (QuarantineAfter=2).
 	for i := 0; i < 2; i++ {
-		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: images[i]})
+		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, images[i])})
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -198,7 +199,7 @@ func TestQuarantineAndDegradation(t *testing.T) {
 	// The config is quarantined now: the next request degrades immediately,
 	// without submitting any pool work.
 	before := srv.Stats().Accepted
-	res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: images[2]})
+	res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, images[2])})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestCacheCorruptionEviction(t *testing.T) {
 	})
 	defer srv.Shutdown(context.Background())
 
-	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}
+	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
 	first, err := srv.Rewrite(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +450,7 @@ func TestChaosSoak(t *testing.T) {
 	var rw []rwCase
 	for _, img := range images {
 		for _, m := range rewriters.Methods {
-			ref, err := refSrv.Rewrite(context.Background(), &RewriteRequest{Method: m, Target: "rv64gc", Image: img})
+			ref, err := refSrv.Rewrite(context.Background(), &RewriteRequest{Method: m, Target: "rv64gc", Wire: wire(t, img)})
 			if err != nil {
 				t.Fatalf("reference %s: %v", m, err)
 			}

@@ -173,7 +173,11 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.writeRewriteResult(w, tr, res)
+	sp := tr.Span("encode")
+	start := time.Now()
+	writeJSON(w, http.StatusOK, res)
+	observeStage(s.tel.stageEncode, time.Since(start))
+	sp.End()
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {

@@ -24,7 +24,7 @@ func TestRewriteRejectBypassesBreaker(t *testing.T) {
 	const n = 8 // well past the breaker threshold
 	for i := 0; i < n; i++ {
 		res, err := srv.Rewrite(context.Background(),
-			&RewriteRequest{Method: "safer", Target: "rv64gc", Image: img})
+			&RewriteRequest{Method: "safer", Target: "rv64gc", Wire: wire(t, img)})
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}

@@ -23,13 +23,13 @@ func TestRewriteResolve(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 
 	off, err := srv.Rewrite(context.Background(), &RewriteRequest{
-		Method: "chbp", Target: "rv64gc", Image: img,
+		Method: "chbp", Target: "rv64gc", Wire: wire(t, img),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	on, err := srv.Rewrite(context.Background(), &RewriteRequest{
-		Method: "chbp", Target: "rv64gc", Resolve: true, Image: img,
+		Method: "chbp", Target: "rv64gc", Resolve: true, Wire: wire(t, img),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestRewriteResolve(t *testing.T) {
 		t.Errorf("resolve rewrites = %d, want 1", stats.Resolve.Rewrites)
 	}
 	if _, err := srv.Rewrite(context.Background(), &RewriteRequest{
-		Method: "chbp", Target: "rv64gc", Resolve: true, Image: img,
+		Method: "chbp", Target: "rv64gc", Resolve: true, Wire: wire(t, img),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRewriteResolveMethods(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	for _, method := range []string{"safer", "armore"} {
 		res, err := srv.Rewrite(context.Background(), &RewriteRequest{
-			Method: method, Target: "rv64gc", Resolve: true, Image: img,
+			Method: method, Target: "rv64gc", Resolve: true, Wire: wire(t, img),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)

@@ -161,17 +161,16 @@ func (c Config) withDefaults() Config {
 }
 
 // RewriteRequest asks for one image to be rewritten for one target core
-// class. The image's wire form is the service's unit of content
-// addressing: two requests with byte-identical wire forms and equal
-// canonicalized options share one cache entry. The options mean what the
-// same-named rewriters.Config fields mean.
+// class. Wire is the image in the obj wire format (WriteTo/ReadImage), as
+// a client sent it, and the service's unit of content addressing: two
+// requests with byte-identical wire forms and equal canonicalized options
+// share one cache entry. The options mean what the same-named
+// rewriters.Config fields mean.
 //
-// The image comes either parsed (Image) or as the wire bytes a client
-// sent (Wire, used only when Image is nil). Wire is keyed by its own
-// SHA-256 and parsed only on a cache miss, so a warm hit never parses it.
-// A Wire that is not WriteTo's canonical form of the image it encodes
-// (trailing bytes, say) is served from the canonical entry all the same.
-// Rewrite reads Wire only until it returns.
+// Wire is keyed by its own SHA-256 and parsed only on a cache miss, so a
+// warm hit never parses it. A Wire that is not WriteTo's canonical form of
+// the image it encodes (trailing bytes, say) is served from the canonical
+// entry all the same. Rewrite reads Wire only until it returns.
 type RewriteRequest struct {
 	Method           string // one of rewriters.Methods
 	Target           string // rv64g, rv64gc, rv64gcv, rv64gcb, rv64gcbv
@@ -180,7 +179,6 @@ type RewriteRequest struct {
 	DisableBatching  bool
 	DisableUpgrade   bool
 	Resolve          bool
-	Image            *obj.Image
 	Wire             []byte
 }
 
@@ -585,8 +583,9 @@ func keyFor(id string, c rewriters.Config) string {
 		c.DisableBatching, c.DisableUpgrade, c.Resolve, id)
 }
 
-// validateRewrite checks a request and returns its rewriter config. A
-// parsed Image is validated here; Wire is parsed and validated on a miss.
+// validateRewrite checks a request's method, target and image presence
+// and returns its rewriter config. The image is parsed and validated on a
+// miss.
 func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
 	if err := rewriters.CheckMethod(req.Method); err != nil {
 		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -595,13 +594,8 @@ func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
 	if err != nil {
 		return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if req.Image == nil && len(req.Wire) == 0 {
+	if len(req.Wire) == 0 {
 		return rewriters.Config{}, fmt.Errorf("%w: no image", ErrBadRequest)
-	}
-	if req.Image != nil {
-		if err := req.Image.Validate(); err != nil {
-			return rewriters.Config{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
 	}
 	return rewriters.Config{
 		Method:           req.Method,
@@ -627,7 +621,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	if err != nil {
 		// An image that does not parse is reported before the options, as
 		// it was when every body was parsed up front.
-		if req.Image == nil && len(req.Wire) > 0 {
+		if len(req.Wire) > 0 {
 			if _, perr := decodeImage("image", req.Wire); perr != nil {
 				return nil, perr
 			}
@@ -637,15 +631,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	}
 	tr.Annotate("method", req.Method)
 	tr.Annotate("target", cfg.Target.String())
-	var key string
-	if req.Image != nil {
-		if key, err = cacheKey(req.Image, cfg); err != nil {
-			s.tel.requestErrors.With("rewrite").Inc()
-			return nil, err
-		}
-	} else {
-		key = wireKey(req.Wire, cfg)
-	}
+	key := wireKey(req.Wire, cfg)
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -655,32 +641,27 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	if res, hit := s.lookup(tr, key, startAt); hit {
 		return res, nil
 	}
-	if req.Image == nil {
-		// A miss: parse the wire bytes. An unparseable image is a 400 that,
-		// like every body decode failure, is not an endpoint error.
-		img, err := decodeImage("image", req.Wire)
-		if err != nil {
-			return nil, err
-		}
-		if err := img.Validate(); err != nil {
-			s.tel.requestErrors.With("rewrite").Inc()
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		canon, err := cacheKey(img, cfg)
-		if err != nil {
-			s.tel.requestErrors.With("rewrite").Inc()
-			return nil, err
-		}
-		parsed := *req
-		parsed.Image, parsed.Wire = img, nil
-		req = &parsed
-		if canon != key {
-			// A non-canonical encoding: its image may be cached under the
-			// canonical key.
-			key = canon
-			if res, hit := s.lookup(tr, key, startAt); hit {
-				return res, nil
-			}
+	// A miss: parse the wire bytes. An unparseable image is a 400 that,
+	// like every body decode failure, is not an endpoint error.
+	img, err := decodeImage("image", req.Wire)
+	if err != nil {
+		return nil, err
+	}
+	if err := img.Validate(); err != nil {
+		s.tel.requestErrors.With("rewrite").Inc()
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	canon, err := cacheKey(img, cfg)
+	if err != nil {
+		s.tel.requestErrors.With("rewrite").Inc()
+		return nil, err
+	}
+	if canon != key {
+		// A non-canonical encoding: its image may be cached under the
+		// canonical key.
+		key = canon
+		if res, hit := s.lookup(tr, key, startAt); hit {
+			return res, nil
 		}
 	}
 
@@ -701,7 +682,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		if quarantined {
 			return nil, fmt.Errorf("%w: %s", ErrQuarantined, cfgKey)
 		}
-		return s.rewriteWithRetries(ctx, req.Image, cfg, key, cfgKey)
+		return s.rewriteWithRetries(ctx, img, cfg, key, cfgKey)
 	})
 	if shared {
 		s.tel.deduped.Inc()
@@ -725,7 +706,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 				s.tel.deadlineHits.Inc()
 				err = fmt.Errorf("%w: %v", ErrDeadline, err)
 			}
-			return s.degrade(ctx, req, key, cfg.Target, startAt, err)
+			return s.degrade(ctx, req.Method, img, key, cfg.Target, startAt, err)
 		}
 	}
 	s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
@@ -826,13 +807,13 @@ func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewrite
 // implementing its own ISA — slower, never wrong. Degraded results carry
 // the cause and are never cached, so the next identical request retries
 // the real rewrite (or hits the breaker, which heals by cooldown).
-func (s *Server) degrade(ctx context.Context, req *RewriteRequest, key string, isa riscv.Ext, startAt time.Time, cause error) (*RewriteResult, error) {
+func (s *Server) degrade(ctx context.Context, method string, img *obj.Image, key string, isa riscv.Ext, startAt time.Time, cause error) (*RewriteResult, error) {
 	tr := telemetry.TraceFrom(ctx)
 	dsp := tr.Span("degrade")
 	dsp.Annotate("reason", cause.Error())
 	defer dsp.End()
 	var buf bytes.Buffer
-	if _, err := req.Image.WriteTo(&buf); err != nil {
+	if _, err := img.WriteTo(&buf); err != nil {
 		s.tel.requestErrors.With("rewrite").Inc()
 		return nil, fmt.Errorf("service: serializing degraded fallback: %v (while degrading: %v)", err, cause)
 	}
@@ -840,7 +821,7 @@ func (s *Server) degrade(ctx context.Context, req *RewriteRequest, key string, i
 	s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
 	return &RewriteResult{
 		Key:            key,
-		Method:         req.Method,
+		Method:         method,
 		Target:         isa.String(),
 		ImageBytes:     buf.Bytes(),
 		Degraded:       true,

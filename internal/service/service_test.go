@@ -52,13 +52,13 @@ func wire(t testing.TB, img *obj.Image) []byte {
 }
 
 // combos enumerates the mixed method/target request matrix over the images.
-func combos(images []*obj.Image) []*RewriteRequest {
+func combos(t testing.TB, images []*obj.Image) []*RewriteRequest {
 	var out []*RewriteRequest
 	for _, img := range images {
 		for _, m := range rewriters.Methods {
 			out = append(out,
-				&RewriteRequest{Method: m, Target: "rv64gc", Image: img},
-				&RewriteRequest{Method: m, Target: "rv64gcv", EmptyPatch: true, Image: img})
+				&RewriteRequest{Method: m, Target: "rv64gc", Wire: wire(t, img)},
+				&RewriteRequest{Method: m, Target: "rv64gcv", EmptyPatch: true, Wire: wire(t, img)})
 		}
 	}
 	return out
@@ -71,7 +71,7 @@ func combos(images []*obj.Image) []*RewriteRequest {
 // zero errors.
 func TestServiceConcurrentHTTP(t *testing.T) {
 	images := testImages(t, 3)
-	reqs := combos(images)
+	reqs := combos(t, images)
 
 	// Cold references from a fresh, unshared server: a cache hit on the
 	// hammered server must be byte-identical to these.
@@ -98,7 +98,7 @@ func TestServiceConcurrentHTTP(t *testing.T) {
 	for i, r := range reqs {
 		b, err := json.Marshal(rewriteHTTPRequest{
 			Method: r.Method, Target: r.Target, EmptyPatch: r.EmptyPatch,
-			Image: wire(t, r.Image),
+			Image: r.Wire,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestServiceSingleflight(t *testing.T) {
 	img := testImages(t, 1)[0]
 	srv := New(Config{Workers: 2})
 	defer srv.Shutdown(context.Background())
-	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}
+	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -252,7 +252,7 @@ func TestServiceShutdownDrains(t *testing.T) {
 
 	// 16 distinct cold requests (methods × targets × images) keep the pool
 	// busy while we shut down.
-	reqs := combos(images)
+	reqs := combos(t, images)
 	var wg sync.WaitGroup
 	errc := make(chan error, len(reqs))
 	for _, r := range reqs {
@@ -301,7 +301,7 @@ func TestServiceShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := srv.Rewrite(context.Background(),
-		&RewriteRequest{Method: "armore", Target: "rv64gcv", EmptyPatch: true, Image: fresh}); !errors.Is(err, ErrShuttingDown) {
+		&RewriteRequest{Method: "armore", Target: "rv64gcv", EmptyPatch: true, Wire: wire(t, fresh)}); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("post-shutdown cold request: got %v, want ErrShuttingDown", err)
 	}
 }
@@ -312,12 +312,15 @@ func TestServiceCancellation(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 8})
 	defer srv.Shutdown(context.Background())
 
+	busy := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, images[0])}
+	canceled := &RewriteRequest{Method: "safer", Target: "rv64gc", Wire: wire(t, images[1])}
+
 	// Occupy the single worker.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: images[0]})
+		srv.Rewrite(context.Background(), busy)
 	}()
 	for srv.Stats().Accepted == 0 {
 		time.Sleep(100 * time.Microsecond)
@@ -326,7 +329,7 @@ func TestServiceCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.Rewrite(ctx, &RewriteRequest{Method: "safer", Target: "rv64gc", Image: images[1]})
+		_, err := srv.Rewrite(ctx, canceled)
 		done <- err
 	}()
 	cancel()
@@ -343,7 +346,7 @@ func TestServiceCacheEviction(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	for _, img := range images {
 		if _, err := srv.Rewrite(context.Background(),
-			&RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}); err != nil {
+			&RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func TestWarmRestartDiskHit(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 2, StoreDir: dir}
 	req := func() *RewriteRequest {
-		return &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}
+		return &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
 	}
 
 	srv1 := New(cfg)
@@ -172,15 +172,12 @@ func TestClusterPeerFill(t *testing.T) {
 	img := testImages(t, 1)[0]
 	servers, urls := startCluster(t, 3, func(int) Config { return Config{Workers: 2} })
 
-	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}
+	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
 	cfg, err := validateRewrite(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := cacheKey(req.Image, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := wireKey(req.Wire, cfg)
 	ownerAddr, _ := servers[0].clu.Owner(key)
 	owner := -1
 	for i, u := range urls {
@@ -319,7 +316,7 @@ func TestChaosSoakCluster(t *testing.T) {
 	var rw []rwCase
 	for _, img := range images {
 		for _, m := range rewriters.Methods {
-			ref, err := refSrv.Rewrite(context.Background(), &RewriteRequest{Method: m, Target: "rv64gc", Image: img})
+			ref, err := refSrv.Rewrite(context.Background(), &RewriteRequest{Method: m, Target: "rv64gc", Wire: wire(t, img)})
 			if err != nil {
 				t.Fatalf("reference %s: %v", m, err)
 			}

@@ -151,6 +151,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		`chimera_stage_seconds_count{stage="cache_lookup"}`, //
 		`chimera_stage_seconds_count{stage="queue_wait"}`,   //
 		`chimera_stage_seconds_count{stage="run_exec"}`,     //
+		`chimera_stage_seconds_count{stage="decode"}`,       //
 		"chimera_kernel_cycles_total",                       // kernel accounting
 		"chimera_guest_runs_total",                          // emulator
 		"chimera_guest_instret_total",                       //
@@ -253,7 +254,7 @@ func TestTraceEndpoint(t *testing.T) {
 	for _, sp := range cold.Spans {
 		spans[sp.Name] = sp
 	}
-	for _, want := range []string{"cache_lookup", "breaker_check", "singleflight", "queue_wait", "rewrite_attempt", "cache_store"} {
+	for _, want := range []string{"decode", "cache_lookup", "breaker_check", "singleflight", "queue_wait", "rewrite_attempt", "cache_store", "encode"} {
 		if _, ok := spans[want]; !ok {
 			t.Errorf("cold rewrite trace missing span %q (got %v)", want, cold.Spans)
 		}
@@ -367,7 +368,7 @@ func TestChaosMetricsExact(t *testing.T) {
 		srv := New(Config{Workers: 1, MaxRetries: -1, Chaos: inj})
 		defer srv.Shutdown(context.Background())
 		for _, img := range images {
-			if _, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}); err != nil {
+			if _, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -386,7 +387,7 @@ func TestChaosMetricsExact(t *testing.T) {
 		inj := chaosCfg(0, chaos.CacheCorrupt)
 		srv := New(Config{Workers: 1, Chaos: inj})
 		defer srv.Shutdown(context.Background())
-		req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img}
+		req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
 		// Cold rewrite corrupts its own fresh entry; the second request's
 		// lookup must detect exactly one corruption and evict.
 		for i := 0; i < 2; i++ {

@@ -8,19 +8,17 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
-// This file is the service's wire path: the request body decoder and the
-// /rewrite answer writer. Both are exact stand-ins for encoding/json.
-// decodeBody yields the struct json.Decoder would, or the error it would
-// report; writeRewriteResult writes the bytes json.Encoder would. They
-// exist because on a warm hit the JSON round trip, not the cache, was the
-// cost (DESIGN §17).
+// This file is the service's request body decoder, an exact stand-in for
+// encoding/json: decodeBody yields the struct json.Decoder would, or the
+// error it would report. It exists because on a warm hit the JSON decode
+// of the body, not the cache, was the cost (DESIGN §17).
 
 // maxPooledBytes caps the buffers a wireBuf keeps for reuse, so one huge
 // body does not pin its buffer in the pool.
@@ -96,15 +94,21 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, tr *telemetr
 	return wb, nil
 }
 
-// readBody appends all of r to buf, growing it once to the declared
-// length when that is known and within the body bound.
+// firstChunk bounds how much of a declared Content-Length readBody
+// allocates before any body bytes arrive: the length is only the client's
+// claim.
+const firstChunk = 1 << 20
+
+// readBody appends all of r to buf. It sizes buf up front for the
+// declared length, up to firstChunk, and beyond that grows it only as
+// bytes arrive, doubling.
 func readBody(buf []byte, r io.Reader, declared int64) ([]byte, error) {
-	if declared > 0 && declared <= maxBodyBytes && int(declared) > cap(buf) {
-		buf = make([]byte, 0, declared+1)
+	if want := int(min(declared, firstChunk)); want > cap(buf) {
+		buf = make([]byte, 0, want+1)
 	}
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			buf = slices.Grow(buf, max(len(buf), 512))
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -317,89 +321,4 @@ func skipSpace(b []byte, i int) int {
 		i++
 	}
 	return i
-}
-
-var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeRewriteResult writes res as a /rewrite 200, recording the encode
-// span and stage. The body is built in one pooled buffer, the image
-// base64-encoded straight from res.ImageBytes, and goes out in one Write.
-func (s *Server) writeRewriteResult(w http.ResponseWriter, tr *telemetry.Trace, res *RewriteResult) {
-	sp := tr.Span("encode")
-	start := time.Now()
-	bp := answerBufs.Get().(*[]byte)
-	body, err := appendRewriteResult((*bp)[:0], res)
-	observeStage(s.tel.stageEncode, time.Since(start))
-	sp.End()
-	if err != nil {
-		writeJSON(w, http.StatusOK, res)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
-	}
-	if cap(body) <= maxPooledBytes {
-		*bp = body
-		answerBufs.Put(bp)
-	}
-}
-
-// appendRewriteResult appends what json.NewEncoder(w).Encode(res) writes:
-// RewriteResult's fields in declaration order, omitempty honoured, HTML
-// characters escaped, and a trailing newline.
-func appendRewriteResult(dst []byte, res *RewriteResult) ([]byte, error) {
-	stats, err := json.Marshal(res.Stats)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, `{"key":`...)
-	dst = appendJSONString(dst, res.Key)
-	dst = append(dst, `,"method":`...)
-	dst = appendJSONString(dst, res.Method)
-	dst = append(dst, `,"target":`...)
-	dst = appendJSONString(dst, res.Target)
-	dst = append(dst, `,"image":`...)
-	if res.ImageBytes == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '"')
-		dst = base64.StdEncoding.AppendEncode(dst, res.ImageBytes)
-		dst = append(dst, '"')
-	}
-	dst = append(dst, `,"stats":`...)
-	dst = append(dst, stats...)
-	dst = append(dst, `,"cache_hit":`...)
-	dst = strconv.AppendBool(dst, res.CacheHit)
-	if res.Tier != "" {
-		dst = append(dst, `,"tier":`...)
-		dst = appendJSONString(dst, res.Tier)
-	}
-	dst = append(dst, `,"deduped":`...)
-	dst = strconv.AppendBool(dst, res.Deduped)
-	if res.PeerHit {
-		dst = append(dst, `,"peer_hit":true`...)
-	}
-	if res.Degraded {
-		dst = append(dst, `,"degraded":true`...)
-	}
-	if res.DegradedReason != "" {
-		dst = append(dst, `,"degraded_reason":`...)
-		dst = appendJSONString(dst, res.DegradedReason)
-	}
-	return append(dst, "}\n"...), nil
-}
-
-// appendJSONString appends s as encoding/json quotes it. Strings that need
-// no escaping are copied; the rest go through json.Marshal.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			q, _ := json.Marshal(s)
-			return append(dst, q...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }

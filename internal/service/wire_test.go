@@ -10,13 +10,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 )
 
 // referenceDecode is the decoder decodeBody replaced, verbatim.
@@ -195,6 +191,25 @@ func TestDecodeBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestReadBodyDeclaredLength: a declared Content-Length sizes the buffer
+// only up to firstChunk, so a client that claims the whole body bound and
+// sends a few bytes does not make the server allocate the bound.
+func TestReadBodyDeclaredLength(t *testing.T) {
+	body, err := readBody(nil, strings.NewReader(`{"method":"chbp"}`), maxBodyBytes)
+	if err != nil || string(body) != `{"method":"chbp"}` {
+		t.Fatalf("readBody = %q, %v", body, err)
+	}
+	if cap(body) > firstChunk+1 {
+		t.Errorf("declared %d bytes, sent %d: buffer capacity %d, want at most %d",
+			maxBodyBytes, len(body), cap(body), firstChunk+1)
+	}
+	// A body longer than the first chunk still arrives whole.
+	long := strings.Repeat("x", 3*firstChunk+7)
+	if body, err := readBody(nil, strings.NewReader(long), int64(len(long))); err != nil || string(body) != long {
+		t.Fatalf("readBody of %d bytes: got %d bytes, %v", len(long), len(body), err)
+	}
+}
+
 // spaces reads as an endless run of JSON whitespace.
 type spaces struct{}
 
@@ -212,7 +227,7 @@ func (spaces) Read(p []byte) (int, error) {
 func TestWireKeyMatchesContentID(t *testing.T) {
 	img := testImages(t, 1)[0]
 	w := wire(t, img)
-	for _, r := range combos([]*obj.Image{img}) {
+	for _, r := range combos(t, []*obj.Image{img}) {
 		cfg, err := validateRewrite(r)
 		if err != nil {
 			t.Fatal(err)
@@ -233,10 +248,6 @@ func TestWireKeyMatchesContentID(t *testing.T) {
 	if err != nil || cold.CacheHit || cold.Degraded {
 		t.Fatalf("cold wire rewrite: %+v, %v", cold, err)
 	}
-	parsed, err := srv.Rewrite(ctx, &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img})
-	if err != nil || !parsed.CacheHit || parsed.Key != cold.Key || !bytes.Equal(parsed.ImageBytes, cold.ImageBytes) {
-		t.Fatalf("parsed request after a wire one: hit=%t key %s (want %s), err %v", parsed.CacheHit, parsed.Key, cold.Key, err)
-	}
 	trailing := append(append([]byte{}, w...), "trailing bytes"...)
 	before := srv.Stats().Completed
 	hit, err := srv.Rewrite(ctx, &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: trailing})
@@ -256,155 +267,12 @@ func TestWireKeyMatchesContentID(t *testing.T) {
 	if err != nil || cold2.CacheHit {
 		t.Fatalf("cold trailing-bytes rewrite: %+v, %v", cold2, err)
 	}
-	cfg, _ := validateRewrite(&RewriteRequest{Method: "safer", Target: "rv64gc", Image: img})
+	cfg, _ := validateRewrite(&RewriteRequest{Method: "safer", Target: "rv64gc", Wire: w})
 	if want, _ := cacheKey(img, cfg); cold2.Key != want {
 		t.Fatalf("cold trailing-bytes key %s, want %s", cold2.Key, want)
 	}
 	again, err := srv.Rewrite(ctx, &RewriteRequest{Method: "safer", Target: "rv64gc", Wire: w})
 	if err != nil || !again.CacheHit || !bytes.Equal(again.ImageBytes, cold2.ImageBytes) {
 		t.Fatalf("canonical wire after a trailing-bytes miss: hit=%t, %v", again.CacheHit, err)
-	}
-}
-
-// checkAnswer requires an HTTP /rewrite body to be exactly what
-// json.Encoder writes for the result it decodes to, and returns that result.
-func checkAnswer(t *testing.T, body []byte) *RewriteResult {
-	t.Helper()
-	var res RewriteResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatalf("decoding answer: %v", err)
-	}
-	var want bytes.Buffer
-	if err := json.NewEncoder(&want).Encode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Fatalf("answer differs from encoding/json's\n got %.300q\nwant %.300q", body, want.Bytes())
-	}
-	return &res
-}
-
-// TestRewriteAnswerBytes: the direct answer writer produces
-// json.NewEncoder(w).Encode(res)'s bytes for every way a /rewrite can be
-// answered: cold, memory hit, disk hit, peer hit, deduped follower and
-// degraded, and for strings encoding/json escapes.
-func TestRewriteAnswerBytes(t *testing.T) {
-	imgs := testImages(t, 2)
-	post := func(url string, r rewriteHTTPRequest) *RewriteResult {
-		t.Helper()
-		body, _ := json.Marshal(r)
-		resp, err := http.Post(url+"/rewrite", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, buf.Bytes())
-		}
-		return checkAnswer(t, buf.Bytes())
-	}
-	req := rewriteHTTPRequest{Method: "chbp", Target: "rv64gc", Resolve: true, Image: wire(t, imgs[0])}
-
-	dir := t.TempDir()
-	srv := New(Config{Workers: 2, StoreDir: dir})
-	ts := httptest.NewServer(srv.Handler())
-	if res := post(ts.URL, req); res.CacheHit || res.Stats.Resolve == nil {
-		t.Fatalf("cold answer: hit=%t resolve=%v", res.CacheHit, res.Stats.Resolve)
-	}
-	if res := post(ts.URL, req); !res.CacheHit || res.Tier != "memory" {
-		t.Fatalf("second answer: hit=%t tier %q, want a memory hit", res.CacheHit, res.Tier)
-	}
-	ts.Close()
-	srv.Shutdown(context.Background())
-	srv = New(Config{Workers: 2, StoreDir: dir})
-	ts = httptest.NewServer(srv.Handler())
-	if res := post(ts.URL, req); !res.CacheHit || res.Tier != "disk" {
-		t.Fatalf("after restart: hit=%t tier %q, want a disk hit", res.CacheHit, res.Tier)
-	}
-
-	// Deduped followers: concurrent identical cold requests.
-	dreq := rewriteHTTPRequest{Method: "armore", Target: "rv64gc", Image: wire(t, imgs[1])}
-	var deduped sync.WaitGroup
-	var mu sync.Mutex
-	var sawDeduped bool
-	for i := 0; i < 6; i++ {
-		deduped.Add(1)
-		go func() {
-			defer deduped.Done()
-			res := post(ts.URL, dreq)
-			mu.Lock()
-			sawDeduped = sawDeduped || res.Deduped
-			mu.Unlock()
-		}()
-	}
-	deduped.Wait()
-	ts.Close()
-	srv.Shutdown(context.Background())
-	if !sawDeduped {
-		t.Log("no request was a deduped follower this run; the synthetic case below covers the field")
-	}
-
-	// Degraded: every rewrite attempt panics, so the answer is the original
-	// image with a reason.
-	srv = New(Config{Workers: 1, MaxRetries: -1, Chaos: chaosCfg(0, chaos.RewritePanic)})
-	ts = httptest.NewServer(srv.Handler())
-	if res := post(ts.URL, req); !res.Degraded || res.DegradedReason == "" {
-		t.Fatalf("chaos answer: degraded=%t reason %q", res.Degraded, res.DegradedReason)
-	}
-	ts.Close()
-	srv.Shutdown(context.Background())
-
-	// Peer hit: a 3-node cluster answers a non-owner's miss from the owner.
-	servers, urls := startCluster(t, 3, func(int) Config { return Config{Workers: 2} })
-	cold := post(urls[0], req)
-	key := cold.Key
-	owner := -1
-	ownerAddr, _ := servers[0].clu.Owner(key)
-	for i, u := range urls {
-		if u == ownerAddr {
-			owner = i
-		}
-	}
-	if owner < 0 {
-		t.Fatalf("owner %q is not a member of %v", ownerAddr, urls)
-	}
-	for deadline := time.Now().Add(5 * time.Second); owner != 0; time.Sleep(5 * time.Millisecond) {
-		if _, _, ok := servers[owner].st.Get(key); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("offer never reached the shard owner's store")
-		}
-	}
-	other := 1
-	if owner == 1 {
-		other = 2
-	}
-	if res := post(urls[other], req); !res.PeerHit && owner != other {
-		t.Fatalf("node %d: peer_hit=%t, want a peer hit from owner %d", other, res.PeerHit, owner)
-	}
-
-	// Synthetic results: every optional field set, and strings encoding/json
-	// escapes (HTML characters, quotes, controls, non-ASCII).
-	synth := []*RewriteResult{
-		{Key: "m=chbp;<&>", Method: "chbp", Target: "rv64gc<v>", ImageBytes: []byte{1, 2, 3},
-			Stats:    RewriteStats{Trampolines: 3, Resolve: &resolve.Summary{SitesHigh: 2}},
-			CacheHit: true, Tier: "memory", Deduped: true, PeerHit: true},
-		{Key: "k", Method: "safer", Target: "rv64gc", ImageBytes: []byte{}, Degraded: true,
-			DegradedReason: "service: rewrite failed: \"x\" <script>& \x01 é\xff"},
-		{Key: "", Method: "", Target: ""},
-	}
-	for _, res := range synth {
-		got, err := appendRewriteResult(nil, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		json.NewEncoder(&want).Encode(res)
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("appendRewriteResult(%+v)\n got %q\nwant %q", res, got, want.Bytes())
-		}
 	}
 }

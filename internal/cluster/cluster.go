@@ -9,18 +9,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/store"
-	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
-
-// Counters are the cluster's optional telemetry instruments; all nil-safe.
-type Counters struct {
-	PeerHits    *telemetry.Counter // entries served by a shard owner
-	PeerMisses  *telemetry.Counter // owner consulted, entry not there
-	PeerErrors  *telemetry.Counter // owner unreachable / bad response / corrupt body
-	Offers      *telemetry.Counter // entries offered to their shard owner
-	OfferErrors *telemetry.Counter // offers that failed (absorbed)
-	BreakerOpen *telemetry.Counter // per-peer breaker trips
-}
 
 // Options configure a Cluster.
 type Options struct {
@@ -40,8 +29,6 @@ type Options struct {
 	Cooldown      time.Duration
 	// Transport overrides the HTTP transport (tests); nil uses the default.
 	Transport http.RoundTripper
-
-	Met Counters
 }
 
 // Cluster routes keys to shard owners over static membership. A dead or
@@ -53,7 +40,6 @@ type Cluster struct {
 	self  string
 	ring  *Ring
 	peers map[string]*peer
-	met   Counters
 
 	peerHits, peerMisses, peerErrors atomic.Uint64
 	offers, offerErrors              atomic.Uint64
@@ -99,7 +85,6 @@ func New(opts Options) *Cluster {
 		self:  opts.Self,
 		ring:  NewRing(append([]string{opts.Self}, others...), opts.VNodes),
 		peers: make(map[string]*peer, len(others)),
-		met:   opts.Met,
 	}
 	for _, addr := range others {
 		c.peers[addr] = &peer{
@@ -140,19 +125,16 @@ func (c *Cluster) Fetch(ctx context.Context, key string) (*store.Entry, string, 
 	}
 	e, ok, err := p.remote.Get(ctx, key)
 	if err != nil {
-		p.failure(c)
+		p.failure()
 		c.peerErrors.Add(1)
-		c.met.PeerErrors.Inc()
 		return nil, "", false
 	}
 	p.success()
 	if !ok {
 		c.peerMisses.Add(1)
-		c.met.PeerMisses.Inc()
 		return nil, "", false
 	}
 	c.peerHits.Add(1)
-	c.met.PeerHits.Inc()
 	return e, addr, true
 }
 
@@ -170,11 +152,9 @@ func (c *Cluster) Offer(ctx context.Context, e *store.Entry) {
 		return
 	}
 	c.offers.Add(1)
-	c.met.Offers.Inc()
 	if err := p.remote.Put(ctx, e); err != nil {
-		p.failure(c)
+		p.failure()
 		c.offerErrors.Add(1)
-		c.met.OfferErrors.Inc()
 		return
 	}
 	p.success()
@@ -205,7 +185,7 @@ func (p *peer) success() {
 	p.openUntil = time.Time{}
 }
 
-func (p *peer) failure(c *Cluster) {
+func (p *peer) failure() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fails++
@@ -214,7 +194,6 @@ func (p *peer) failure(c *Cluster) {
 	if p.fails >= p.threshold || !p.openUntil.IsZero() {
 		p.openUntil = time.Now().Add(p.cooldown)
 		p.trips++
-		c.met.BreakerOpen.Inc()
 	}
 }
 

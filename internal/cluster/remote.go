@@ -39,10 +39,10 @@ func EntryID(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Remote speaks the peer protocol to one node. It deliberately does NOT
-// implement store.Store — peer calls need a context and can fail in ways a
-// local store cannot, and the Cluster's health gating wants those errors
-// distinguished from misses.
+// Remote speaks the peer protocol to one node. Unlike the local stores'
+// Get and Put, its calls take a context and return errors: a peer can fail
+// in ways a local store cannot, and the Cluster's health gating wants those
+// failures distinguished from misses.
 type Remote struct {
 	base   string // e.g. "http://10.0.0.2:8080"
 	client *http.Client

@@ -218,7 +218,7 @@ func runVariant(v kernel.Variant, name string, coreISA riscv.Ext, orig *obj.Imag
 		wallNs:   time.Since(start).Nanoseconds(),
 		exitCode: p.ExitCode,
 		output:   string(p.Output),
-		dataHash: writableHash(p, orig),
+		dataHash: p.DataHash(orig),
 		instret:  p.CPU.Instret,
 		cycles:   p.CPU.Cycles + p.Counters.KernelCycles,
 		faults:   p.Counters.FaultRecoveries + p.Counters.RuntimeRewrites + p.Counters.Traps,
@@ -226,27 +226,6 @@ func runVariant(v kernel.Variant, name string, coreISA riscv.Ext, orig *obj.Imag
 		killed:   p.Signal != 0,
 		simErr:   err,
 	}
-}
-
-// writableHash FNV-1a-hashes the final contents of the original image's
-// writable sections — the cross-variant observable (rewriters preserve
-// data placement).
-func writableHash(p *kernel.Process, orig *obj.Image) uint64 {
-	h := uint64(14695981039346656037)
-	for _, s := range orig.Sections {
-		if s.Perm&obj.PermW == 0 || len(s.Data) == 0 {
-			continue
-		}
-		buf := make([]byte, len(s.Data))
-		if _, ok := p.CPU.Mem.Read(s.Addr, buf); !ok {
-			continue
-		}
-		for _, b := range buf {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-	}
-	return h
 }
 
 // seedResult is one (family, config, seed) evaluation.

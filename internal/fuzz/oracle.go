@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/eurosys26p57/chimera/internal/chbp"
-	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
@@ -119,33 +118,13 @@ func report(label string, p *kernel.Process, orig *obj.Image, hang bool, simErr 
 		PC:       p.CPU.PC,
 		Instret:  p.CPU.Instret,
 		Cycles:   p.CPU.Cycles,
-		DataHash: dataHash(p.CPU.Mem, orig),
+		DataHash: p.DataHash(orig),
 		Hang:     hang,
 	}
 	if simErr != nil {
 		r.SimError = simErr.Error()
 	}
 	return r
-}
-
-// dataHash FNV-1a-hashes the final contents of the original image's
-// writable sections as seen by the given memory.
-func dataHash(m *emu.Memory, orig *obj.Image) uint64 {
-	h := uint64(14695981039346656037)
-	for _, s := range orig.Sections {
-		if s.Perm&obj.PermW == 0 || len(s.Data) == 0 {
-			continue
-		}
-		buf := make([]byte, len(s.Data))
-		if _, ok := m.Read(s.Addr, buf); !ok {
-			continue
-		}
-		for _, b := range buf {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-	}
-	return h
 }
 
 // capture re-runs a fresh process one instruction at a time and returns the

@@ -75,7 +75,7 @@ func TestSchedulerMigrationStorm(t *testing.T) {
 		if diff := stateDiff(ref, p); diff != "" {
 			t.Errorf("seed %d: storm run diverged from single-core reference: %s", seed, diff)
 		}
-		if got, want := dataHash(p.CPU.Mem, img2), dataHash(ref.CPU.Mem, img); got != want {
+		if got, want := p.DataHash(img2), ref.DataHash(img); got != want {
 			t.Errorf("seed %d: writable-data hash %#x vs reference %#x", seed, got, want)
 		}
 

@@ -299,6 +299,27 @@ func (v *View) restorePage(addr uint64, data *[obj.PageSize]byte) {
 	clear(data[cur-addr:])
 }
 
+// DataHash FNV-1a-hashes the current contents of orig's writable sections
+// in the process's memory. Rewriters preserve data placement, so hashing
+// the ORIGINAL image's sections gives a value comparable across variants.
+func (p *Process) DataHash(orig *obj.Image) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range orig.Sections {
+		if s.Perm&obj.PermW == 0 || len(s.Data) == 0 {
+			continue
+		}
+		buf := make([]byte, len(s.Data))
+		if _, ok := p.CPU.Mem.Read(s.Addr, buf); !ok {
+			continue
+		}
+		for _, b := range buf {
+			h ^= uint64(b)
+			h *= 1099511628211
+		}
+	}
+	return h
+}
+
 // ViewFor returns the view whose binary runs on the given core ISA: an
 // exact match, else the richest view the core supports.
 func (p *Process) ViewFor(isa riscv.Ext) (*View, bool) {

@@ -104,7 +104,7 @@ func BenchmarkServiceRewriteCold(b *testing.B) {
 // BenchmarkServiceHTTP drives the same load through the full HTTP stack
 // (JSON envelope, base64 image, mux, handlers).
 func BenchmarkServiceHTTP(b *testing.B) {
-	benchHTTP(b, combos(b, benchImages(b, 2)), false)
+	benchHTTP(b, combos(b, benchImages(b, 2)))
 }
 
 // BenchmarkServiceHTTPWarm is the served warm hit at the benchmark's
@@ -129,14 +129,13 @@ func BenchmarkServiceHTTPWarm(b *testing.B) {
 			reqs = append(reqs, &RewriteRequest{Method: m, Target: "rv64gc", Wire: wire(b, img)})
 		}
 	}
-	benchHTTP(b, reqs, true)
+	benchHTTP(b, reqs)
 }
 
 // benchHTTP posts reqs round-robin to /rewrite over loopback HTTP from
-// b.RunParallel's goroutines. A warm run first posts every request once,
-// untimed, to fill the cache, and drains each response so its connection
-// is reused.
-func benchHTTP(b *testing.B, reqs []*RewriteRequest, warm bool) {
+// b.RunParallel's goroutines. It first posts every request once, untimed,
+// to fill the cache, and drains each response so its connection is reused.
+func benchHTTP(b *testing.B, reqs []*RewriteRequest) {
 	srv := New(Config{})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
@@ -151,14 +150,12 @@ func benchHTTP(b *testing.B, reqs []*RewriteRequest, warm bool) {
 			b.Fatal(err)
 		}
 		bodies[i] = body
-		if warm {
-			resp, err := http.Post(ts.URL+"/rewrite", "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+		resp, err := http.Post(ts.URL+"/rewrite", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
 
 	var next atomic.Uint64
@@ -173,11 +170,9 @@ func benchHTTP(b *testing.B, reqs []*RewriteRequest, warm bool) {
 			}
 			var res RewriteResult
 			err = json.NewDecoder(resp.Body).Decode(&res)
-			if warm {
-				// Drain the chunked terminator the decoder leaves unread, so
-				// the connection is reused rather than redialled.
-				io.Copy(io.Discard, resp.Body)
-			}
+			// Drain the chunked terminator the decoder leaves unread, so the
+			// connection is reused rather than redialled.
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if err != nil {
 				b.Error(err)

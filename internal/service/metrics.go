@@ -3,15 +3,19 @@ package service
 import (
 	"time"
 
+	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/kernel"
+	"github.com/eurosys26p57/chimera/internal/store"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
-// serviceMetrics is the server's single source of truth for counters and
-// latency distributions: every observable lives in the telemetry registry,
+// serviceMetrics is the server's single source of truth for the counters
+// and latency distributions it owns: they live in the telemetry registry,
 // and both /metrics (Prometheus exposition) and /stats (the JSON blob) are
-// rendered FROM it, so the two can never disagree.
+// rendered FROM it, so the two can never disagree. Counts owned by a lower
+// layer (the store tiers, the cluster) stay there, and /metrics samples
+// them at scrape time (registerStoreCounters).
 type serviceMetrics struct {
 	reg *telemetry.Registry
 
@@ -32,34 +36,10 @@ type serviceMetrics struct {
 	breakerTrips    *telemetry.Counter
 	goroutinePanics *telemetry.CounterVec // {site}
 
-	// Rewrite cache (the tiered store's memory tier; names predate the
-	// disk tier and are kept stable for dashboards).
-	cacheHits      *telemetry.Counter
-	cacheMisses    *telemetry.Counter
-	cacheEvictions *telemetry.Counter
-	cacheCorrupt   *telemetry.Counter
-
-	// Tiered store: which tier answered ({tier} = memory|disk), end-to-end
-	// misses, and the disk tier's own counters.
-	tierHits      *telemetry.CounterVec
-	storeMisses   *telemetry.Counter
-	diskHits      *telemetry.Counter
-	diskMisses    *telemetry.Counter
-	diskEvictions *telemetry.Counter
-	diskCorrupt   *telemetry.Counter
-	diskErrors    *telemetry.Counter
-
-	// Cluster peer traffic (client side) and the peer-protocol endpoint
-	// (server side).
-	peerHits         *telemetry.Counter
-	peerMisses       *telemetry.Counter
-	peerErrors       *telemetry.Counter
-	peerOffers       *telemetry.Counter
-	peerOfferErrors  *telemetry.Counter
-	peerBreakerTrips *telemetry.Counter
-	peerServes       *telemetry.Counter
-	peerAccepts      *telemetry.Counter
-	peerRejects      *telemetry.Counter
+	// Peer-protocol endpoint (server side).
+	peerServes  *telemetry.Counter
+	peerAccepts *telemetry.Counter
+	peerRejects *telemetry.Counter
 
 	// Batch endpoint.
 	batchRequests *telemetry.Counter
@@ -144,28 +124,9 @@ func newServiceMetrics() *serviceMetrics {
 		breakerTrips:    r.Counter("chimera_breaker_trips_total", "circuit breaker openings (rewriter config quarantines)"),
 		goroutinePanics: r.CounterVec("chimera_goroutine_panics_total", "panics recovered on the server's own goroutines, by launch site", "site"),
 
-		cacheHits:      r.Counter("chimera_cache_hits_total", "memory-tier rewrite cache hits"),
-		cacheMisses:    r.Counter("chimera_cache_misses_total", "memory-tier rewrite cache misses"),
-		cacheEvictions: r.Counter("chimera_cache_evictions_total", "memory-tier rewrite cache LRU evictions"),
-		cacheCorrupt:   r.Counter("chimera_cache_corrupt_evictions_total", "cache entries that failed checksum verification on a hit and were evicted"),
-
-		tierHits:      r.CounterVec("chimera_store_tier_hits_total", "store lookups served, by tier", "tier"),
-		storeMisses:   r.Counter("chimera_store_misses_total", "store lookups that missed every tier"),
-		diskHits:      r.Counter("chimera_store_disk_hits_total", "disk-tier store hits (verified reads)"),
-		diskMisses:    r.Counter("chimera_store_disk_misses_total", "disk-tier store misses"),
-		diskEvictions: r.Counter("chimera_store_disk_evictions_total", "disk-tier store LRU evictions"),
-		diskCorrupt:   r.Counter("chimera_store_disk_corrupt_evictions_total", "disk entries that failed verification on read and were deleted"),
-		diskErrors:    r.Counter("chimera_store_disk_errors_total", "disk-tier I/O failures absorbed (failed writes, vanished reads)"),
-
-		peerHits:         r.Counter("chimera_cluster_peer_hits_total", "cache misses answered by the key's shard owner"),
-		peerMisses:       r.Counter("chimera_cluster_peer_misses_total", "shard-owner lookups that missed"),
-		peerErrors:       r.Counter("chimera_cluster_peer_errors_total", "failed shard-owner calls (unreachable, bad status, corrupt body)"),
-		peerOffers:       r.Counter("chimera_cluster_offers_total", "completed rewrites offered to their shard owner"),
-		peerOfferErrors:  r.Counter("chimera_cluster_offer_errors_total", "shard-owner offers that failed (absorbed)"),
-		peerBreakerTrips: r.Counter("chimera_cluster_breaker_trips_total", "per-peer health breaker openings"),
-		peerServes:       r.Counter("chimera_peer_store_serves_total", "peer-protocol GETs served with an entry"),
-		peerAccepts:      r.Counter("chimera_peer_store_accepts_total", "peer-protocol PUTs accepted into the store"),
-		peerRejects:      r.Counter("chimera_peer_store_rejects_total", "peer-protocol requests rejected (bad id, corrupt body)"),
+		peerServes:  r.Counter("chimera_peer_store_serves_total", "peer-protocol GETs served with an entry"),
+		peerAccepts: r.Counter("chimera_peer_store_accepts_total", "peer-protocol PUTs accepted into the store"),
+		peerRejects: r.Counter("chimera_peer_store_rejects_total", "peer-protocol requests rejected (bad id, corrupt body)"),
 
 		batchRequests: r.Counter("chimera_batch_requests_total", "POST /rewrite/batch requests"),
 		batchItems:    r.Counter("chimera_batch_items_total", "individual items across all batch requests"),
@@ -215,6 +176,83 @@ func newServiceMetrics() *serviceMetrics {
 	m.stageEncode = m.stageSeconds.With("encode")
 	m.kernelTel = kernel.NewSchedTelemetry(r)
 	return m
+}
+
+// registerStoreCounters registers the store and cluster counter families
+// as scrape-time samples of the counts those layers keep (TierStats and
+// the cluster Snapshot), so each event has one counter and /metrics reads
+// the number /stats reports. Every family is registered whatever the
+// configuration and reads 0 without a disk tier or a cluster.
+func (s *Server) registerStoreCounters() {
+	r := s.tel.reg
+	tiers := func(f func(store.TieredStats) uint64) func() uint64 {
+		return func() uint64 { return f(s.st.TierStats()) }
+	}
+	mem := func(f func(store.Stats) uint64) func() uint64 {
+		return tiers(func(ts store.TieredStats) uint64 { return f(ts.Memory) })
+	}
+	disk := func(f func(store.Stats) uint64) func() uint64 {
+		return tiers(func(ts store.TieredStats) uint64 {
+			if ts.Disk == nil {
+				return 0
+			}
+			return f(*ts.Disk)
+		})
+	}
+	peers := func(f func(cluster.Stats) uint64) func() uint64 {
+		return func() uint64 {
+			if s.clu == nil {
+				return 0
+			}
+			return f(s.clu.Snapshot())
+		}
+	}
+	hits := func(st store.Stats) uint64 { return st.Hits }
+	misses := func(st store.Stats) uint64 { return st.Misses }
+	evictions := func(st store.Stats) uint64 { return st.Evictions }
+	corrupt := func(st store.Stats) uint64 { return st.CorruptEvictions }
+
+	// Rewrite cache: the memory tier (names predate the disk tier and are
+	// kept stable for dashboards).
+	r.CounterFunc("chimera_cache_hits_total", "memory-tier rewrite cache hits", mem(hits))
+	r.CounterFunc("chimera_cache_misses_total", "memory-tier rewrite cache misses", mem(misses))
+	r.CounterFunc("chimera_cache_evictions_total", "memory-tier rewrite cache LRU evictions", mem(evictions))
+	r.CounterFunc("chimera_cache_corrupt_evictions_total", "cache entries that failed checksum verification on a hit and were evicted", mem(corrupt))
+
+	// Tiered store: which tier answered, end-to-end misses, and the disk
+	// tier's own counters.
+	r.CounterFuncVec("chimera_store_tier_hits_total", "store lookups served, by tier", "tier", map[string]func() uint64{
+		store.TierMemory: tiers(func(ts store.TieredStats) uint64 { return ts.MemHits }),
+		store.TierDisk:   tiers(func(ts store.TieredStats) uint64 { return ts.DiskHits }),
+	})
+	r.CounterFunc("chimera_store_misses_total", "store lookups that missed every tier",
+		tiers(func(ts store.TieredStats) uint64 { return ts.Misses }))
+	r.CounterFunc("chimera_store_disk_hits_total", "disk-tier store hits (verified reads)", disk(hits))
+	r.CounterFunc("chimera_store_disk_misses_total", "disk-tier store misses", disk(misses))
+	r.CounterFunc("chimera_store_disk_evictions_total", "disk-tier store LRU evictions", disk(evictions))
+	r.CounterFunc("chimera_store_disk_corrupt_evictions_total", "disk entries that failed verification on read and were deleted", disk(corrupt))
+	r.CounterFunc("chimera_store_disk_errors_total", "disk-tier I/O failures absorbed (failed writes, vanished reads)",
+		disk(func(st store.Stats) uint64 { return st.Errors }))
+
+	// Cluster peer traffic (client side).
+	r.CounterFunc("chimera_cluster_peer_hits_total", "cache misses answered by the key's shard owner",
+		peers(func(cs cluster.Stats) uint64 { return cs.PeerHits }))
+	r.CounterFunc("chimera_cluster_peer_misses_total", "shard-owner lookups that missed",
+		peers(func(cs cluster.Stats) uint64 { return cs.PeerMisses }))
+	r.CounterFunc("chimera_cluster_peer_errors_total", "failed shard-owner calls (unreachable, bad status, corrupt body)",
+		peers(func(cs cluster.Stats) uint64 { return cs.PeerErrors }))
+	r.CounterFunc("chimera_cluster_offers_total", "completed rewrites offered to their shard owner",
+		peers(func(cs cluster.Stats) uint64 { return cs.Offers }))
+	r.CounterFunc("chimera_cluster_offer_errors_total", "shard-owner offers that failed (absorbed)",
+		peers(func(cs cluster.Stats) uint64 { return cs.OfferErrors }))
+	r.CounterFunc("chimera_cluster_breaker_trips_total", "per-peer health breaker openings",
+		peers(func(cs cluster.Stats) uint64 {
+			var trips uint64
+			for _, p := range cs.Peers {
+				trips += p.Trips
+			}
+			return trips
+		}))
 }
 
 // observeStage records one stage duration on a pre-resolved child.

@@ -280,8 +280,9 @@ type Server struct {
 	brk    *breakers
 
 	// tel is the single source of truth for every counter and latency
-	// distribution: /metrics renders it directly and /stats is rebuilt from
-	// it, so the two views cannot disagree.
+	// distribution the server owns: /metrics renders it directly and /stats
+	// is rebuilt from it, so the two views cannot disagree. Store and
+	// cluster counts stay in st and clu, and /metrics samples them.
 	tel    *serviceMetrics
 	tracer *telemetry.Tracer
 
@@ -351,41 +352,21 @@ func NewServer(cfg Config) (*Server, error) {
 		tel:      tel,
 		profiles: make(map[string]*imageProfile),
 	}
-	mem := store.NewMemory(cfg.CacheBytes, store.Counters{
-		Hits: tel.cacheHits, Misses: tel.cacheMisses,
-		Evictions: tel.cacheEvictions, Corrupt: tel.cacheCorrupt,
-		Verify: tel.stageVerify,
-	})
+	mem := store.NewMemory(cfg.CacheBytes, store.Counters{Verify: tel.stageVerify})
 	var disk *store.Disk
 	if cfg.StoreDir != "" {
 		var err error
-		disk, err = store.OpenDisk(cfg.StoreDir, cfg.DiskCacheBytes, store.Counters{
-			Hits: tel.diskHits, Misses: tel.diskMisses,
-			Evictions: tel.diskEvictions, Corrupt: tel.diskCorrupt,
-			Errors: tel.diskErrors, Verify: tel.stageStoreVerify,
-		}, cfg.Chaos)
+		disk, err = store.OpenDisk(cfg.StoreDir, cfg.DiskCacheBytes,
+			store.Counters{Verify: tel.stageStoreVerify}, cfg.Chaos)
 		if err != nil {
 			return nil, err
 		}
 	}
-	s.st = store.NewTiered(mem, disk, store.TierCounters{
-		MemHits:    tel.tierHits.With(store.TierMemory),
-		DiskHits:   tel.tierHits.With(store.TierDisk),
-		Misses:     tel.storeMisses,
-		DiskErrors: tel.diskErrors,
-	})
+	s.st = store.NewTiered(mem, disk)
 	s.clu = cluster.New(cluster.Options{
 		Self:    cfg.ClusterSelf,
 		Peers:   cfg.ClusterPeers,
 		Timeout: cfg.PeerTimeout,
-		Met: cluster.Counters{
-			PeerHits:    tel.peerHits,
-			PeerMisses:  tel.peerMisses,
-			PeerErrors:  tel.peerErrors,
-			Offers:      tel.peerOffers,
-			OfferErrors: tel.peerOfferErrors,
-			BreakerOpen: tel.peerBreakerTrips,
-		},
 	})
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = telemetry.NewTracer(cfg.TraceCapacity)
@@ -401,7 +382,9 @@ func NewServer(cfg Config) (*Server, error) {
 		s.fuzz = newFuzzManager(cfg.MaxCampaigns)
 	}
 
-	// Scrape-time gauges: state that already lives on the server.
+	// Scrape-time samples: state that already lives on the server or in
+	// the layers below it.
+	s.registerStoreCounters()
 	r := tel.reg
 	r.GaugeFunc("chimera_uptime_seconds", "seconds since the server started",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -1239,10 +1222,15 @@ func (s *Server) Health() string {
 }
 
 // Stats snapshots the server's observables. Every number is read from the
-// telemetry registry (the same instruments /metrics renders), so the JSON
-// blob and the Prometheus exposition cannot disagree.
+// source /metrics renders — the telemetry registry, or the store and
+// cluster snapshots its scrape-time counters sample — so the JSON blob and
+// the Prometheus exposition cannot disagree.
 func (s *Server) Stats() Stats {
-	cs := cacheStatsFrom(s.st.Mem().Stats())
+	ts := s.st.TierStats()
+	cs := CacheStats{Stats: ts.Memory}
+	if total := cs.Hits + cs.Misses; total > 0 {
+		cs.HitRatio = float64(cs.Hits) / float64(total)
+	}
 	m := s.tel
 	es := EmuStats{
 		Runs:       m.guestRuns.Value(),
@@ -1287,7 +1275,7 @@ func (s *Server) Stats() Stats {
 		Rejected:      m.rejected.Value(),
 		Deduped:       m.deduped.Value(),
 		Cache:         cs,
-		Store:         s.st.TierStats(),
+		Store:         ts,
 		Emulator:      es,
 		Resolve: ResolveStats{
 			Rewrites:        m.resolveRewrites.Value(),

@@ -260,6 +260,15 @@ func TestClusterPeerFill(t *testing.T) {
 		t.Fatalf("cluster executed %v rewrites for one key, want exactly 1", rewrites)
 	}
 
+	// Every node's chimera_cluster_* samples are its /stats.cluster fields.
+	for i, s := range servers {
+		st := s.Stats()
+		if st.Cluster == nil {
+			t.Fatalf("node %d /stats has no cluster block", i)
+		}
+		checkStorageCounters(t, scrape(t, s.Handler()), st)
+	}
+
 	// The peer hit is write-through: the same node answers locally now.
 	again := post(others[1])
 	if !again.CacheHit || again.PeerHit {

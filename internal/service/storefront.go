@@ -16,34 +16,11 @@ import (
 
 // CacheStats is the /stats cache block: the memory tier's counters plus the
 // derived hit ratio (kept from the pre-tiered schema so dashboards survive).
+// The memory tier never sets Errors, so its omitempty key stays absent.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	// CorruptEvictions is entries that failed SHA-256 verification on a
-	// hit and were evicted (served as a miss instead).
-	CorruptEvictions uint64 `json:"corrupt_evictions"`
-	Entries          int    `json:"entries"`
-	Bytes            int64  `json:"bytes"`
-	Budget           int64  `json:"budget_bytes"`
+	store.Stats
 	// HitRatio is Hits / (Hits + Misses), 0 when no lookups happened.
 	HitRatio float64 `json:"hit_ratio"`
-}
-
-func cacheStatsFrom(st store.Stats) CacheStats {
-	s := CacheStats{
-		Hits:             st.Hits,
-		Misses:           st.Misses,
-		Evictions:        st.Evictions,
-		CorruptEvictions: st.CorruptEvictions,
-		Entries:          st.Entries,
-		Bytes:            st.Bytes,
-		Budget:           st.Budget,
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRatio = float64(s.Hits) / float64(total)
-	}
-	return s
 }
 
 // entryMeta is the JSON sidecar stored alongside the image bytes.

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
+	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/riscv"
+	"github.com/eurosys26p57/chimera/internal/store"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
@@ -166,17 +168,12 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		}
 	}
 
-	// /stats is rendered from the same registry: the two views must agree
-	// sample for sample.
+	// /stats reads the same registry and the same store counters: the two
+	// views must agree sample for sample.
 	st := srv.Stats()
-	pairs := []struct {
-		name string
-		stat float64
-	}{
+	pairs := append(storageCounterPairs(st), []statPair{
 		{"chimera_requests_accepted_total", float64(st.Accepted)},
 		{"chimera_requests_completed_total", float64(st.Completed)},
-		{"chimera_cache_hits_total", float64(st.Cache.Hits)},
-		{"chimera_cache_misses_total", float64(st.Cache.Misses)},
 		{"chimera_guest_runs_total", float64(st.Emulator.Runs)},
 		{"chimera_guest_instret_total", float64(st.Emulator.Instret)},
 		{"chimera_block_dispatches_total", float64(st.Emulator.Blocks.Dispatches)},
@@ -184,7 +181,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		{"chimera_degradations_total", float64(st.Faults.Degradations)},
 		{`chimera_request_seconds_count{endpoint="rewrite"}`, float64(st.Endpoints["rewrite"].Count)},
 		{`chimera_request_seconds_count{endpoint="run"}`, float64(st.Endpoints["run"].Count)},
-	}
+	}...)
 	for _, p := range pairs {
 		if m[p.name] != p.stat {
 			t.Errorf("/metrics %s = %v but /stats reports %v", p.name, m[p.name], p.stat)
@@ -192,6 +189,104 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 	if len(st.Stages) == 0 {
 		t.Error("/stats stages block empty; stage histograms not surfaced")
+	}
+}
+
+// statPair is one /metrics sample name and the /stats value reporting the
+// same count.
+type statPair struct {
+	name string
+	stat float64
+}
+
+// storageCounterPairs pairs every store and cluster counter sample with its
+// /stats field. The disk and cluster rows read 0 when the server has no
+// disk tier or cluster, as their samples do.
+func storageCounterPairs(st Stats) []statPair {
+	var disk store.Stats
+	if st.Store.Disk != nil {
+		disk = *st.Store.Disk
+	}
+	var clu cluster.Stats
+	if st.Cluster != nil {
+		clu = *st.Cluster
+	}
+	var trips uint64
+	for _, p := range clu.Peers {
+		trips += p.Trips
+	}
+	return []statPair{
+		{"chimera_cache_hits_total", float64(st.Cache.Hits)},
+		{"chimera_cache_misses_total", float64(st.Cache.Misses)},
+		{"chimera_cache_evictions_total", float64(st.Cache.Evictions)},
+		{"chimera_cache_corrupt_evictions_total", float64(st.Cache.CorruptEvictions)},
+		{`chimera_store_tier_hits_total{tier="memory"}`, float64(st.Store.MemHits)},
+		{`chimera_store_tier_hits_total{tier="disk"}`, float64(st.Store.DiskHits)},
+		{"chimera_store_misses_total", float64(st.Store.Misses)},
+		{"chimera_store_disk_hits_total", float64(disk.Hits)},
+		{"chimera_store_disk_misses_total", float64(disk.Misses)},
+		{"chimera_store_disk_evictions_total", float64(disk.Evictions)},
+		{"chimera_store_disk_corrupt_evictions_total", float64(disk.CorruptEvictions)},
+		{"chimera_store_disk_errors_total", float64(disk.Errors)},
+		{"chimera_cluster_peer_hits_total", float64(clu.PeerHits)},
+		{"chimera_cluster_peer_misses_total", float64(clu.PeerMisses)},
+		{"chimera_cluster_peer_errors_total", float64(clu.PeerErrors)},
+		{"chimera_cluster_offers_total", float64(clu.Offers)},
+		{"chimera_cluster_offer_errors_total", float64(clu.OfferErrors)},
+		{"chimera_cluster_breaker_trips_total", float64(trips)},
+	}
+}
+
+// checkStorageCounters requires every store and cluster counter sample in
+// the scrape m to equal its /stats counterpart in st.
+func checkStorageCounters(t *testing.T, m map[string]float64, st Stats) {
+	t.Helper()
+	for _, p := range storageCounterPairs(st) {
+		got, ok := m[p.name]
+		if !ok {
+			t.Errorf("/metrics has no %s sample", p.name)
+		} else if got != p.stat {
+			t.Errorf("/metrics %s = %v but /stats reports %v", p.name, got, p.stat)
+		}
+	}
+}
+
+// TestStatsCacheKeys pins the /stats cache block's JSON keys and their
+// order: CacheStats embeds store.Stats, and the memory tier never sets the
+// omitempty errors key, so the block keeps its pre-tiered shape.
+func TestStatsCacheKeys(t *testing.T) {
+	img := testImages(t, 1)[0]
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
+	for i := 0; i < 2; i++ {
+		if _, err := srv.Rewrite(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := json.Marshal(srv.Stats().Cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"hits", "misses", "evictions", "corrupt_evictions", "entries", "bytes", "budget_bytes", "hit_ratio"}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Errorf("/stats cache keys %v, want %v", keys, want)
 	}
 }
 
@@ -403,6 +498,32 @@ func TestChaosMetricsExact(t *testing.T) {
 			t.Errorf("/stats corrupt evictions %d != /metrics %v",
 				st.Cache.CorruptEvictions, m["chimera_cache_corrupt_evictions_total"])
 		}
+	})
+
+	// A failed disk write is one event: the disk tier counts it and the
+	// tiered store above absorbs it, but /metrics must report it once.
+	t.Run("disk_enospc", func(t *testing.T) {
+		img := testImages(t, 1)[0]
+		inj := chaosCfg(0, chaos.DiskENOSPC)
+		srv := New(Config{Workers: 1, StoreDir: t.TempDir(), Chaos: inj})
+		defer srv.Shutdown(context.Background())
+		if _, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}); err != nil {
+			t.Fatal(err)
+		}
+		m := scrape(t, srv.Handler())
+		fired := float64(inj.Fired(chaos.DiskENOSPC))
+		if fired != 1 {
+			t.Fatalf("ENOSPC injector fired %v times for one cold rewrite, want 1", fired)
+		}
+		got := m["chimera_store_disk_errors_total"]
+		if got != fired {
+			t.Errorf("chimera_store_disk_errors_total = %v, injector fired %v", got, fired)
+		}
+		st := srv.Stats()
+		if float64(st.Store.Disk.Errors) != got {
+			t.Errorf("/stats store.disk.errors %d != /metrics %v", st.Store.Disk.Errors, got)
+		}
+		checkStorageCounters(t, m, st)
 	})
 }
 

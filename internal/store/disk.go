@@ -184,7 +184,6 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 	if !ok {
 		d.mu.Unlock()
 		d.misses.Add(1)
-		d.met.Misses.Inc()
 		return nil, false
 	}
 	de := el.Value.(*diskEntry)
@@ -198,9 +197,7 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 		// account it and drop the index entry if it still points here.
 		d.dropIfCurrent(key, el)
 		d.errs.Add(1)
-		d.met.Errors.Inc()
 		d.misses.Add(1)
-		d.met.Misses.Inc()
 		return nil, false
 	}
 	if d.inj.Roll(chaos.DiskBitFlip) && len(b) > headerLen {
@@ -216,16 +213,13 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 		os.Remove(path)
 		d.dropIfCurrent(key, el)
 		d.corrupt.Add(1)
-		d.met.Corrupt.Inc()
 		d.misses.Add(1)
-		d.met.Misses.Inc()
 		return nil, false
 	}
 	// Refresh the file's mtime so eviction order survives restarts.
 	now := time.Now()
 	os.Chtimes(path, now, now)
 	d.hits.Add(1)
-	d.met.Hits.Inc()
 	return e, true
 }
 
@@ -256,7 +250,6 @@ func (d *Disk) Put(e *Entry) error {
 	buf := EncodeEntry(e)
 	if d.inj.Roll(chaos.DiskENOSPC) {
 		d.errs.Add(1)
-		d.met.Errors.Inc()
 		return fmt.Errorf("store: writing %s: %w", filepath.Base(path), errNoSpace)
 	}
 	if d.inj.Roll(chaos.DiskTornWrite) {
@@ -271,7 +264,6 @@ func (d *Disk) Put(e *Entry) error {
 	}
 	if err := d.writeAtomic(path, buf); err != nil {
 		d.errs.Add(1)
-		d.met.Errors.Inc()
 		return err
 	}
 	d.index(e)
@@ -364,7 +356,6 @@ func (d *Disk) evictOldestLocked() {
 	os.Remove(el.Value.(*diskEntry).path)
 	d.removeLocked(el)
 	d.evictions.Add(1)
-	d.met.Evictions.Inc()
 }
 
 func (d *Disk) removeLocked(el *list.Element) {

@@ -11,7 +11,7 @@ import (
 // Memory is the in-memory LRU tier: entries under a byte budget, most
 // recently used at the front, every hit re-verified against its
 // insertion-time checksum. It is the service's original rewrite cache
-// extracted behind the Store interface, with one load-bearing change: the
+// extracted into this package, with one load-bearing change: the
 // SHA-256 verification of a hit happens OUTSIDE the mutex. Hashing a
 // multi-megabyte image takes long enough that doing it under the lock
 // serialized every concurrent hit; now the critical section is just the
@@ -29,12 +29,6 @@ type Memory struct {
 	hits, misses, evictions, corrupt atomic.Uint64
 
 	met Counters
-
-	// verifyUnderLock restores the pre-extraction behavior (hashing inside
-	// the critical section). Benchmark-only: it exists so
-	// BenchmarkMemoryHitParallel can measure what moving the hash out of
-	// the lock bought.
-	verifyUnderLock bool
 }
 
 // memEntry is one resident entry plus its insertion-time checksum.
@@ -63,21 +57,10 @@ func (m *Memory) Get(key string) (*Entry, bool) {
 	if !ok {
 		m.mu.Unlock()
 		m.misses.Add(1)
-		m.met.Misses.Inc()
 		return nil, false
 	}
 	me := el.Value.(*memEntry)
 	m.ll.MoveToFront(el)
-	if m.verifyUnderLock {
-		defer m.mu.Unlock()
-		if !m.verify(me) {
-			m.removeElementLocked(el)
-			m.noteCorrupt()
-			return nil, false
-		}
-		m.noteHit()
-		return me.e, true
-	}
 	m.mu.Unlock()
 
 	// Verify outside the critical section: concurrent hits hash in
@@ -92,10 +75,11 @@ func (m *Memory) Get(key string) (*Entry, bool) {
 			m.removeElementLocked(el)
 		}
 		m.mu.Unlock()
-		m.noteCorrupt()
+		m.corrupt.Add(1)
+		m.misses.Add(1)
 		return nil, false
 	}
-	m.noteHit()
+	m.hits.Add(1)
 	return me.e, true
 }
 
@@ -106,18 +90,6 @@ func (m *Memory) verify(me *memEntry) bool {
 	ok := me.e.Sum() == me.sum
 	m.met.Verify.Observe(time.Since(start).Seconds())
 	return ok
-}
-
-func (m *Memory) noteHit() {
-	m.hits.Add(1)
-	m.met.Hits.Inc()
-}
-
-func (m *Memory) noteCorrupt() {
-	m.corrupt.Add(1)
-	m.met.Corrupt.Inc()
-	m.misses.Add(1)
-	m.met.Misses.Inc()
 }
 
 // Put inserts an entry, evicting least-recently-used entries until the
@@ -180,7 +152,6 @@ func (m *Memory) evictOldestLocked() {
 	}
 	m.removeElementLocked(el)
 	m.evictions.Add(1)
-	m.met.Evictions.Inc()
 }
 
 func (m *Memory) removeElementLocked(el *list.Element) {

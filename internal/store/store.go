@@ -5,7 +5,7 @@
 // process, on this machine across restarts, or on a peer node — as long as
 // its bytes still match the checksum taken at insertion time.
 //
-// The package provides one interface, Store, and three implementations:
+// The package provides three stores over one checksummed Entry:
 //
 //   - Memory: the in-memory LRU under a byte budget (extracted from the
 //     service's original rewrite cache), with SHA-256 re-verification of
@@ -17,12 +17,14 @@
 //   - Tiered: memory over disk — write-through on Put, read-promote on a
 //     disk hit — the shape the service mounts.
 //
-// internal/cluster adds a fourth, Remote, speaking the peer protocol.
+// internal/cluster adds Remote, which speaks the same entry codec to a
+// peer node.
 //
-// The invariant every implementation upholds: a Get either returns the
-// exact bytes Put stored, or a miss. Corruption (bit rot, torn writes,
-// hostile peers) is always converted into a miss plus an eviction, never
-// into a wrong entry.
+// The invariant every store upholds: a Get either returns the exact bytes
+// Put stored, or a miss. Corruption (bit rot, torn writes, hostile peers)
+// is always converted into a miss plus an eviction, never into a wrong
+// entry. Each store counts its own events in atomics that back its Stats;
+// nothing else holds a copy of those counts.
 package store
 
 import (
@@ -38,7 +40,7 @@ import (
 // image in the obj wire format) plus a small opaque metadata sidecar (the
 // service serializes its per-rewrite stats there). Key is the content
 // address. Data and Meta must be treated as read-only once handed to a
-// Store — they may be shared with concurrent readers.
+// store — they may be shared with concurrent readers.
 type Entry struct {
 	Key  string
 	Meta []byte
@@ -46,7 +48,7 @@ type Entry struct {
 }
 
 // Sum is the entry's integrity checksum: SHA-256 over the length-framed
-// key, meta, and data. Every implementation verifies it on the read path.
+// key, meta, and data. Every store verifies it on the read path.
 func (e *Entry) Sum() [sha256.Size]byte {
 	h := sha256.New()
 	var frame [8]byte
@@ -81,35 +83,11 @@ type Stats struct {
 	Budget  int64  `json:"budget_bytes"`
 }
 
-// Store is a content-addressed entry store. Implementations are safe for
-// concurrent use. Get never returns corrupted bytes: an entry that fails
-// verification is evicted and reported as a miss.
-type Store interface {
-	// Get returns the entry for key, or (nil, false) on a miss.
-	Get(key string) (*Entry, bool)
-	// Put stores the entry (keyed by e.Key). Storing the same key twice is
-	// a no-op that refreshes recency — content addressing makes the bytes
-	// identical by construction.
-	Put(e *Entry) error
-	// Delete removes key if present.
-	Delete(key string)
-	// Len is the number of resident entries.
-	Len() int
-	// Bytes is the resident payload footprint.
-	Bytes() int64
-	// Stats snapshots the store's counters.
-	Stats() Stats
-}
-
-// Counters are optional telemetry instruments a store records into, in
-// addition to its own Stats; all fields are nil-safe (telemetry's nil
-// instruments record nothing), so the zero Counters means "no telemetry".
+// Counters are optional telemetry instruments a store records into; the
+// zero Counters means "no telemetry" (telemetry's nil instruments record
+// nothing). Event counts are not among them: those live in the store's own
+// Stats, which /metrics samples at scrape time.
 type Counters struct {
-	Hits      *telemetry.Counter
-	Misses    *telemetry.Counter
-	Evictions *telemetry.Counter
-	Corrupt   *telemetry.Counter
-	Errors    *telemetry.Counter
 	// Verify, when set, observes checksum-verification latency in seconds.
 	Verify *telemetry.Histogram
 }

@@ -303,7 +303,7 @@ func TestTieredPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTiered(NewMemory(1<<20, Counters{}), disk, TierCounters{})
+	tr := NewTiered(NewMemory(1<<20, Counters{}), disk)
 	e := testEntry("k", 1024, 1)
 	tr.Put(e)
 
@@ -336,7 +336,7 @@ func TestTieredPromotedNeverDroppedByOwnEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Memory fits ~3 of the ~1KB entries, disk holds all 32.
-	tr := NewTiered(NewMemory(3500, Counters{}), disk, TierCounters{})
+	tr := NewTiered(NewMemory(3500, Counters{}), disk)
 	rng := rand.New(rand.NewSource(99))
 	keys := make([]string, 32)
 	for i := range keys {
@@ -366,7 +366,7 @@ func TestTieredDiskWriteFailureIsAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTiered(NewMemory(1<<20, Counters{}), disk, TierCounters{})
+	tr := NewTiered(NewMemory(1<<20, Counters{}), disk)
 	if err := tr.Put(testEntry("k", 512, 1)); err != nil {
 		t.Fatalf("tiered put surfaced a disk failure: %v", err)
 	}

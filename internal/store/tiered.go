@@ -1,25 +1,12 @@
 package store
 
-import (
-	"sync/atomic"
-
-	"github.com/eurosys26p57/chimera/internal/telemetry"
-)
+import "sync/atomic"
 
 // Tier names, used in stats, metrics labels, and trace annotations.
 const (
 	TierMemory = "memory"
 	TierDisk   = "disk"
 )
-
-// TierCounters are the Tiered store's own telemetry instruments (per-tier
-// hit attribution and write-through failures); nil-safe like Counters.
-type TierCounters struct {
-	MemHits    *telemetry.Counter // hits served by the memory tier
-	DiskHits   *telemetry.Counter // hits served by the disk tier (promoted)
-	Misses     *telemetry.Counter // lookups that missed every tier
-	DiskErrors *telemetry.Counter // write-through Puts the disk tier failed
-}
 
 // Tiered is memory over disk: Get checks memory first, then disk (a disk
 // hit is promoted into memory so the next lookup is fast); Put writes
@@ -35,13 +22,11 @@ type Tiered struct {
 	disk *Disk
 
 	memHits, diskHits, misses, diskErrors atomic.Uint64
-
-	met TierCounters
 }
 
 // NewTiered mounts mem over disk (disk may be nil).
-func NewTiered(mem *Memory, disk *Disk, met TierCounters) *Tiered {
-	return &Tiered{mem: mem, disk: disk, met: met}
+func NewTiered(mem *Memory, disk *Disk) *Tiered {
+	return &Tiered{mem: mem, disk: disk}
 }
 
 // Mem exposes the memory tier (stats, chaos corruption injection).
@@ -56,26 +41,17 @@ func (t *Tiered) Disk() *Disk { return t.disk }
 func (t *Tiered) Get(key string) (*Entry, string, bool) {
 	if e, ok := t.mem.Get(key); ok {
 		t.memHits.Add(1)
-		t.met.MemHits.Inc()
 		return e, TierMemory, true
 	}
 	if t.disk != nil {
 		if e, ok := t.disk.Get(key); ok {
 			t.mem.Put(e) // read-promote
 			t.diskHits.Add(1)
-			t.met.DiskHits.Inc()
 			return e, TierDisk, true
 		}
 	}
 	t.misses.Add(1)
-	t.met.Misses.Inc()
 	return nil, "", false
-}
-
-// GetEntry adapts Get to the Store interface shape.
-func (t *Tiered) GetEntry(key string) (*Entry, bool) {
-	e, _, ok := t.Get(key)
-	return e, ok
 }
 
 // Put writes through to both tiers. Disk failures are absorbed (counted,
@@ -88,7 +64,6 @@ func (t *Tiered) Put(e *Entry) error {
 	if t.disk != nil {
 		if err := t.disk.Put(e); err != nil {
 			t.diskErrors.Add(1)
-			t.met.DiskErrors.Inc()
 		}
 	}
 	return nil
@@ -102,23 +77,6 @@ func (t *Tiered) Delete(key string) {
 	}
 }
 
-// Len is the disk tier's entry count when one is mounted (the superset),
-// else the memory tier's.
-func (t *Tiered) Len() int {
-	if t.disk != nil {
-		return t.disk.Len()
-	}
-	return t.mem.Len()
-}
-
-// Bytes mirrors Len's tier choice.
-func (t *Tiered) Bytes() int64 {
-	if t.disk != nil {
-		return t.disk.Bytes()
-	}
-	return t.mem.Bytes()
-}
-
 // TieredStats is the combined snapshot: per-tier stores plus the tier-hit
 // attribution the combinator itself tracks.
 type TieredStats struct {
@@ -130,7 +88,8 @@ type TieredStats struct {
 	DiskHits uint64 `json:"disk_tier_hits"`
 	Misses   uint64 `json:"misses"`
 	// DiskErrors is write-through Puts the disk tier failed (entry stayed
-	// memory-only).
+	// memory-only). Each one is also in Disk.Errors, which additionally
+	// counts reads that vanished mid-flight.
 	DiskErrors uint64 `json:"disk_errors,omitempty"`
 }
 
@@ -149,34 +108,3 @@ func (t *Tiered) TierStats() TieredStats {
 	}
 	return out
 }
-
-// Stats aggregates across tiers for the Store interface: hits are
-// attributed Gets that found the entry in any tier, misses are end-to-end
-// misses.
-func (t *Tiered) Stats() Stats {
-	ms := t.mem.Stats()
-	s := Stats{
-		Hits:             t.memHits.Load() + t.diskHits.Load(),
-		Misses:           t.misses.Load(),
-		Evictions:        ms.Evictions,
-		CorruptEvictions: ms.CorruptEvictions,
-		Entries:          t.Len(),
-		Bytes:            t.Bytes(),
-		Budget:           ms.Budget,
-	}
-	if t.disk != nil {
-		ds := t.disk.Stats()
-		s.Evictions += ds.Evictions
-		s.CorruptEvictions += ds.CorruptEvictions
-		s.Errors += ds.Errors
-		s.Budget += ds.Budget
-	}
-	return s
-}
-
-// storeIface asserts the Store contract at compile time (Tiered adapts Get
-// via GetEntry; Memory and Disk implement it directly).
-var (
-	_ Store = (*Memory)(nil)
-	_ Store = (*Disk)(nil)
-)

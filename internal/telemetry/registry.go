@@ -195,6 +195,30 @@ func (v *CounterVec) Each(fn func(values []string, c *Counter)) {
 	}
 }
 
+// counterFunc samples a count another layer already owns at exposition
+// time: the counter twin of gaugeFunc.
+type counterFunc struct{ fn func() uint64 }
+
+func (c counterFunc) write(w io.Writer, fam *family, labelKey string) {
+	fmt.Fprintf(w, "%s%s %d\n", fam.name, labelKey, c.fn())
+}
+
+// CounterFunc registers a counter whose value is sampled from fn at scrape
+// time. fn must be safe to call from any goroutine and must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	f := r.register(name, help, kindCounter, nil, nil)
+	f.child(nil, func() child { return counterFunc{fn: fn} })
+}
+
+// CounterFuncVec registers a counter family with one label, each child
+// sampled at scrape time from fns[value] (same contract as CounterFunc).
+func (r *Registry) CounterFuncVec(name, help, label string, fns map[string]func() uint64) {
+	f := r.register(name, help, kindCounter, []string{label}, nil)
+	for value, fn := range fns {
+		f.child([]string{value}, func() child { return counterFunc{fn: fn} })
+	}
+}
+
 // --- Gauge ---------------------------------------------------------------
 
 // Gauge is a float64 that can go up and down. A nil Gauge records nothing.

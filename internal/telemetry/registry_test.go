@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -121,6 +122,39 @@ chimera_uptime_seconds 1.5
 `
 	if got := buf.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestCounterFuncExposition checks that scrape-time counters render as
+// counters and re-sample their source on every scrape.
+func TestCounterFuncExposition(t *testing.T) {
+	r := NewRegistry()
+	var hits, mem, disk uint64 = 7, 3, 1
+	r.CounterFunc("chimera_hits_total", "hits owned elsewhere", func() uint64 { return hits })
+	r.CounterFuncVec("chimera_tier_hits_total", "hits by tier", "tier", map[string]func() uint64{
+		"memory": func() uint64 { return mem },
+		"disk":   func() uint64 { return disk },
+	})
+	want := func(hits, mem, disk int) string {
+		return fmt.Sprintf(`# HELP chimera_hits_total hits owned elsewhere
+# TYPE chimera_hits_total counter
+chimera_hits_total %d
+# HELP chimera_tier_hits_total hits by tier
+# TYPE chimera_tier_hits_total counter
+chimera_tier_hits_total{tier="disk"} %d
+chimera_tier_hits_total{tier="memory"} %d
+`, hits, disk, mem)
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	if got := buf.String(); got != want(7, 3, 1) {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want(7, 3, 1))
+	}
+	hits, mem, disk = 8, 5, 2
+	buf.Reset()
+	r.WritePrometheus(&buf)
+	if got := buf.String(); got != want(8, 5, 2) {
+		t.Errorf("second scrape did not re-sample:\n--- got ---\n%s\n--- want ---\n%s", got, want(8, 5, 2))
 	}
 }
 

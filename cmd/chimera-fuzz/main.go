@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"github.com/eurosys26p57/chimera/internal/fuzz"
@@ -51,8 +50,8 @@ func main() {
 	out := flag.String("o", "", "write JSON divergence reports to this file (default stdout)")
 	maxFuncs := flag.Int("max-funcs", fuzz.DefaultConfig().MaxFuncs, "max functions per program")
 	maxSteps := flag.Int("max-steps", fuzz.DefaultConfig().MaxSteps, "max steps per function")
-	traceThreshold := flag.Uint("trace-threshold", defaultTraceThreshold(),
-		"trace-tier promotion threshold for block-engine harts (0 disables the tier; also CHIMERA_FUZZ_TRACE_THRESHOLD)")
+	traceThreshold := flag.Uint("trace-threshold", uint(fuzz.EngineTraceThreshold),
+		"trace-tier promotion threshold for block-engine harts (0 disables the tier)")
 	verbose := flag.Bool("v", false, "log every seed")
 	campaign := flag.String("campaign", "", `coverage-guided campaign mode: "demo" (the built-in seeded-bug guest) or a path to an image in the obj wire format`)
 	campaignExecs := flag.Uint64("campaign-execs", 50_000, "campaign execution budget")
@@ -168,17 +167,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// defaultTraceThreshold lets CI sweeps force the trace tier hot (or off)
-// without touching the command line.
-func defaultTraceThreshold() uint {
-	if s := os.Getenv("CHIMERA_FUZZ_TRACE_THRESHOLD"); s != "" {
-		if v, err := strconv.ParseUint(s, 10, 32); err == nil {
-			return uint(v)
-		}
-	}
-	return uint(fuzz.EngineTraceThreshold)
 }
 
 func fatal(err error) {

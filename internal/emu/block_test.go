@@ -2,6 +2,7 @@ package emu
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/obj"
@@ -243,5 +244,24 @@ func TestBlockStatsCounters(t *testing.T) {
 	}
 	if hr := s.HitRatio(); hr < 0.9 {
 		t.Errorf("HitRatio=%.3f, want ~1 for a hot loop", hr)
+	}
+}
+
+// TestBlockStatsAddCoversEveryField: BlockStats.Add sums each field, so a
+// new tally cannot silently drop out of the service's run totals.
+func TestBlockStatsAddCoversEveryField(t *testing.T) {
+	var one BlockStats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum BlockStats
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if g, want := got.Field(i).Uint(), 2*uint64(i+1); g != want {
+			t.Errorf("%s = %d after two Adds, want %d", got.Type().Field(i).Name, g, want)
+		}
 	}
 }

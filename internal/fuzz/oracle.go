@@ -73,8 +73,7 @@ const lockSlice = 1021
 // tier). Deliberately aggressive — generated programs are short, so the
 // production threshold would leave superblocks cold; at 2 nearly every
 // repeated block promotes and guards/side-exits/seam flushes get fuzzed.
-// chimera-fuzz overrides it via -trace-threshold or
-// CHIMERA_FUZZ_TRACE_THRESHOLD.
+// chimera-fuzz overrides it via -trace-threshold.
 var EngineTraceThreshold uint32 = 2
 
 // newProc loads a single variant and pins the hart to the given core ISA.

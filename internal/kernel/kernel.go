@@ -124,3 +124,17 @@ type Counters struct {
 	SignalsTaken         uint64
 	KernelCycles         uint64 // cycles charged for all kernel events
 }
+
+// Add accumulates o into c (for totals summed across processes).
+func (c *Counters) Add(o Counters) {
+	c.FaultRecoveries += o.FaultRecoveries
+	c.Traps += o.Traps
+	c.Checks += o.Checks
+	c.RuntimeRewrites += o.RuntimeRewrites
+	c.RewriteFaultsAvoided += o.RewriteFaultsAvoided
+	c.SpuriousFaults += o.SpuriousFaults
+	c.Migrations += o.Migrations
+	c.Syscalls += o.Syscalls
+	c.SignalsTaken += o.SignalsTaken
+	c.KernelCycles += o.KernelCycles
+}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
@@ -418,5 +419,24 @@ func TestSchedulerChimeraStealsAcrossPools(t *testing.T) {
 	}
 	if res.CPUTime == 0 || res.Latency == 0 || res.Latency > res.CPUTime {
 		t.Errorf("accounting: cpu=%d latency=%d", res.CPUTime, res.Latency)
+	}
+}
+
+// TestCountersAddCoversEveryField: Counters.Add sums each field, so a new
+// counter cannot silently drop out of the service's run totals.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var one Counters
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum Counters
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if g, want := got.Field(i).Uint(), 2*uint64(i+1); g != want {
+			t.Errorf("%s = %d after two Adds, want %d", got.Type().Field(i).Name, g, want)
+		}
 	}
 }

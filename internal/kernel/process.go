@@ -11,6 +11,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
+	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/translate"
 )
 
@@ -544,4 +545,19 @@ func writeParcel(m *emu.Memory, addr uint64, pcl uint16) {
 	var b [2]byte
 	binary.LittleEndian.PutUint16(b[:], pcl)
 	m.Poke(addr, b[:])
+}
+
+// SymTable symbolizes guest pcs (Hooks().Prof samples) against the function
+// symbols of every loaded variant image; nil when none has any.
+func (p *Process) SymTable() *telemetry.SymTable {
+	var syms []telemetry.Sym
+	for _, v := range p.views {
+		for _, s := range v.img.FuncSymbols() {
+			syms = append(syms, telemetry.Sym{Name: s.Name, Addr: s.Addr, Size: s.Size})
+		}
+	}
+	if len(syms) == 0 {
+		return nil
+	}
+	return telemetry.NewSymTable(syms)
 }

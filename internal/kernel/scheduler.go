@@ -59,10 +59,7 @@ type Scheduler struct {
 	Workers []*Worker
 	// SliceInstr is the preemption quantum in instructions.
 	SliceInstr uint64
-	// Tel, when non-nil, records dispatches, steals, migrations, and each
-	// completed task's kernel counters into a telemetry registry.
-	Tel   *SchedTelemetry
-	tasks []*Task
+	tasks      []*Task
 	// invariantErr latches the first scheduling-invariant violation
 	// (double-enqueue, reschedule after completion); Run reports it.
 	invariantErr error
@@ -145,7 +142,6 @@ func (s *Scheduler) take(w *Worker) *Task {
 		}
 		if victim != nil && len(victim.queue) > 0 {
 			if t := pop(victim); t != nil {
-				s.Tel.steal()
 				return t
 			}
 		}
@@ -237,7 +233,6 @@ func (s *Scheduler) runTask(w *Worker, t *Task) error {
 		return fmt.Errorf("kernel: task %d rescheduled after completion", t.ID)
 	}
 	t.Dispatches++
-	s.Tel.dispatch()
 	// Select the MMView for this core (Fig. 9 ①). The hart's ISA is the
 	// core's: a binary with unsupported instructions faults here, which is
 	// what drives FAM and runtime rewriting.
@@ -264,14 +259,12 @@ func (s *Scheduler) runTask(w *Worker, t *Task) error {
 		t.Done = true
 		t.Failed = t.Proc.Signal != 0
 		t.CompletedAt = w.Now
-		s.Tel.taskDone(t.Failed, t.Proc.Counters)
 		return nil
 	case StatusNeedMigration:
 		// FAM: hand the task to the extension pool (§2.1). The task
 		// becomes available after the migration latency.
 		w.Now += MigrationCost
 		t.Proc.Counters.Migrations++
-		s.Tel.migrate()
 		t.Proc.Counters.KernelCycles += MigrationCost
 		t.availableAt = w.Now
 		t.NeedsExt = true

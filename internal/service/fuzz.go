@@ -235,13 +235,15 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	fc := &fuzzCampaign{id: id, c: camp, cancel: cancel, done: make(chan struct{}), created: time.Now()}
 	s.fuzz.track(fc)
-	s.tel.fuzzCampaigns.Inc()
+	s.fold(func(t *totals) { t.fuzz.Campaigns++ })
 	s.fuzz.runs.Add(1)
 	s.spawn("campaign", func() error {
-		err := s.fuzz.run(camp, ctx)
-		s.tel.recordFuzz(camp.Snapshot())
-		return err
+		return s.fuzz.run(camp, ctx)
 	}, func(err error) {
+		// Fold here, not after run returns: a campaign that panics
+		// still counts the execs it ran.
+		snap := camp.Snapshot()
+		s.fold(func(t *totals) { t.fuzz.add(snap) })
 		fc.setErr(err)
 		s.fuzz.release()
 		cancel()
@@ -286,16 +288,6 @@ func (s *Server) handleFuzzGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// recordFuzz folds one finished campaign's totals into the chimera_fuzz_*
-// families.
-func (m *serviceMetrics) recordFuzz(s fuzzsvc.Snapshot) {
-	m.fuzzExecs.Add(s.Execs)
-	m.fuzzHangs.Add(s.Hangs)
-	m.fuzzCrashes.Add(uint64(len(s.Crashes)))
-	m.fuzzCorpus.Add(uint64(s.Corpus))
-	m.fuzzEdges.Add(uint64(s.Edges))
-}
-
 // FuzzStats is the /stats fuzzing block.
 type FuzzStats struct {
 	Campaigns uint64 `json:"campaigns"`
@@ -307,17 +299,11 @@ type FuzzStats struct {
 	Edges     uint64 `json:"edges"`
 }
 
-func (s *Server) fuzzStats() FuzzStats {
-	fs := FuzzStats{
-		Campaigns: s.tel.fuzzCampaigns.Value(),
-		Execs:     s.tel.fuzzExecs.Value(),
-		Hangs:     s.tel.fuzzHangs.Value(),
-		Crashes:   s.tel.fuzzCrashes.Value(),
-		Corpus:    s.tel.fuzzCorpus.Value(),
-		Edges:     s.tel.fuzzEdges.Value(),
-	}
-	if s.fuzz != nil {
-		fs.Active = s.fuzz.activeCount()
-	}
-	return fs
+// add folds one finished campaign's totals.
+func (f *FuzzStats) add(s fuzzsvc.Snapshot) {
+	f.Execs += s.Execs
+	f.Hangs += s.Hangs
+	f.Crashes += uint64(len(s.Crashes))
+	f.Corpus += uint64(s.Corpus)
+	f.Edges += uint64(s.Edges)
 }

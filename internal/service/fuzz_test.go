@@ -297,11 +297,19 @@ func TestFuzzShutdownCancelsCampaigns(t *testing.T) {
 
 // TestCampaignPanicKeepsServer: a panic on a campaign goroutine fails that
 // campaign with ErrGoroutinePanic, is counted by site, and leaves the
-// server answering.
+// server answering. The execs the campaign ran before it panicked still
+// reach the fuzz totals.
 func TestCampaignPanicKeepsServer(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Shutdown(context.Background())
-	srv.fuzz.run = func(*fuzzsvc.Campaign, context.Context) error { panic("campaign bug") }
+	var camp *fuzzsvc.Campaign
+	srv.fuzz.run = func(c *fuzzsvc.Campaign, ctx context.Context) error {
+		camp = c
+		if err := c.Run(ctx); err != nil {
+			return err
+		}
+		panic("campaign bug")
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	id, resp := postFuzz(t, ts, fuzzHTTPRequest{Image: fuzzImageWire(t), MaxExecs: 10})
@@ -333,5 +341,15 @@ func TestCampaignPanicKeepsServer(t *testing.T) {
 	}
 	if srv.fuzz.activeCount() != 0 {
 		t.Errorf("%d campaigns still active after the panic", srv.fuzz.activeCount())
+	}
+	execs := camp.Snapshot().Execs
+	if execs == 0 {
+		t.Fatal("the campaign ran no execs before it panicked")
+	}
+	if got := srv.Stats().Fuzz.Execs; got != execs {
+		t.Errorf("/stats fuzz.execs = %d, want the panicked campaign's %d", got, execs)
+	}
+	if got := scrape(t, srv.Handler())["chimera_fuzz_execs_total"]; got != float64(execs) {
+		t.Errorf("chimera_fuzz_execs_total = %v, want %d", got, execs)
 	}
 }

@@ -4,18 +4,18 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/cluster"
-	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/store"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
-// serviceMetrics is the server's single source of truth for the counters
-// and latency distributions it owns: they live in the telemetry registry,
-// and both /metrics (Prometheus exposition) and /stats (the JSON blob) are
-// rendered FROM it, so the two can never disagree. Counts owned by a lower
-// layer (the store tiers, the cluster) stay there, and /metrics samples
-// them at scrape time (registerStoreCounters).
+// serviceMetrics is the server's single source of truth for the request
+// counters and latency distributions it owns: they live in the telemetry
+// registry, and both /metrics (Prometheus exposition) and /stats (the JSON
+// blob) are rendered FROM it, so the two can never disagree. Counts kept
+// elsewhere (the store tiers, the cluster, the server's totals) stay there,
+// and /metrics samples them at scrape time (registerStoreCounters,
+// registerTotals).
 type serviceMetrics struct {
 	reg *telemetry.Registry
 
@@ -45,15 +45,6 @@ type serviceMetrics struct {
 	batchRequests *telemetry.Counter
 	batchItems    *telemetry.Counter
 
-	// Static resolver (RewriteRequest.Resolve): per-tier site and target
-	// tallies across resolver-on rewrites, recovered instructions, and the
-	// runtime-rewrite faults pre-materialized rows statically avoid.
-	resolveRewrites  *telemetry.Counter
-	resolveSites     *telemetry.CounterVec // {tier} = high|medium|low|unresolved
-	resolveTargets   *telemetry.CounterVec // {tier} = high|medium|low
-	resolveRecovered *telemetry.Counter
-	resolveAvoided   *telemetry.Counter
-
 	// Latency distributions.
 	requestSeconds *telemetry.HistogramVec // {endpoint}
 	methodSeconds  *telemetry.HistogramVec // {method}
@@ -70,37 +61,6 @@ type serviceMetrics struct {
 	stageRunExec     *telemetry.Histogram
 	stageDecode      *telemetry.Histogram
 	stageEncode      *telemetry.Histogram
-
-	// Emulator aggregates over all /run requests.
-	guestRuns     *telemetry.Counter
-	guestInstret  *telemetry.Counter
-	guestCycles   *telemetry.Counter
-	blocksBuilt   *telemetry.Counter
-	blockHits     *telemetry.Counter
-	blockInvalids *telemetry.Counter
-	blockDisp     *telemetry.Counter
-	blockRetired  *telemetry.Counter
-
-	// Trace-tier (superblock) counters, same lifecycle as the block family.
-	tracesBuilt  *telemetry.Counter
-	traceHits    *telemetry.Counter
-	traceRetired *telemetry.Counter
-	traceSides   *telemetry.Counter
-	picHits      *telemetry.Counter
-	picMisses    *telemetry.Counter
-
-	// Fuzzing campaigns (POST /fuzz): totals folded in as each campaign
-	// finishes; the active gauge is registered scrape-time in NewServer.
-	fuzzCampaigns *telemetry.Counter
-	fuzzExecs     *telemetry.Counter
-	fuzzCrashes   *telemetry.Counter
-	fuzzHangs     *telemetry.Counter
-	fuzzCorpus    *telemetry.Counter
-	fuzzEdges     *telemetry.Counter
-
-	// kernelTel folds each run's kernel.Counters into the shared
-	// chimera_kernel_* families (and registers the scheduler families).
-	kernelTel *kernel.SchedTelemetry
 }
 
 func newServiceMetrics() *serviceMetrics {
@@ -131,39 +91,10 @@ func newServiceMetrics() *serviceMetrics {
 		batchRequests: r.Counter("chimera_batch_requests_total", "POST /rewrite/batch requests"),
 		batchItems:    r.Counter("chimera_batch_items_total", "individual items across all batch requests"),
 
-		resolveRewrites:  r.Counter("chimera_resolve_rewrites_total", "rewrites that ran the static indirect-target resolver"),
-		resolveSites:     r.CounterVec("chimera_resolve_sites_total", "indirect sites seen by the resolver, by best confidence tier", "tier"),
-		resolveTargets:   r.CounterVec("chimera_resolve_targets_total", "candidate targets recovered by the resolver, by confidence tier", "tier"),
-		resolveRecovered: r.Counter("chimera_resolve_recovered_insts_total", "instructions reachable only through resolver-recovered targets"),
-		resolveAvoided:   r.Counter("chimera_resolve_avoided_rewrites_total", "runtime-rewrite faults avoided by pre-materialized fault-table rows"),
-
 		requestSeconds: r.HistogramVec("chimera_request_seconds", "end-to-end request latency by endpoint", db, "endpoint"),
 		methodSeconds:  r.HistogramVec("chimera_method_seconds", "successful rewrite latency by rewriter method", db, "method"),
 		stageSeconds:   r.HistogramVec("chimera_stage_seconds", "per-stage latency within the request pipeline", db, "stage"),
 		requestErrors:  r.CounterVec("chimera_request_errors_total", "requests that returned an error, by endpoint", "endpoint"),
-
-		guestRuns:     r.Counter("chimera_guest_runs_total", "completed guest executions"),
-		guestInstret:  r.Counter("chimera_guest_instret_total", "guest instructions retired across all runs"),
-		guestCycles:   r.Counter("chimera_guest_cycles_total", "simulated cycles across all runs"),
-		blocksBuilt:   r.Counter("chimera_blocks_built_total", "basic blocks decoded and cached"),
-		blockHits:     r.Counter("chimera_block_hits_total", "block dispatches served from the translation cache"),
-		blockInvalids: r.Counter("chimera_block_invalidations_total", "cached blocks dropped for a stale generation or ISA"),
-		blockDisp:     r.Counter("chimera_block_dispatches_total", "basic-block executions"),
-		blockRetired:  r.Counter("chimera_block_retired_total", "instructions retired via block dispatch"),
-
-		tracesBuilt:  r.Counter("chimera_emu_trace_built_total", "superblock traces stitched from hot block chains"),
-		traceHits:    r.Counter("chimera_emu_trace_hits_total", "dispatches served by a compiled trace"),
-		traceRetired: r.Counter("chimera_emu_trace_retired_total", "instructions retired inside traces"),
-		traceSides:   r.Counter("chimera_emu_trace_side_exits_total", "trace guard failures that fell back to the block tier"),
-		picHits:      r.Counter("chimera_emu_trace_pic_hits_total", "indirect-jump chains served by the polymorphic inline cache"),
-		picMisses:    r.Counter("chimera_emu_trace_pic_misses_total", "indirect-jump chains that probed the block cache"),
-
-		fuzzCampaigns: r.Counter("chimera_fuzz_campaigns_total", "fuzzing campaigns created via POST /fuzz"),
-		fuzzExecs:     r.Counter("chimera_fuzz_execs_total", "guest executions across all finished campaigns"),
-		fuzzCrashes:   r.Counter("chimera_fuzz_crashes_unique_total", "unique (signal, pc) crash buckets found by finished campaigns"),
-		fuzzHangs:     r.Counter("chimera_fuzz_hangs_total", "executions ended by the per-exec instruction budget"),
-		fuzzCorpus:    r.Counter("chimera_fuzz_corpus_entries_total", "coverage-novel corpus entries kept by finished campaigns"),
-		fuzzEdges:     r.Counter("chimera_fuzz_edges_total", "distinct coverage-map edges reached by finished campaigns"),
 	}
 	m.stageCacheLookup = m.stageSeconds.With("cache_lookup")
 	m.stageFlightWait = m.stageSeconds.With("singleflight_wait")
@@ -174,7 +105,6 @@ func newServiceMetrics() *serviceMetrics {
 	m.stageRunExec = m.stageSeconds.With("run_exec")
 	m.stageDecode = m.stageSeconds.With("decode")
 	m.stageEncode = m.stageSeconds.With("encode")
-	m.kernelTel = kernel.NewSchedTelemetry(r)
 	return m
 }
 
@@ -255,62 +185,118 @@ func (s *Server) registerStoreCounters() {
 		}))
 }
 
+// totals sums every completed /run, resolver-on rewrite and fuzzing
+// campaign, each folded in once under Server.totMu. /stats copies it and
+// the chimera_guest_*, chimera_block(s)_*, chimera_emu_trace_*,
+// chimera_kernel_*, chimera_resolve_* and chimera_fuzz_* counter families
+// sample it (registerTotals), so the two views agree by construction.
+type totals struct {
+	// emu carries Runs, Instret, Cycles and Blocks; Stats derives the rest.
+	emu    EmuStats
+	kernel kernel.Counters
+	// resolve leaves FaultsAvoided to kernel.RewriteFaultsAvoided, and fuzz
+	// leaves Active to the campaign manager: Stats fills both.
+	resolve ResolveStats
+	fuzz    FuzzStats
+}
+
+// fold applies one event to the server's totals.
+func (s *Server) fold(f func(*totals)) {
+	s.totMu.Lock()
+	f(&s.tot)
+	s.totMu.Unlock()
+}
+
+// readTotals copies the server's totals.
+func (s *Server) readTotals() totals {
+	s.totMu.Lock()
+	defer s.totMu.Unlock()
+	return s.tot
+}
+
+// addRun folds one completed execution.
+func (t *totals) addRun(res *RunResult) {
+	t.emu.Runs++
+	t.emu.Instret += res.Instret
+	t.emu.Cycles += res.Cycles
+	t.emu.Blocks.Add(res.Blocks)
+	t.kernel.Add(res.Counters)
+}
+
+// registerTotals registers the run, resolver and campaign counter families
+// as scrape-time samples of the server's totals.
+func (s *Server) registerTotals() {
+	r := s.tel.reg
+	sample := func(f func(*totals) uint64) func() uint64 {
+		return func() uint64 {
+			t := s.readTotals()
+			return f(&t)
+		}
+	}
+	for _, c := range []struct {
+		name, help string
+		f          func(*totals) uint64
+	}{
+		// Emulator aggregates over all /run requests.
+		{"chimera_guest_runs_total", "completed guest executions", func(t *totals) uint64 { return t.emu.Runs }},
+		{"chimera_guest_instret_total", "guest instructions retired across all runs", func(t *totals) uint64 { return t.emu.Instret }},
+		{"chimera_guest_cycles_total", "simulated cycles across all runs", func(t *totals) uint64 { return t.emu.Cycles }},
+		{"chimera_blocks_built_total", "basic blocks decoded and cached", func(t *totals) uint64 { return t.emu.Blocks.Built }},
+		{"chimera_block_hits_total", "block dispatches served from the translation cache", func(t *totals) uint64 { return t.emu.Blocks.Hits }},
+		{"chimera_block_invalidations_total", "cached blocks dropped for a stale generation or ISA", func(t *totals) uint64 { return t.emu.Blocks.Invalidations }},
+		{"chimera_block_dispatches_total", "basic-block executions", func(t *totals) uint64 { return t.emu.Blocks.Dispatches }},
+		{"chimera_block_retired_total", "instructions retired via block dispatch", func(t *totals) uint64 { return t.emu.Blocks.Retired }},
+
+		// Trace-tier (superblock) counters, same lifecycle as the block family.
+		{"chimera_emu_trace_built_total", "superblock traces stitched from hot block chains", func(t *totals) uint64 { return t.emu.Blocks.TracesBuilt }},
+		{"chimera_emu_trace_hits_total", "dispatches served by a compiled trace", func(t *totals) uint64 { return t.emu.Blocks.TraceHits }},
+		{"chimera_emu_trace_retired_total", "instructions retired inside traces", func(t *totals) uint64 { return t.emu.Blocks.TraceRetired }},
+		{"chimera_emu_trace_side_exits_total", "trace guard failures that fell back to the block tier", func(t *totals) uint64 { return t.emu.Blocks.SideExits }},
+		{"chimera_emu_trace_pic_hits_total", "indirect-jump chains served by the polymorphic inline cache", func(t *totals) uint64 { return t.emu.Blocks.PICHits }},
+		{"chimera_emu_trace_pic_misses_total", "indirect-jump chains that probed the block cache", func(t *totals) uint64 { return t.emu.Blocks.PICMisses }},
+
+		// Kernel events, summed over every run's kernel.Counters.
+		{"chimera_kernel_fault_recoveries_total", "deterministic faults recovered via tables", func(t *totals) uint64 { return t.kernel.FaultRecoveries }},
+		{"chimera_kernel_traps_total", "trap-based trampoline redirections", func(t *totals) uint64 { return t.kernel.Traps }},
+		{"chimera_kernel_checks_total", "indirect-jump pointer checks", func(t *totals) uint64 { return t.kernel.Checks }},
+		{"chimera_kernel_runtime_rewrites_total", "unrecognized instructions rewritten at run time", func(t *totals) uint64 { return t.kernel.RuntimeRewrites }},
+		{"chimera_kernel_rewrite_faults_avoided_total", "runtime-rewrite faults avoided by resolver pre-materialization", func(t *totals) uint64 { return t.kernel.RewriteFaultsAvoided }},
+		{"chimera_kernel_spurious_faults_total", "spurious faults re-validated and absorbed", func(t *totals) uint64 { return t.kernel.SpuriousFaults }},
+		{"chimera_kernel_syscalls_total", "guest syscalls serviced", func(t *totals) uint64 { return t.kernel.Syscalls }},
+		{"chimera_kernel_signals_total", "signals delivered to guest processes", func(t *totals) uint64 { return t.kernel.SignalsTaken }},
+		{"chimera_kernel_cycles_total", "cycles charged for all kernel events", func(t *totals) uint64 { return t.kernel.KernelCycles }},
+
+		// Static resolver (RewriteRequest.Resolve): resolver-on rewrites,
+		// recovered instructions, and the runtime-rewrite faults
+		// pre-materialized rows statically avoid.
+		{"chimera_resolve_rewrites_total", "rewrites that ran the static indirect-target resolver", func(t *totals) uint64 { return t.resolve.Rewrites }},
+		{"chimera_resolve_recovered_insts_total", "instructions reachable only through resolver-recovered targets", func(t *totals) uint64 { return t.resolve.RecoveredInsts }},
+		{"chimera_resolve_avoided_rewrites_total", "runtime-rewrite faults avoided by pre-materialized fault-table rows", func(t *totals) uint64 { return t.resolve.AvoidedRewrites }},
+
+		// Fuzzing campaigns (POST /fuzz): created campaigns, and the totals
+		// of each campaign folded in as it finishes.
+		{"chimera_fuzz_campaigns_total", "fuzzing campaigns created via POST /fuzz", func(t *totals) uint64 { return t.fuzz.Campaigns }},
+		{"chimera_fuzz_execs_total", "guest executions across all finished campaigns", func(t *totals) uint64 { return t.fuzz.Execs }},
+		{"chimera_fuzz_crashes_unique_total", "unique (signal, pc) crash buckets found by finished campaigns", func(t *totals) uint64 { return t.fuzz.Crashes }},
+		{"chimera_fuzz_hangs_total", "executions ended by the per-exec instruction budget", func(t *totals) uint64 { return t.fuzz.Hangs }},
+		{"chimera_fuzz_corpus_entries_total", "coverage-novel corpus entries kept by finished campaigns", func(t *totals) uint64 { return t.fuzz.Corpus }},
+		{"chimera_fuzz_edges_total", "distinct coverage-map edges reached by finished campaigns", func(t *totals) uint64 { return t.fuzz.Edges }},
+	} {
+		r.CounterFunc(c.name, c.help, sample(c.f))
+	}
+	// Resolver sites and targets by confidence tier.
+	r.CounterFuncVec("chimera_resolve_sites_total", "indirect sites seen by the resolver, by best confidence tier", "tier", map[string]func() uint64{
+		"high":       sample(func(t *totals) uint64 { return t.resolve.SitesHigh }),
+		"medium":     sample(func(t *totals) uint64 { return t.resolve.SitesMedium }),
+		"low":        sample(func(t *totals) uint64 { return t.resolve.SitesLow }),
+		"unresolved": sample(func(t *totals) uint64 { return t.resolve.SitesUnresolved }),
+	})
+	r.CounterFuncVec("chimera_resolve_targets_total", "candidate targets recovered by the resolver, by confidence tier", "tier", map[string]func() uint64{
+		"high":   sample(func(t *totals) uint64 { return t.resolve.TargetsHigh }),
+		"medium": sample(func(t *totals) uint64 { return t.resolve.TargetsMedium }),
+		"low":    sample(func(t *totals) uint64 { return t.resolve.TargetsLow }),
+	})
+}
+
 // observeStage records one stage duration on a pre-resolved child.
 func observeStage(h *telemetry.Histogram, d time.Duration) { h.Observe(d.Seconds()) }
-
-// recordResolve folds one resolver-on rewrite's recovery stats into the
-// chimera_resolve_* families. Called only on cold rewrites (the worker
-// path), so cache hits never double-count.
-func (m *serviceMetrics) recordResolve(st *RewriteStats) {
-	if st.Resolve == nil {
-		return
-	}
-	m.resolveRewrites.Inc()
-	sum := st.Resolve
-	m.resolveSites.With("high").Add(uint64(sum.SitesHigh))
-	m.resolveSites.With("medium").Add(uint64(sum.SitesMedium))
-	m.resolveSites.With("low").Add(uint64(sum.SitesLow))
-	m.resolveSites.With("unresolved").Add(uint64(sum.SitesUnresolved))
-	m.resolveTargets.With("high").Add(uint64(sum.TargetsHigh))
-	m.resolveTargets.With("medium").Add(uint64(sum.TargetsMedium))
-	m.resolveTargets.With("low").Add(uint64(sum.TargetsLow))
-	m.resolveRecovered.Add(uint64(st.RecoveredInsts))
-	m.resolveAvoided.Add(uint64(st.AvoidedRewrites))
-}
-
-// recordRun folds one completed execution into the registry.
-func (m *serviceMetrics) recordRun(res *RunResult, wall time.Duration) {
-	m.guestRuns.Inc()
-	m.guestInstret.Add(res.Instret)
-	m.guestCycles.Add(res.Cycles)
-	m.stageRunExec.Observe(wall.Seconds())
-	m.blocksBuilt.Add(res.Blocks.Built)
-	m.blockHits.Add(res.Blocks.Hits)
-	m.blockInvalids.Add(res.Blocks.Invalidations)
-	m.blockDisp.Add(res.Blocks.Dispatches)
-	m.blockRetired.Add(res.Blocks.Retired)
-	m.tracesBuilt.Add(res.Blocks.TracesBuilt)
-	m.traceHits.Add(res.Blocks.TraceHits)
-	m.traceRetired.Add(res.Blocks.TraceRetired)
-	m.traceSides.Add(res.Blocks.SideExits)
-	m.picHits.Add(res.Blocks.PICHits)
-	m.picMisses.Add(res.Blocks.PICMisses)
-	m.kernelTel.AddCounters(res.Counters)
-}
-
-// blockStats rebuilds the aggregate block tally from the registry.
-func (m *serviceMetrics) blockStats() emu.BlockStats {
-	return emu.BlockStats{
-		Built:         m.blocksBuilt.Value(),
-		Hits:          m.blockHits.Value(),
-		Invalidations: m.blockInvalids.Value(),
-		Dispatches:    m.blockDisp.Value(),
-		Retired:       m.blockRetired.Value(),
-		TracesBuilt:   m.tracesBuilt.Value(),
-		TraceHits:     m.traceHits.Value(),
-		TraceRetired:  m.traceRetired.Value(),
-		SideExits:     m.traceSides.Value(),
-		PICHits:       m.picHits.Value(),
-		PICMisses:     m.picMisses.Value(),
-	}
-}

@@ -279,12 +279,17 @@ type Server struct {
 	flight flightGroup
 	brk    *breakers
 
-	// tel is the single source of truth for every counter and latency
-	// distribution the server owns: /metrics renders it directly and /stats
-	// is rebuilt from it, so the two views cannot disagree. Store and
-	// cluster counts stay in st and clu, and /metrics samples them.
+	// tel is the single source of truth for every request counter and
+	// latency distribution the server owns: /metrics renders it directly
+	// and /stats is rebuilt from it, so the two views cannot disagree.
+	// Store and cluster counts stay in st and clu, run, resolver and
+	// campaign sums in tot, and /metrics samples them.
 	tel    *serviceMetrics
 	tracer *telemetry.Tracer
+
+	// totMu guards tot (see totals).
+	totMu sync.Mutex
+	tot   totals
 
 	running   atomic.Int64
 	lastPanic atomic.Value // string
@@ -385,6 +390,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// Scrape-time samples: state that already lives on the server or in
 	// the layers below it.
 	s.registerStoreCounters()
+	s.registerTotals()
 	r := tel.reg
 	r.GaugeFunc("chimera_uptime_seconds", "seconds since the server started",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -779,7 +785,9 @@ func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewrite
 	v, err := doRewrite(img, cfg, key)
 	if err == nil {
 		observeStage(s.tel.stageRewrite, time.Since(start))
-		s.tel.recordResolve(&v.Stats)
+		if v.Stats.Resolve != nil {
+			s.fold(func(t *totals) { t.resolve.add(&v.Stats) })
+		}
 	}
 	return v, err
 }
@@ -987,7 +995,8 @@ func (s *Server) run(ctx context.Context, req *RunRequest) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.tel.recordRun(res, wall)
+		observeStage(s.tel.stageRunExec, wall)
+		s.fold(func(t *totals) { t.addRun(res) })
 		return res, nil
 	})
 	if err != nil {
@@ -1205,6 +1214,23 @@ type ResolveStats struct {
 	FaultsAvoided   uint64 `json:"faults_avoided"`
 }
 
+// add folds one resolver-on rewrite's recovery stats (st.Resolve is set).
+// Called only on cold rewrites (the worker path), so cache hits never
+// double-count.
+func (r *ResolveStats) add(st *RewriteStats) {
+	sum := st.Resolve
+	r.Rewrites++
+	r.SitesHigh += uint64(sum.SitesHigh)
+	r.SitesMedium += uint64(sum.SitesMedium)
+	r.SitesLow += uint64(sum.SitesLow)
+	r.SitesUnresolved += uint64(sum.SitesUnresolved)
+	r.TargetsHigh += uint64(sum.TargetsHigh)
+	r.TargetsMedium += uint64(sum.TargetsMedium)
+	r.TargetsLow += uint64(sum.TargetsLow)
+	r.RecoveredInsts += uint64(st.RecoveredInsts)
+	r.AvoidedRewrites += uint64(st.AvoidedRewrites)
+}
+
 // Health returns the server's health state: unhealthy while draining or
 // shut down, degraded while at least one rewriter config is quarantined,
 // ok otherwise.
@@ -1232,13 +1258,9 @@ func (s *Server) Stats() Stats {
 		cs.HitRatio = float64(cs.Hits) / float64(total)
 	}
 	m := s.tel
-	es := EmuStats{
-		Runs:       m.guestRuns.Value(),
-		Instret:    m.guestInstret.Value(),
-		Cycles:     m.guestCycles.Value(),
-		RunSeconds: m.stageRunExec.Snapshot().Sum,
-		Blocks:     m.blockStats(),
-	}
+	tot := s.readTotals()
+	es := tot.emu
+	es.RunSeconds = m.stageRunExec.Snapshot().Sum
 	if es.RunSeconds > 0 {
 		es.EmulatedMIPS = float64(es.Instret) / es.RunSeconds / 1e6
 	}
@@ -1277,24 +1299,16 @@ func (s *Server) Stats() Stats {
 		Cache:         cs,
 		Store:         ts,
 		Emulator:      es,
-		Resolve: ResolveStats{
-			Rewrites:        m.resolveRewrites.Value(),
-			SitesHigh:       m.resolveSites.With("high").Value(),
-			SitesMedium:     m.resolveSites.With("medium").Value(),
-			SitesLow:        m.resolveSites.With("low").Value(),
-			SitesUnresolved: m.resolveSites.With("unresolved").Value(),
-			TargetsHigh:     m.resolveTargets.With("high").Value(),
-			TargetsMedium:   m.resolveTargets.With("medium").Value(),
-			TargetsLow:      m.resolveTargets.With("low").Value(),
-			RecoveredInsts:  m.resolveRecovered.Value(),
-			AvoidedRewrites: m.resolveAvoided.Value(),
-			FaultsAvoided:   m.kernelTel.RewriteFaultsAvoided(),
-		},
-		Fuzz:      s.fuzzStats(),
-		Endpoints: summaries(m.requestSeconds),
-		PerMethod: summaries(m.methodSeconds),
-		Stages:    summaries(m.stageSeconds),
-		Errors:    errorCounts(m.requestErrors),
+		Resolve:       tot.resolve,
+		Fuzz:          tot.fuzz,
+		Endpoints:     summaries(m.requestSeconds),
+		PerMethod:     summaries(m.methodSeconds),
+		Stages:        summaries(m.stageSeconds),
+		Errors:        errorCounts(m.requestErrors),
+	}
+	out.Resolve.FaultsAvoided = tot.kernel.RewriteFaultsAvoided
+	if s.fuzz != nil {
+		out.Fuzz.Active = s.fuzz.activeCount()
 	}
 	if s.clu != nil {
 		cls := s.clu.Snapshot()

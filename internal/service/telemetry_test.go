@@ -7,12 +7,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/cluster"
+	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/store"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
@@ -77,11 +81,30 @@ func scrape(t *testing.T, h http.Handler) map[string]float64 {
 	return out
 }
 
-// TestMetricsEndpointCoversAllLayers drives one rewrite and one run through
-// the HTTP API, then asserts /metrics carries samples from every layer —
-// service lifecycle, cache, stages, scheduler, kernel, emulator block
-// engine — and that /stats (rebuilt from the same registry) agrees exactly
-// with the scraped values.
+// postRun POSTs one /run and decodes its answer.
+func postRun(t *testing.T, ts *httptest.Server, body runHTTPRequest) (RunResult, *http.Response) {
+	t.Helper()
+	b, _ := json.Marshal(body)
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/run status %d", resp.StatusCode)
+	}
+	var res RunResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	return res, resp
+}
+
+// TestMetricsEndpointCoversAllLayers drives a rewrite, a resolver-on
+// rewrite, two runs and one fuzzing campaign through the HTTP API, then
+// asserts /metrics carries samples from every layer — service lifecycle,
+// cache, stages, kernel, emulator block engine, resolver, fuzzer — and
+// that /stats agrees exactly with the scraped values.
 func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	img := testImages(t, 1)[0]
 	fib, err := workload.Fibonacci(10, riscv.RV64GC, true)
@@ -103,15 +126,47 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/rewrite status %d", resp.StatusCode)
 	}
-	runBody, _ := json.Marshal(runHTTPRequest{Image: wire(t, fib)})
-	resp, err = http.Post(ts.URL+"/run", "application/json", bytes.NewReader(runBody))
+	run, resp := postRun(t, ts, runHTTPRequest{Image: wire(t, fib)})
+	kern := run.Counters
+
+	// A resolver-on rewrite, and a run of its output so the kernel credits
+	// the runtime-rewrite faults the resolver's rows avoid.
+	disp, err := workload.BuildDispatch(workload.DispatchParams{
+		Name: "metrics-dispatch", Arms: 4, VecArms: 2, Rounds: 8,
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/run status %d", resp.StatusCode)
+	rwBody, _ = json.Marshal(rewriteHTTPRequest{Method: "chbp", Target: "rv64gc", Resolve: true, Image: wire(t, disp)})
+	rresp, err := http.Post(ts.URL+"/rewrite", "application/json", bytes.NewReader(rwBody))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var resolved RewriteResult
+	err = json.NewDecoder(rresp.Body).Decode(&resolved)
+	rresp.Body.Close()
+	if err != nil || rresp.StatusCode != http.StatusOK {
+		t.Fatalf("resolver-on /rewrite status %d: %v", rresp.StatusCode, err)
+	}
+	run2, _ := postRun(t, ts, runHTTPRequest{ISA: "rv64gc", Image: resolved.ImageBytes})
+	kern.Add(run2.Counters)
+
+	// One finished campaign: its totals fold in before its done channel
+	// closes.
+	id, fresp := postFuzz(t, ts, fuzzHTTPRequest{Image: fuzzImageWire(t), MaxExecs: 200, Seed: 3})
+	if fresp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /fuzz status %d", fresp.StatusCode)
+	}
+	fc, ok := srv.fuzz.get(id)
+	if !ok {
+		t.Fatalf("campaign %s not tracked", id)
+	}
+	select {
+	case <-fc.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("campaign never finished")
+	}
+
 	// /run is traced too: its trace must show the execution pipeline.
 	runTraceID := resp.Header.Get("X-Chimera-Trace")
 	if runTraceID == "" {
@@ -159,6 +214,9 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		"chimera_guest_instret_total",                       //
 		"chimera_block_dispatches_total",                    // block engine
 		"chimera_block_retired_total",                       //
+		"chimera_kernel_rewrite_faults_avoided_total",       // resolver, run side
+		"chimera_resolve_rewrites_total",                    // resolver, rewrite side
+		"chimera_fuzz_execs_total",                          // fuzzer
 		"chimera_uptime_seconds",                            // gauges
 		"chimera_workers",                                   //
 	}
@@ -168,24 +226,26 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		}
 	}
 
-	// /stats reads the same registry and the same store counters: the two
+	// /stats reads the same registry, store counters and totals: the two
 	// views must agree sample for sample.
 	st := srv.Stats()
-	pairs := append(storageCounterPairs(st), []statPair{
+	pairs := append(storageCounterPairs(st), totalsCounterPairs(st, kern)...)
+	pairs = append(pairs, []statPair{
 		{"chimera_requests_accepted_total", float64(st.Accepted)},
 		{"chimera_requests_completed_total", float64(st.Completed)},
-		{"chimera_guest_runs_total", float64(st.Emulator.Runs)},
-		{"chimera_guest_instret_total", float64(st.Emulator.Instret)},
-		{"chimera_block_dispatches_total", float64(st.Emulator.Blocks.Dispatches)},
 		{"chimera_worker_panics_total", float64(st.Faults.Panics)},
 		{"chimera_degradations_total", float64(st.Faults.Degradations)},
 		{`chimera_request_seconds_count{endpoint="rewrite"}`, float64(st.Endpoints["rewrite"].Count)},
 		{`chimera_request_seconds_count{endpoint="run"}`, float64(st.Endpoints["run"].Count)},
 	}...)
-	for _, p := range pairs {
-		if m[p.name] != p.stat {
-			t.Errorf("/metrics %s = %v but /stats reports %v", p.name, m[p.name], p.stat)
-		}
+	checkPairs(t, m, pairs)
+	if st.Emulator.Runs != 2 || st.Resolve.Rewrites != 1 || st.Fuzz.Campaigns != 1 {
+		t.Errorf("/stats runs %d, resolve rewrites %d, campaigns %d; want 2, 1, 1",
+			st.Emulator.Runs, st.Resolve.Rewrites, st.Fuzz.Campaigns)
+	}
+	if snap := fc.c.Snapshot(); st.Fuzz.Execs != snap.Execs || st.Fuzz.Edges != uint64(snap.Edges) {
+		t.Errorf("/stats fuzz execs %d, edges %d; the campaign reports %d, %d",
+			st.Fuzz.Execs, st.Fuzz.Edges, snap.Execs, snap.Edges)
 	}
 	if len(st.Stages) == 0 {
 		t.Error("/stats stages block empty; stage histograms not surfaced")
@@ -237,11 +297,72 @@ func storageCounterPairs(st Stats) []statPair {
 	}
 }
 
+// totalsCounterPairs pairs every run, resolver and campaign counter sample
+// with its /stats field. /stats carries no kernel block, so the
+// chimera_kernel_* samples pair with kern, the sum of the counters every
+// /run answered with (faults avoided is also /stats resolve.faults_avoided).
+func totalsCounterPairs(st Stats, kern kernel.Counters) []statPair {
+	e, b, r, f := st.Emulator, st.Emulator.Blocks, st.Resolve, st.Fuzz
+	return []statPair{
+		{"chimera_guest_runs_total", float64(e.Runs)},
+		{"chimera_guest_instret_total", float64(e.Instret)},
+		{"chimera_guest_cycles_total", float64(e.Cycles)},
+
+		{"chimera_blocks_built_total", float64(b.Built)},
+		{"chimera_block_hits_total", float64(b.Hits)},
+		{"chimera_block_invalidations_total", float64(b.Invalidations)},
+		{"chimera_block_dispatches_total", float64(b.Dispatches)},
+		{"chimera_block_retired_total", float64(b.Retired)},
+		{"chimera_emu_trace_built_total", float64(b.TracesBuilt)},
+		{"chimera_emu_trace_hits_total", float64(b.TraceHits)},
+		{"chimera_emu_trace_retired_total", float64(b.TraceRetired)},
+		{"chimera_emu_trace_side_exits_total", float64(b.SideExits)},
+		{"chimera_emu_trace_pic_hits_total", float64(b.PICHits)},
+		{"chimera_emu_trace_pic_misses_total", float64(b.PICMisses)},
+
+		{"chimera_kernel_fault_recoveries_total", float64(kern.FaultRecoveries)},
+		{"chimera_kernel_traps_total", float64(kern.Traps)},
+		{"chimera_kernel_checks_total", float64(kern.Checks)},
+		{"chimera_kernel_runtime_rewrites_total", float64(kern.RuntimeRewrites)},
+		{"chimera_kernel_rewrite_faults_avoided_total", float64(kern.RewriteFaultsAvoided)},
+		{"chimera_kernel_spurious_faults_total", float64(kern.SpuriousFaults)},
+		{"chimera_kernel_syscalls_total", float64(kern.Syscalls)},
+		{"chimera_kernel_signals_total", float64(kern.SignalsTaken)},
+		{"chimera_kernel_cycles_total", float64(kern.KernelCycles)},
+
+		{"chimera_resolve_rewrites_total", float64(r.Rewrites)},
+		{`chimera_resolve_sites_total{tier="high"}`, float64(r.SitesHigh)},
+		{`chimera_resolve_sites_total{tier="medium"}`, float64(r.SitesMedium)},
+		{`chimera_resolve_sites_total{tier="low"}`, float64(r.SitesLow)},
+		{`chimera_resolve_sites_total{tier="unresolved"}`, float64(r.SitesUnresolved)},
+		{`chimera_resolve_targets_total{tier="high"}`, float64(r.TargetsHigh)},
+		{`chimera_resolve_targets_total{tier="medium"}`, float64(r.TargetsMedium)},
+		{`chimera_resolve_targets_total{tier="low"}`, float64(r.TargetsLow)},
+		{"chimera_resolve_recovered_insts_total", float64(r.RecoveredInsts)},
+		{"chimera_resolve_avoided_rewrites_total", float64(r.AvoidedRewrites)},
+		{"chimera_kernel_rewrite_faults_avoided_total", float64(r.FaultsAvoided)},
+
+		{"chimera_fuzz_campaigns_total", float64(f.Campaigns)},
+		{"chimera_fuzz_execs_total", float64(f.Execs)},
+		{"chimera_fuzz_crashes_unique_total", float64(f.Crashes)},
+		{"chimera_fuzz_hangs_total", float64(f.Hangs)},
+		{"chimera_fuzz_corpus_entries_total", float64(f.Corpus)},
+		{"chimera_fuzz_edges_total", float64(f.Edges)},
+	}
+}
+
 // checkStorageCounters requires every store and cluster counter sample in
 // the scrape m to equal its /stats counterpart in st.
 func checkStorageCounters(t *testing.T, m map[string]float64, st Stats) {
 	t.Helper()
-	for _, p := range storageCounterPairs(st) {
+	checkPairs(t, m, storageCounterPairs(st))
+}
+
+// checkPairs requires each pair's sample in the scrape m to exist and
+// equal the reported value.
+func checkPairs(t *testing.T, m map[string]float64, pairs []statPair) {
+	t.Helper()
+	for _, p := range pairs {
 		got, ok := m[p.name]
 		if !ok {
 			t.Errorf("/metrics has no %s sample", p.name)
@@ -251,20 +372,10 @@ func checkStorageCounters(t *testing.T, m map[string]float64, st Stats) {
 	}
 }
 
-// TestStatsCacheKeys pins the /stats cache block's JSON keys and their
-// order: CacheStats embeds store.Stats, and the memory tier never sets the
-// omitempty errors key, so the block keeps its pre-tiered shape.
-func TestStatsCacheKeys(t *testing.T) {
-	img := testImages(t, 1)[0]
-	srv := New(Config{Workers: 1})
-	defer srv.Shutdown(context.Background())
-	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
-	for i := 0; i < 2; i++ {
-		if _, err := srv.Rewrite(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := json.Marshal(srv.Stats().Cache)
+// jsonKeys returns the top-level JSON keys of v, in order.
+func jsonKeys(t *testing.T, v any) []string {
+	t.Helper()
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,9 +395,124 @@ func TestStatsCacheKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return keys
+}
+
+// TestStatsCacheKeys pins the /stats cache block's JSON keys and their
+// order: CacheStats embeds store.Stats, and the memory tier never sets the
+// omitempty errors key, so the block keeps its pre-tiered shape.
+func TestStatsCacheKeys(t *testing.T) {
+	img := testImages(t, 1)[0]
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
+	for i := 0; i < 2; i++ {
+		if _, err := srv.Rewrite(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := jsonKeys(t, srv.Stats().Cache)
 	want := []string{"hits", "misses", "evictions", "corrupt_evictions", "entries", "bytes", "budget_bytes", "hit_ratio"}
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
 		t.Errorf("/stats cache keys %v, want %v", keys, want)
+	}
+}
+
+// TestStatsTotalsKeys pins the JSON keys and their order of the /stats
+// blocks copied from the server's totals: emulator, resolve and fuzz.
+func TestStatsTotalsKeys(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	st := srv.Stats()
+	for _, c := range []struct {
+		block string
+		v     any
+		want  []string
+	}{
+		{"emulator", st.Emulator, []string{"runs", "instret", "cycles", "run_seconds", "emulated_mips", "blocks",
+			"block_hit_ratio", "retired_per_dispatch", "trace_side_exit_rate", "pic_hit_ratio"}},
+		{"emulator.blocks", st.Emulator.Blocks, []string{"built", "hits", "invalidations", "dispatches", "retired",
+			"traces_built", "trace_hits", "trace_retired", "side_exits", "pic_hits", "pic_misses"}},
+		{"resolve", st.Resolve, []string{"rewrites", "sites_high", "sites_medium", "sites_low", "sites_unresolved",
+			"targets_high", "targets_medium", "targets_low", "recovered_insts", "avoided_rewrites", "faults_avoided"}},
+		{"fuzz", st.Fuzz, []string{"campaigns", "active", "execs", "hangs", "crashes_unique", "corpus_entries", "edges"}},
+	} {
+		if keys := jsonKeys(t, c.v); strings.Join(keys, ",") != strings.Join(c.want, ",") {
+			t.Errorf("/stats %s keys %v, want %v", c.block, keys, c.want)
+		}
+	}
+}
+
+// TestTotalsConcurrent folds runs from several goroutines while others
+// scrape /metrics and read /stats: every run is counted exactly once.
+func TestTotalsConcurrent(t *testing.T) {
+	fib, err := workload.Fibonacci(10, riscv.RV64GC, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 2})
+	defer srv.Shutdown(context.Background())
+	const runners, perRunner = 4, 3
+	var wg sync.WaitGroup
+	instret := make([]uint64, runners)
+	for i := 0; i < runners; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < perRunner; j++ {
+				res, err := srv.Run(context.Background(), &RunRequest{Image: fib})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				instret[i] += res.Instret
+			}
+		}(i)
+		go func() {
+			defer wg.Done()
+			var b bytes.Buffer
+			for j := 0; j < perRunner; j++ {
+				srv.Metrics().WritePrometheus(&b)
+				srv.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	var want uint64
+	for _, n := range instret {
+		want += n
+	}
+	st := srv.Stats()
+	if st.Emulator.Runs != runners*perRunner || st.Emulator.Instret != want {
+		t.Errorf("/stats runs %d, instret %d; want %d, %d", st.Emulator.Runs, st.Emulator.Instret, runners*perRunner, want)
+	}
+	m := scrape(t, srv.Handler())
+	if m["chimera_guest_runs_total"] != runners*perRunner || m["chimera_guest_instret_total"] != float64(want) {
+		t.Errorf("/metrics runs %v, instret %v; want %d, %d",
+			m["chimera_guest_runs_total"], m["chimera_guest_instret_total"], runners*perRunner, want)
+	}
+}
+
+// TestMetricsCatalogueStable: reading /stats must not change what /metrics
+// exposes. Every family is registered with its samples up front, so a
+// fresh server's scrape names the same samples before and after a Stats
+// call.
+func TestMetricsCatalogueStable(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	names := func() []string {
+		var out []string
+		for name := range scrape(t, srv.Handler()) {
+			out = append(out, name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	before := names()
+	srv.Stats()
+	after := names()
+	if strings.Join(before, "\n") != strings.Join(after, "\n") {
+		t.Errorf("/metrics exposed %d samples before a /stats read and %d after", len(before), len(after))
 	}
 }
 

@@ -47,22 +47,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	variants := []kernel.Variant{}
-	v, err := kernel.VariantFromImage(img)
-	if err != nil {
-		fatal(err)
-	}
-	variants = append(variants, v)
+	imgs := []*obj.Image{img}
 	if *with != "" {
 		other, err := readImage(*with)
 		if err != nil {
 			fatal(err)
 		}
-		ov, err := kernel.VariantFromImage(other)
-		if err != nil {
-			fatal(err)
-		}
-		variants = append(variants, ov)
+		imgs = append(imgs, other)
+	}
+	variants := make([]kernel.Variant, len(imgs))
+	for i, im := range imgs {
+		variants[i] = kernel.Variant{ISA: im.ISA, Image: im}
 	}
 	isa := img.ISA
 	if *isaFlag != "" {
@@ -115,7 +110,7 @@ func main() {
 			b.TracesBuilt, b.TraceHits, b.TraceRetired, b.Retired, 100*b.SideExitRate(), b.PICHits, b.PICHits+b.PICMisses)
 	}
 	if *profile {
-		samples, syms := p.Hooks().Prof.Samples(), p.SymTable()
+		samples, syms := p.Hooks().Prof.Samples(), telemetry.SymTableOf(imgs...)
 		fmt.Printf("\n[guest profile: %d distinct blocks]\n", len(samples))
 		telemetry.WriteTable(os.Stdout, samples, syms, *top)
 		if *folded != "" {

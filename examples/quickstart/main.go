@@ -99,7 +99,7 @@ func main() {
 
 	cycles, p = run([]kernel.Variant{
 		{ISA: riscv.RV64GCV, Image: img},
-		{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables},
+		{ISA: riscv.RV64GC, Image: res.Image},
 	}, riscv.RV64GC)
 	fmt.Printf("base core (rewritten): exit=%d in %d cycles, %d faults recovered\n",
 		p.ExitCode, cycles, p.Counters.FaultRecoveries)

@@ -73,7 +73,7 @@ func main() {
 	}
 	p, err := kernel.NewProcess("signals", []kernel.Variant{
 		{ISA: riscv.RV64GCV, Image: img},
-		{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables},
+		{ISA: riscv.RV64GC, Image: res.Image},
 	})
 	if err != nil {
 		log.Fatal(err)

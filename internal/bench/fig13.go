@@ -79,7 +79,7 @@ func Fig13Case(c workload.SpecCase, rounds int64) (*Fig13Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", params.Name, method, err)
 		}
-		cycles, triggers, exit, err := runRewritten(method, rw.Variant())
+		cycles, triggers, exit, err := runRewritten(method, kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image})
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", params.Name, method, err)
 		}
@@ -257,7 +257,7 @@ func Ablations(c workload.SpecCase, rounds int64) ([]*AblationRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		view := kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables}
+		view := kernel.Variant{ISA: res.Image.ISA, Image: res.Image}
 		cycles, _, _, err := runRewritten("chbp", view)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)

@@ -68,7 +68,7 @@ func prepareResolveTasks(tb testing.TB, method string, resolveOn bool) []resolve
 			name: p.Name,
 			variants: []kernel.Variant{
 				{ISA: riscv.RV64GCV, Image: img},
-				rw.Variant(),
+				kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image},
 			},
 		})
 	}

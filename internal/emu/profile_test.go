@@ -50,14 +50,10 @@ func TestGuestProfilerMatmul(t *testing.T) {
 		t.Errorf("profiler cycles %d != cpu cycles %d", cycles, cpu.Cycles)
 	}
 
-	var syms []telemetry.Sym
-	for _, s := range img.FuncSymbols() {
-		syms = append(syms, telemetry.Sym{Name: s.Name, Addr: s.Addr, Size: s.Size})
-	}
-	if len(syms) == 0 {
+	st := telemetry.SymTableOf(img)
+	if st == nil {
 		t.Fatal("matmul image has no function symbols")
 	}
-	st := telemetry.NewSymTable(syms)
 	samples := prof.Samples()
 	rep := telemetry.Report(samples, st, 5)
 	if len(rep) == 0 {

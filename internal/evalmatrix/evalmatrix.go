@@ -257,7 +257,7 @@ func evalSeed(cfg Config, prog *corpus.Program, ref *runOutcome, traceThreshold 
 		}
 		return seedResult{grade: GradeReject, detail: detail}
 	}
-	v := rw.Variant()
+	v := kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image}
 	out := runVariant(v, prog.Image.Name+"+"+cfg.Name, targetISA, prog.Image, prog.Budget, traceThreshold)
 	if out.simErr != nil {
 		return seedResult{grade: GradeCrash, detail: "simulator: " + out.simErr.Error()}
@@ -334,10 +334,7 @@ func Run(p Params) (*Matrix, error) {
 			if err != nil {
 				return nil, fmt.Errorf("evalmatrix: %s seed %d: %w", fam, seed, err)
 			}
-			v, err := kernel.VariantFromImage(prog.Image)
-			if err != nil {
-				return nil, fmt.Errorf("evalmatrix: %s seed %d: %w", fam, seed, err)
-			}
+			v := kernel.Variant{ISA: prog.Image.ISA, Image: prog.Image}
 			ref := runVariant(v, prog.Image.Name, riscv.RV64GCV, prog.Image, prog.Budget, p.TraceThreshold)
 			if ref.simErr != nil || ref.hang || ref.killed {
 				return nil, fmt.Errorf("evalmatrix: %s seed %d: reference run unusable (err=%v hang=%v exit=%d)",

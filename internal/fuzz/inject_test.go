@@ -3,7 +3,9 @@ package fuzz
 import (
 	"testing"
 
+	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/kernel"
+	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
@@ -22,8 +24,12 @@ func corruptedStrawmanDiff(s Spec) (*Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
+	tabs, err := chbp.TablesOf(res.Image)
+	if err != nil {
+		return nil, err
+	}
 	var low uint64
-	for a := range res.Tables.Trap {
+	for a := range tabs.Trap {
 		if low == 0 || a < low {
 			low = a
 		}
@@ -31,7 +37,8 @@ func corruptedStrawmanDiff(s Spec) (*Divergence, error) {
 	if low == 0 {
 		return nil, nil // nothing to corrupt: no trap entries
 	}
-	delete(res.Tables.Trap, low)
+	delete(tabs.Trap, low)
+	res.Image.Section(obj.SecFaultTab).Data = tabs.Marshal()
 
 	v, err := kernel.VariantFromImage(img)
 	if err != nil {
@@ -47,7 +54,7 @@ func corruptedStrawmanDiff(s Spec) (*Divergence, error) {
 	}
 	c := candidate{
 		name:    "strawman-corrupt",
-		variant: res.Variant(),
+		variant: kernel.Variant{ISA: res.Image.ISA, Image: res.Image},
 		coreISA: riscv.RV64GC,
 	}
 	return diffVariantRun(&s, img, budget, rref, c)

@@ -203,10 +203,7 @@ func (s *Spec) DiffEngines() (*Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: assemble: %w", err)
 	}
-	v, err := kernel.VariantFromImage(img)
-	if err != nil {
-		return nil, err
-	}
+	v := kernel.Variant{ISA: img.ISA, Image: img}
 	isa := img.ISA
 	mk := func(interp bool, threshold uint32) func() (*kernel.Process, error) {
 		return func() (*kernel.Process, error) {
@@ -314,7 +311,7 @@ func rewriteCandidates(img *obj.Image, vector bool) []struct {
 			add(name, cfg.Target, kernel.Variant{}, err)
 			return
 		}
-		add(name, cfg.Target, res.Variant(), nil)
+		add(name, cfg.Target, kernel.Variant{ISA: res.Image.ISA, Image: res.Image}, nil)
 	}
 	if vector {
 		base := riscv.RV64GC
@@ -325,7 +322,7 @@ func rewriteCandidates(img *obj.Image, vector bool) []struct {
 		if res, err := chbp.Rewrite(img, chbp.Options{TargetISA: base, Trampoline: chbp.GeneralReg}); err != nil {
 			add("chbp-generalreg", base, kernel.Variant{}, err)
 		} else {
-			add("chbp-generalreg", base, kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables}, nil)
+			add("chbp-generalreg", base, kernel.Variant{ISA: res.Image.ISA, Image: res.Image}, nil)
 		}
 		rewrite("chbp-resolve", rewriters.Config{Method: "chbp", Target: base, Resolve: true})
 		rewrite("safer", rewriters.Config{Method: "safer", Target: base})
@@ -347,10 +344,7 @@ func (s *Spec) DiffRewriters() (*Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: assemble: %w", err)
 	}
-	v, err := kernel.VariantFromImage(img)
-	if err != nil {
-		return nil, err
-	}
+	v := kernel.Variant{ISA: img.ISA, Image: img}
 	ref, err := newProc(v, img.ISA, false)
 	if err != nil {
 		return nil, err
@@ -438,10 +432,7 @@ func (s *Spec) DiffMigration() (*Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: assemble: %w", err)
 	}
-	v, err := kernel.VariantFromImage(img)
-	if err != nil {
-		return nil, err
-	}
+	v := kernel.Variant{ISA: img.ISA, Image: img}
 	ref, err := newProc(v, img.ISA, false)
 	if err != nil {
 		return nil, err
@@ -461,10 +452,7 @@ func (s *Spec) DiffMigration() (*Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	v2, err := kernel.VariantFromImage(img2)
-	if err != nil {
-		return nil, err
-	}
+	v2 := kernel.Variant{ISA: img2.ISA, Image: img2}
 	p, err := kernel.NewProcess(img2.Name, []kernel.Variant{v2})
 	if err != nil {
 		return nil, err

@@ -49,10 +49,7 @@ func (s *Spec) diffResolveWith(img *obj.Image, budget uint64, ts *resolve.Target
 		exhaustive[pc] = set
 	}
 
-	v, err := kernel.VariantFromImage(img)
-	if err != nil {
-		return nil, err
-	}
+	v := kernel.Variant{ISA: img.ISA, Image: img}
 	p, err := newProc(v, img.ISA, false)
 	if err != nil {
 		return nil, err

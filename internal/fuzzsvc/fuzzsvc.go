@@ -166,10 +166,7 @@ func New(cfg Config) (*Campaign, error) {
 	if cfg.Image == nil {
 		return nil, errors.New("fuzzsvc: nil image")
 	}
-	v, err := kernel.VariantFromImage(cfg.Image)
-	if err != nil {
-		return nil, fmt.Errorf("fuzzsvc: %w", err)
-	}
+	v := kernel.Variant{ISA: cfg.Image.ISA, Image: cfg.Image}
 	p, err := kernel.NewProcess("fuzz:"+cfg.Image.Name, []kernel.Variant{v})
 	if err != nil {
 		return nil, fmt.Errorf("fuzzsvc: %w", err)

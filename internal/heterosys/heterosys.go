@@ -74,7 +74,7 @@ func Prepare(sys System, baseImg, extImg *obj.Image, inputExt bool) (*Prepared, 
 		}
 		return &Prepared{System: sys, Variants: []kernel.Variant{
 			{ISA: other, Image: input},
-			rw.Variant(),
+			kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image},
 		}}, nil
 	}
 	return nil, fmt.Errorf("heterosys: unknown system %q", sys)

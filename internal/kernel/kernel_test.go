@@ -57,7 +57,7 @@ func chimeraVariants(t *testing.T, img *obj.Image) []Variant {
 	}
 	return []Variant{
 		{ISA: riscv.RV64GCV, Image: img},
-		{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables},
+		{ISA: riscv.RV64GC, Image: res.Image},
 	}
 }
 
@@ -174,10 +174,11 @@ func TestMidTaskMigrationMovesVectorState(t *testing.T) {
 	}
 }
 
-func TestRuntimeRewriteOfHiddenInstruction(t *testing.T) {
-	// A vector block reachable only through an indirect jump stays
-	// unrecognized by recursive disassembly; executing it on a base core
-	// must trigger the kernel's runtime rewriting (§4.1, §4.3).
+// buildHiddenVecProgram returns an RV64GCV image whose vector block is
+// reachable only through an indirect jump, so recursive disassembly never
+// sees it and a base core must rewrite it at run time. It exits with 12.
+func buildHiddenVecProgram(t *testing.T) *obj.Image {
+	t.Helper()
 	b := asm.NewBuilder(riscv.RV64GCV)
 	b.DataI64("vecA", []int64{5, 6, 7, 8})
 	b.Zero("out", 64)
@@ -198,7 +199,14 @@ func TestRuntimeRewriteOfHiddenInstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProcess("hidden", chimeraVariants(t, img))
+	return img
+}
+
+func TestRuntimeRewriteOfHiddenInstruction(t *testing.T) {
+	// A vector block reachable only through an indirect jump stays
+	// unrecognized by recursive disassembly; executing it on a base core
+	// must trigger the kernel's runtime rewriting (§4.1, §4.3).
+	p, err := NewProcess("hidden", chimeraVariants(t, buildHiddenVecProgram(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +225,45 @@ func TestRuntimeRewriteOfHiddenInstruction(t *testing.T) {
 	}
 	if p.Counters.Traps == 0 {
 		t.Error("rewritten instructions should run through trap trampolines")
+	}
+}
+
+// TestRuntimeRewriteStaysInItsProcess: each process parses its own tables
+// from the image, so the trap rows one process's runtime rewrites add never
+// show up in a sibling built from the same variants.
+func TestRuntimeRewriteStaysInItsProcess(t *testing.T) {
+	variants := chimeraVariants(t, buildHiddenVecProgram(t))
+	procs := make([]*Process, 2)
+	for i := range procs {
+		p, err := NewProcess("hidden", variants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.MigrateTo(riscv.RV64GC); err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = p
+	}
+	a, b := procs[0], procs[1]
+	rows := func(p *Process) (int, int) {
+		t := p.CurrentView().Tables()
+		return len(t.Trap), len(t.ExitTrap)
+	}
+	trap0, exit0 := rows(b)
+	if _, st, err := a.Run(50_000_000); err != nil || st != StatusExited || a.ExitCode != 12 {
+		t.Fatalf("process A: status %v exit %d err %v", st, a.ExitCode, err)
+	}
+	if a.Counters.RuntimeRewrites == 0 {
+		t.Fatal("process A made no runtime rewrites")
+	}
+	if trap, exit := rows(b); trap != trap0 || exit != exit0 {
+		t.Errorf("process B's tables grew from %d/%d to %d/%d trap/exit rows while only A ran", trap0, exit0, trap, exit)
+	}
+	if _, st, err := b.Run(50_000_000); err != nil || st != StatusExited || b.ExitCode != 12 {
+		t.Fatalf("process B: status %v exit %d err %v", st, b.ExitCode, err)
+	}
+	if b.Counters != a.Counters {
+		t.Errorf("sibling counters differ:\n A %+v\n B %+v", a.Counters, b.Counters)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -11,24 +12,15 @@ import (
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/translate"
 )
 
 // Variant is the content of one MMView: the rewritten (or original) binary
-// a particular core class executes, plus its runtime metadata.
+// a particular core class executes. The image carries its own runtime
+// metadata (chbp.Tables in SecFaultTab), which NewProcess reads.
 type Variant struct {
-	ISA    riscv.Ext
-	Image  *obj.Image
-	Tables *chbp.Tables
-	// AddrMap enables Safer-style indirect-target translation for this view.
-	AddrMap map[uint64]uint64
-	// SaferChecks installs the regeneration pointer-check hook.
-	SaferChecks bool
-	// SaferResolved lists original-space indirect targets the resolver
-	// statically encoded (rewriters.Output.Resolved): the check hook
-	// skips the translation-table penalty for them.
-	SaferResolved map[uint64]bool
+	ISA   riscv.Ext
+	Image *obj.Image
 }
 
 // View is one loaded MMView: an address space instantiated from a variant,
@@ -40,11 +32,10 @@ type View struct {
 	mem      *emu.Memory
 	hook     func(pc, target uint64) (uint64, uint64)
 	vregAddr uint64
-	// addrMap/revMap translate original-space instruction addresses to this
-	// view's regenerated addresses and back (Safer-style views; nil for
-	// address-preserving patched views).
-	addrMap map[uint64]uint64
-	revMap  map[uint64]uint64
+	// revMap translates this view's regenerated instruction addresses back
+	// to the original space, inverting tables.AddrMap (Safer-style views;
+	// nil for address-preserving patched views).
+	revMap map[uint64]uint64
 	// runtime rewriting area
 	patchBase, patchCursor, patchEnd uint64
 	// secs is the image's sections with data, ordered by address: the
@@ -131,14 +122,43 @@ type sigContext struct {
 	PC uint64
 }
 
-// VariantFromImage builds a Variant from a (possibly rewritten) image,
-// recovering the embedded fault-handling tables if present.
+// VariantFromImage builds a Variant from a (possibly rewritten) image.
+// NewProcess parses the image's embedded tables, so this never fails.
 func VariantFromImage(img *obj.Image) (Variant, error) {
-	tables, err := chbp.TablesOf(img)
-	if err != nil {
-		return Variant{}, fmt.Errorf("kernel: parsing embedded tables: %w", err)
+	return Variant{ISA: img.ISA, Image: img}, nil
+}
+
+// Safer's runtime pointer-check cost model (§2.2), charged by the hook a
+// view with Tables.CheckIndirect installs: every indirect jump pays the
+// inlined encoded-pointer check; a target whose encoding failed statically
+// pays the translation-table path on top. One in saferUnencodedDenom
+// targets models Safer's static encoding miss rate; targets the resolver
+// encoded (Tables.Encoded) never miss.
+const (
+	saferCheckCycles    = 12
+	saferTableCycles    = 28
+	saferUnencodedDenom = 10
+)
+
+// saferHook translates an indirect-jump target inside the original text
+// to its regenerated address and charges the check.
+func saferHook(t *chbp.Tables, text *obj.Section) func(pc, target uint64) (uint64, uint64) {
+	var start, end uint64
+	if text != nil {
+		start, end = text.Addr, text.End()
 	}
-	return Variant{ISA: img.ISA, Image: img, Tables: tables}, nil
+	return func(pc, target uint64) (uint64, uint64) {
+		cost := uint64(saferCheckCycles)
+		if target >= start && target < end {
+			if nt, ok := t.AddrMap[target]; ok {
+				if !t.Encoded[target] && (target>>1)%saferUnencodedDenom == 0 {
+					cost += saferTableCycles
+				}
+				return nt, cost
+			}
+		}
+		return target, cost
+	}
 }
 
 // NewProcess loads the variants into views with shared data frames and
@@ -157,44 +177,32 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 		if _, dup := p.views[v.ISA]; dup {
 			return nil, fmt.Errorf("kernel: duplicate variant for %v", v.ISA)
 		}
+		// Each process parses its own tables: runtime rewrites add rows,
+		// and they must not leak into a sibling built from the same image.
+		tables, err := chbp.TablesOf(v.Image)
+		if err != nil {
+			return nil, fmt.Errorf("kernel: parsing embedded tables: %w", err)
+		}
 		mem := emu.NewMemory()
 		mem.MapImage(v.Image)
-		view := &View{isa: v.ISA, img: v.Image, tables: v.Tables, mem: mem}
+		view := &View{isa: v.ISA, img: v.Image, tables: tables, mem: mem}
 		for _, s := range v.Image.Sections {
 			if len(s.Data) > 0 {
 				view.secs = append(view.secs, s)
 			}
 		}
 		sort.Slice(view.secs, func(i, j int) bool { return view.secs[i].Addr < view.secs[j].Addr })
-		if v.AddrMap != nil {
-			view.addrMap = v.AddrMap
-			view.revMap = make(map[uint64]uint64, len(v.AddrMap))
-			for o, n := range v.AddrMap {
+		if tables != nil && tables.AddrMap != nil {
+			view.revMap = make(map[uint64]uint64, len(tables.AddrMap))
+			for o, n := range tables.AddrMap {
 				view.revMap[n] = o
 			}
 		}
 		if sec := v.Image.Section(obj.SecVRegFile); sec != nil {
 			view.vregAddr = sec.Addr
 		}
-		if v.SaferChecks {
-			ts, te := uint64(0), uint64(0)
-			if s := v.Image.Text(); s != nil {
-				ts, te = s.Addr, s.End()
-			}
-			m := v.AddrMap
-			resolved := v.SaferResolved
-			view.hook = func(pc, target uint64) (uint64, uint64) {
-				cost := uint64(12)
-				if target >= ts && target < te {
-					if nt, ok := m[target]; ok {
-						if !resolved[target] && (target>>1)%10 == 0 {
-							cost += 28
-						}
-						return nt, cost
-					}
-				}
-				return target, cost
-			}
+		if tables != nil && tables.CheckIndirect {
+			view.hook = saferHook(tables, v.Image.Text())
 		}
 		// Runtime patch area: a page range above everything in this view.
 		high := uint64(0)
@@ -223,7 +231,7 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 				if ref == nil || ref.Addr != s.Addr || len(ref.Data) != len(s.Data) {
 					continue
 				}
-				if !bytesEqual(ref.Data, s.Data) {
+				if !bytes.Equal(ref.Data, s.Data) {
 					continue
 				}
 				mem.ShareFrom(first.mem, s.Addr, uint64(len(s.Data)))
@@ -428,8 +436,8 @@ func (p *Process) switchView(target *View) error {
 			p.CPU.PC = orig
 		}
 	}
-	if target.addrMap != nil {
-		if npc, ok := target.addrMap[p.CPU.PC]; ok {
+	if t := target.tables; t != nil && t.AddrMap != nil {
+		if npc, ok := t.AddrMap[p.CPU.PC]; ok {
 			p.CPU.PC = npc
 		} else if s := target.img.SectionAt(p.CPU.PC); s == nil || s.Perm&obj.PermX == 0 {
 			return fmt.Errorf("kernel: pc %#x not mappable into regenerated view", p.CPU.PC)
@@ -521,18 +529,6 @@ func (p *Process) runtimeRewrite(v *View, pc uint64) error {
 	return nil
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // writeCode stores a 32-bit word bypassing page permissions (kernel
 // privilege).
 func writeCode(m *emu.Memory, addr uint64, w uint32) {
@@ -545,19 +541,4 @@ func writeParcel(m *emu.Memory, addr uint64, pcl uint16) {
 	var b [2]byte
 	binary.LittleEndian.PutUint16(b[:], pcl)
 	m.Poke(addr, b[:])
-}
-
-// SymTable symbolizes guest pcs (Hooks().Prof samples) against the function
-// symbols of every loaded variant image; nil when none has any.
-func (p *Process) SymTable() *telemetry.SymTable {
-	var syms []telemetry.Sym
-	for _, v := range p.views {
-		for _, s := range v.img.FuncSymbols() {
-			syms = append(syms, telemetry.Sym{Name: s.Name, Addr: s.Addr, Size: s.Size})
-		}
-	}
-	if len(syms) == 0 {
-		return nil
-	}
-	return telemetry.NewSymTable(syms)
 }

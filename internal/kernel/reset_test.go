@@ -351,7 +351,7 @@ func TestResetMatchesFullRestore(t *testing.T) {
 			}
 			p = newProcess(t,
 				kernel.Variant{ISA: riscv.RV64GCV, Image: g.img},
-				kernel.Variant{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables})
+				kernel.Variant{ISA: riscv.RV64GC, Image: res.Image})
 			slice := uint64(1 + seed%64)
 			dirty += checkResets(t, name+"/chbp", p, func() uint64 {
 				if _, _, err := p.Run(slice); err != nil {

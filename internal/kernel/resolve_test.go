@@ -24,7 +24,7 @@ func dispatchProcess(t *testing.T, resolveOn bool) (*Process, *chbp.Stats) {
 	}
 	p, err := NewProcess("dispatch", []Variant{
 		{ISA: riscv.RV64GCV, Image: img},
-		{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables},
+		{ISA: riscv.RV64GC, Image: res.Image},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func withCHBP(t *testing.T, name string, img *obj.Image) []sliceCase {
 		return cases
 	}
 	return append(cases, sliceCase{name + "/chbp", riscv.RV64GC,
-		[]kernel.Variant{orig, {ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables}}})
+		[]kernel.Variant{orig, {ISA: riscv.RV64GC, Image: res.Image}}})
 }
 
 // TestRunToExitSliceInvariance is the property callers rely on when they

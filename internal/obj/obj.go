@@ -84,8 +84,8 @@ const (
 	// the simulated extension register file (§4.1).
 	SecTarget   = ".chimera.text"
 	SecVRegFile = ".chimera.vregs"
-	// SecFaultTab is the serialized fault-handling table the kernel consults
-	// when recovering deterministic faults (§4.3).
+	// SecFaultTab is the serialized chbp.Tables: every piece of runtime
+	// metadata the kernel reads to run a rewritten image (§4.3).
 	SecFaultTab = ".chimera.faulttab"
 )
 

@@ -73,6 +73,7 @@ func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolv
 		tables.ExitTrap[addr] = resume
 	}
 	tables.TargetStart, tables.TargetEnd = newBase, rel.newEnd
+	tables.AddrMap = rel.addrMap
 
 	rw.AddSection(&obj.Section{Name: obj.SecVRegFile, Addr: vregAddr,
 		Data: make([]byte, translate.VRegFileSize), Perm: obj.PermRW})
@@ -92,7 +93,7 @@ func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolv
 	if err := rw.Validate(); err != nil {
 		return nil, err
 	}
-	return &Output{Image: rw, Tables: tables, AddrMap: rel.addrMap, Resolved: resolved, Stats: stats}, nil
+	return &Output{Image: rw, Stats: stats}, nil
 }
 
 func writeEbreak(img *obj.Image, addr uint64, length int) error {

@@ -24,7 +24,7 @@ type relocation struct {
 	code []byte
 	// newAddr holds each recognized instruction's new address, indexed
 	// like the disassembly's Order; addrMap is the same mapping keyed by
-	// original address, for the kernel's runtime translation.
+	// original address, embedded in the image as chbp.Tables.AddrMap.
 	newAddr []uint64
 	addrMap map[uint64]uint64
 	// trapResume maps ebreak addresses in the *new* code (emitted where a

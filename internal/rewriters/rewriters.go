@@ -7,9 +7,9 @@
 // every indirect jump at run time), and the strawman all-trap patcher
 // (CHBP with trap entries).
 //
-// All methods emit chbp.Tables so the simulated kernel handles their
-// runtime needs uniformly, and Output.Variant is the only place a rewrite
-// becomes a runnable kernel.Variant.
+// All methods embed chbp.Tables in the image they return, so the image
+// alone is what the simulated kernel runs: it reads every method's
+// runtime metadata from there.
 package rewriters
 
 import (
@@ -17,7 +17,6 @@ import (
 	"slices"
 
 	"github.com/eurosys26p57/chimera/internal/chbp"
-	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -60,22 +59,11 @@ func (c Config) Canonical() Config {
 	return c
 }
 
-// Output is a completed rewrite.
+// Output is a completed rewrite. The image carries its runtime metadata
+// (chbp.TablesOf).
 type Output struct {
-	Image  *obj.Image
-	Tables *chbp.Tables
-	// AddrMap maps original to relocated instruction addresses (Safer and
-	// ARMore). The kernel uses it to move a migrating pc into the view.
-	AddrMap map[uint64]uint64
-	// Resolved is the set of High-confidence indirect targets (original
-	// addresses) the resolver recovered, when the rewrite was seeded with
-	// one (Safer and ARMore). Safer's check hook skips the translation
-	// table-path penalty for them.
-	Resolved map[uint64]bool
-	Stats    Stats
-	// saferChecks marks a Safer regeneration, whose indirect jumps are
-	// checked at run time.
-	saferChecks bool
+	Image *obj.Image
+	Stats Stats
 }
 
 // Stats is what a rewrite reports, a union across methods: fields a
@@ -128,7 +116,7 @@ func Rewrite(img *obj.Image, c Config) (out *Output, err error) {
 		}
 		var res *chbp.Result
 		if res, err = chbp.RewriteWith(img, opts, ts); err == nil {
-			out = &Output{Image: res.Image, Tables: res.Tables, Stats: Stats{Stats: res.Stats}}
+			out = &Output{Image: res.Image, Stats: Stats{Stats: res.Stats}}
 		}
 	}
 	if err != nil {
@@ -139,15 +127,4 @@ func Rewrite(img *obj.Image, c Config) (out *Output, err error) {
 		out.Stats.Resolve = &sum
 	}
 	return out, nil
-}
-
-// Variant is the rewrite as a runnable view for the kernel. Safer and
-// ARMore views carry the address map; Safer's also installs the runtime
-// pointer-check hook with the resolver's statically encoded targets.
-func (o *Output) Variant() kernel.Variant {
-	v := kernel.Variant{ISA: o.Image.ISA, Image: o.Image, Tables: o.Tables, AddrMap: o.AddrMap}
-	if o.saferChecks {
-		v.SaferChecks, v.SaferResolved = true, o.Resolved
-	}
-	return v
 }

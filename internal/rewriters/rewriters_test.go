@@ -1,12 +1,14 @@
 package rewriters
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
+	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/emu"
-	"github.com/eurosys26p57/chimera/internal/instrument"
+	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
@@ -45,6 +47,7 @@ func buildProgram(t *testing.T, compress bool) *obj.Image {
 	b.Imm(riscv.ADDI, riscv.S5, riscv.S5, 1)
 	b.Blt(riscv.S5, riscv.S4, "iloop")
 	b.Mv(riscv.A0, riscv.S2)
+	b.Li(riscv.A7, kernel.SysExit)
 	b.Ecall()
 
 	// Inflate the code section past jal's ±1MB reach, like the >1MB SPEC
@@ -73,44 +76,24 @@ func buildProgram(t *testing.T, compress bool) *obj.Image {
 	return img
 }
 
-// run executes a rewritten image with the baseline-appropriate runtime
-// assists and returns the CPU and trap count.
-func run(t *testing.T, rw *Output, isa riscv.Ext, hook bool) (*emu.CPU, int) {
+// run executes a rewritten image under the kernel, which reads the
+// method's runtime assists (trap tables, Safer's address map and pointer
+// check) from the image, on a core of the given ISA. It returns the
+// process and its total cycles, kernel charges included.
+func run(t *testing.T, rw *Output, isa riscv.Ext) (*kernel.Process, uint64) {
 	t.Helper()
-	mem := emu.NewMemory()
-	mem.MapImage(rw.Image)
-	cpu := emu.NewCPU(mem, isa)
-	cpu.Reset(rw.Image)
-	if hook {
-		ts, te := uint64(obj.TextBase), uint64(obj.TextBase)
-		if s := rw.Image.Text(); s != nil {
-			ts, te = s.Addr, s.End()
-		}
-		cpu.SetHooks(&instrument.Hooks{Indirect: SaferHook(rw.AddrMap, ts, te)})
+	p, err := kernel.NewProcess(rw.Image.Name, []kernel.Variant{{ISA: rw.Image.ISA, Image: rw.Image}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	traps := 0
-	for i := 0; i < 100000; i++ {
-		stop := cpu.Run(5_000_000)
-		switch stop.Kind {
-		case emu.StopEcall:
-			return cpu, traps
-		case emu.StopBreak:
-			traps++
-			if tgt, ok := rw.Tables.Trap[cpu.PC]; ok {
-				cpu.PC = tgt
-				continue
-			}
-			if resume, ok := rw.Tables.ExitTrap[cpu.PC]; ok && resume != 0 {
-				cpu.PC = resume
-				continue
-			}
-			t.Fatalf("unhandled ebreak at %#x", cpu.PC)
-		default:
-			t.Fatalf("stop %+v at pc=%#x (last %v)", stop, cpu.PC, cpu.LastInst)
-		}
+	if err := p.MigrateTo(isa); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("did not finish")
-	return nil, 0
+	cycles, st, err := p.RunToExit(context.Background(), 5_000_000)
+	if err != nil || st != kernel.StatusExited || p.Signal != 0 {
+		t.Fatalf("%s: status %v, signal %d, err %v (pc=%#x)", rw.Image.Name, st, p.Signal, err, p.CPU.PC)
+	}
+	return p, cycles
 }
 
 // rewrite runs one registry config and fails the test on error.
@@ -141,15 +124,14 @@ func TestARMoreDowngrade(t *testing.T) {
 		img := buildProgram(t, compress)
 		want := reference(t, img)
 		rw := rewrite(t, img, "armore", riscv.RV64GC, false)
-		cpu, traps := run(t, rw, riscv.RV64GC, false)
-		if got := int64(cpu.X[riscv.A0]); got != want {
+		p, _ := run(t, rw, riscv.RV64GC)
+		if got := int64(p.CPU.X[riscv.A0]); got != want {
 			t.Errorf("compress=%v: result %d, want %d", compress, got, want)
 		}
 		// The indirect call lands on an original-text trampoline.
 		if rw.Stats.Trampolines == 0 {
 			t.Error("no trampolines placed")
 		}
-		_ = traps
 	}
 }
 
@@ -166,11 +148,11 @@ func TestSaferDowngrade(t *testing.T) {
 		img := buildProgram(t, compress)
 		want := reference(t, img)
 		rw := rewrite(t, img, "safer", riscv.RV64GC, false)
-		cpu, _ := run(t, rw, riscv.RV64GC, true)
-		if got := int64(cpu.X[riscv.A0]); got != want {
+		p, _ := run(t, rw, riscv.RV64GC)
+		if got := int64(p.CPU.X[riscv.A0]); got != want {
 			t.Errorf("compress=%v: result %d, want %d", compress, got, want)
 		}
-		if cpu.Hooks.IndirectCalls == 0 {
+		if p.Counters.Checks == 0 {
 			t.Error("Safer executed no pointer checks")
 		}
 	}
@@ -200,13 +182,13 @@ func TestEmptyPatchBaselines(t *testing.T) {
 	img := buildProgram(t, true)
 	want := reference(t, img)
 	ar := rewrite(t, img, "armore", riscv.RV64GCV, true)
-	cpu, _ := run(t, ar, riscv.RV64GCV, false)
-	if got := int64(cpu.X[riscv.A0]); got != want {
+	p, _ := run(t, ar, riscv.RV64GCV)
+	if got := int64(p.CPU.X[riscv.A0]); got != want {
 		t.Errorf("armore empty-patch result %d, want %d", got, want)
 	}
 	sf := rewrite(t, img, "safer", riscv.RV64GCV, true)
-	cpu, _ = run(t, sf, riscv.RV64GCV, true)
-	if got := int64(cpu.X[riscv.A0]); got != want {
+	p, _ = run(t, sf, riscv.RV64GCV)
+	if got := int64(p.CPU.X[riscv.A0]); got != want {
 		t.Errorf("safer empty-patch result %d, want %d", got, want)
 	}
 }
@@ -216,34 +198,21 @@ func TestCostOrdering(t *testing.T) {
 	// then Safer, then ARMore (trap-heavy on compressed RISC-V binaries).
 	img := buildProgram(t, true)
 
-	runCycles := func(rewritten *Output, hook bool, isa riscv.Ext) uint64 {
-		cpu, _ := run(t, rewritten, isa, hook)
-		return cpu.Cycles
-	}
+	_, chCycles := run(t, rewrite(t, img, "chbp", riscv.RV64GCV, true), riscv.RV64GCV)
+	_, sfCycles := run(t, rewrite(t, img, "safer", riscv.RV64GCV, true), riscv.RV64GCV)
+	ar, arCycles := run(t, rewrite(t, img, "armore", riscv.RV64GCV, true), riscv.RV64GCV)
 
-	ch := rewrite(t, img, "chbp", riscv.RV64GCV, true)
-	chCPU, _ := run(t, ch, riscv.RV64GCV, false)
-
-	sf := rewrite(t, img, "safer", riscv.RV64GCV, true)
-	sfCycles := runCycles(sf, true, riscv.RV64GCV)
-
-	ar := rewrite(t, img, "armore", riscv.RV64GCV, true)
-	arCPU, arTraps := run(t, ar, riscv.RV64GCV, false)
-	// Traps cost kernel time not visible in cpu.Cycles; add the charge here
-	// the way the kernel does.
-	arCycles := arCPU.Cycles + uint64(arTraps)*700
-
-	if !(chCPU.Cycles < sfCycles) {
-		t.Errorf("CHBP (%d) not cheaper than Safer (%d)", chCPU.Cycles, sfCycles)
+	if !(chCycles < sfCycles) {
+		t.Errorf("CHBP (%d) not cheaper than Safer (%d)", chCycles, sfCycles)
 	}
 	if !(sfCycles < arCycles) {
-		t.Errorf("Safer (%d) not cheaper than ARMore (%d, %d traps)", sfCycles, arCycles, arTraps)
+		t.Errorf("Safer (%d) not cheaper than ARMore (%d, %d traps)", sfCycles, arCycles, ar.Counters.Traps)
 	}
 }
 
 // TestRegistryConfig pins the registry's contract: one unknown-method
-// error, canonical configs that drop options a method ignores, and
-// Variant as the single rewrite-to-view mapping.
+// error, canonical configs that drop options a method ignores, and each
+// method's runtime metadata embedded in its image.
 func TestRegistryConfig(t *testing.T) {
 	for _, m := range Methods {
 		if err := CheckMethod(m); err != nil {
@@ -276,16 +245,20 @@ func TestRegistryConfig(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		v := out.Variant()
+		tabs, err := chbp.TablesOf(out.Image)
+		if err != nil || tabs == nil {
+			t.Fatalf("%s: embedded tables: %v, %v", m, tabs, err)
+		}
 		regenerated := m == "safer" || m == "armore"
-		if v.Image != out.Image || v.Tables != out.Tables || v.ISA != riscv.RV64GC {
-			t.Errorf("%s: variant does not carry the rewrite: %+v", m, v)
+		if (tabs.AddrMap != nil) != regenerated {
+			t.Errorf("%s: AddrMap set = %t, want %t", m, tabs.AddrMap != nil, regenerated)
 		}
-		if (v.AddrMap != nil) != regenerated {
-			t.Errorf("%s: variant AddrMap set = %t, want %t", m, v.AddrMap != nil, regenerated)
+		wantEncoded := 0
+		if m == "safer" {
+			wantEncoded = out.Stats.ResolvedTargets
 		}
-		if v.SaferChecks != (m == "safer") || (m == "safer" && len(v.SaferResolved) != len(out.Resolved)) {
-			t.Errorf("%s: SaferChecks %t, %d resolved targets", m, v.SaferChecks, len(v.SaferResolved))
+		if tabs.CheckIndirect != (m == "safer") || len(tabs.Encoded) != wantEncoded {
+			t.Errorf("%s: CheckIndirect %t, %d encoded targets, want %d", m, tabs.CheckIndirect, len(tabs.Encoded), wantEncoded)
 		}
 		if out.Stats.Resolve == nil {
 			t.Errorf("%s: resolver summary missing from stats", m)

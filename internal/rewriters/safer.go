@@ -12,17 +12,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/translate"
 )
 
-// Safer cost model: every indirect jump pays the inline encoded-pointer
-// check; targets whose encoding failed statically pay the translation-table
-// path on top (§2.2). The constants model the instruction sequences Safer
-// inlines; the unencoded ratio reflects its static encoding hit rate.
-const (
-	SaferCheckCycles = 12
-	SaferTableCycles = 28
-	// saferUnencodedDenom: 1-in-N indirect targets take the table path.
-	saferUnencodedDenom = 10
-)
-
 // ErrRewriteReject is the typed reject every rewriter entry point in this
 // package returns for adversarial inputs: recovered panics and
 // image-dependent analysis or regeneration failures. It aliases the chbp
@@ -52,8 +41,9 @@ func reject(name string, out **Output, err *error) {
 // none) completes the disassembly with every High-confidence indirect
 // target, so code reachable only through jump tables is regenerated too
 // instead of being dropped with the original text. Resolved targets are
-// also statically encoded, shrinking Safer's runtime translation tables —
-// SaferHookWith skips the table-path penalty for them.
+// also statically encoded (chbp.Tables.Encoded), shrinking Safer's runtime
+// translation tables: the kernel's pointer check skips the table-path
+// penalty for them.
 func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve.TargetSet) (out *Output, err error) {
 	defer reject("safer", &out, &err)
 	d, recovered := disassembly(img, ts)
@@ -85,6 +75,7 @@ func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve
 		tables.ExitTrap[addr] = resume
 	}
 	tables.TargetStart, tables.TargetEnd = newBase, rel.newEnd
+	tables.AddrMap, tables.CheckIndirect, tables.Encoded = rel.addrMap, true, resolved
 
 	rw.AddSection(&obj.Section{Name: obj.SecVRegFile, Addr: vregAddr,
 		Data: make([]byte, translate.VRegFileSize), Perm: obj.PermRW})
@@ -104,14 +95,7 @@ func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve
 	if err := rw.Validate(); err != nil {
 		return nil, err
 	}
-	out = &Output{
-		Image:       rw,
-		Tables:      tables,
-		AddrMap:     rel.addrMap,
-		Resolved:    resolved,
-		Stats:       Stats{Insts: len(d.Order), NewCodeBytes: len(rel.code)},
-		saferChecks: true,
-	}
+	out = &Output{Image: rw, Stats: Stats{Insts: len(d.Order), NewCodeBytes: len(rel.code)}}
 	out.Stats.RecoveredInsts, out.Stats.ResolvedTargets = recovered, len(resolved)
 	return out, nil
 }
@@ -141,30 +125,4 @@ func resolvedTargets(ts *resolve.TargetSet) map[uint64]bool {
 		}
 	}
 	return out
-}
-
-// SaferHook builds the per-CPU indirect-jump hook realizing Safer's runtime
-// pointer checks: targets inside the original text range are translated to
-// their regenerated addresses. textStart/textEnd bound the original code.
-func SaferHook(addrMap map[uint64]uint64, textStart, textEnd uint64) func(pc, target uint64) (uint64, uint64) {
-	return SaferHookWith(addrMap, textStart, textEnd, nil)
-}
-
-// SaferHookWith is SaferHook with the resolver's statically-encoded
-// target set: a resolved target's translation was encoded at rewrite
-// time, so it never takes the table path regardless of the encoding
-// hit-rate model.
-func SaferHookWith(addrMap map[uint64]uint64, textStart, textEnd uint64, resolved map[uint64]bool) func(pc, target uint64) (uint64, uint64) {
-	return func(pc, target uint64) (uint64, uint64) {
-		cost := uint64(SaferCheckCycles)
-		if target >= textStart && target < textEnd {
-			if nt, ok := addrMap[target]; ok {
-				if !resolved[target] && (target>>1)%saferUnencodedDenom == 0 {
-					cost += SaferTableCycles // unencoded: table path
-				}
-				return nt, cost
-			}
-		}
-		return target, cost
-	}
 }

@@ -1020,21 +1020,16 @@ const chaosLoopAddr = 0x6F00_0000
 // The returned duration is the wall-clock execution time (queue wait
 // excluded), the denominator of emulated MIPS.
 func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*RunResult, time.Duration, error) {
-	variants := make([]kernel.Variant, 0, 2)
-	v, err := kernel.VariantFromImage(req.Image.Clone())
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	variants = append(variants, v)
+	imgs := []*obj.Image{req.Image.Clone()}
 	if req.With != nil {
 		if err := req.With.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		wv, err := kernel.VariantFromImage(req.With.Clone())
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		variants = append(variants, wv)
+		imgs = append(imgs, req.With.Clone())
+	}
+	variants := make([]kernel.Variant, len(imgs))
+	for i, img := range imgs {
+		variants[i] = kernel.Variant{ISA: img.ISA, Image: img}
 	}
 	p, err := kernel.NewProcess(req.Image.Name, variants)
 	if err != nil {
@@ -1058,7 +1053,7 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 	if s.cfg.GuestProfile {
 		p.Hooks().Prof = instrument.NewProfile()
 		p.CPU.RefreshHooks()
-		defer s.foldProfile(p)
+		defer s.foldProfile(p, imgs)
 	}
 	execSpan := telemetry.TraceFrom(ctx).Span("run_exec")
 	defer execSpan.End()
@@ -1094,9 +1089,10 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 }
 
 // foldProfile merges one run's guest-profiler samples into the per-image
-// aggregate. The map is capped: past maxProfiledImages distinct image
-// names, new images are silently unprofiled (existing ones keep folding).
-func (s *Server) foldProfile(p *kernel.Process) {
+// aggregate, symbolized against the run's images. The map is capped: past
+// maxProfiledImages distinct image names, new images are silently
+// unprofiled (existing ones keep folding).
+func (s *Server) foldProfile(p *kernel.Process, imgs []*obj.Image) {
 	prof := p.Hooks().Prof
 	if prof.Blocks() == 0 {
 		return
@@ -1108,7 +1104,7 @@ func (s *Server) foldProfile(p *kernel.Process) {
 		if len(s.profiles) >= maxProfiledImages {
 			return
 		}
-		ip = &imageProfile{prof: instrument.NewProfile(), syms: p.SymTable()}
+		ip = &imageProfile{prof: instrument.NewProfile(), syms: telemetry.SymTableOf(imgs...)}
 		s.profiles[p.Name] = ip
 	}
 	ip.prof.Merge(prof)

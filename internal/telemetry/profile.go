@@ -12,13 +12,12 @@ import (
 	"sort"
 
 	"github.com/eurosys26p57/chimera/internal/instrument"
+	"github.com/eurosys26p57/chimera/internal/obj"
 )
 
 // --- Symbolization -------------------------------------------------------
 
-// Sym is one function symbol for the profiler's symbolizer. The telemetry
-// package imports no image format, so callers convert their symbol tables
-// (e.g. obj.Image.FuncSymbols) into this shape.
+// Sym is one function symbol for the profiler's symbolizer.
 type Sym struct {
 	Name string
 	Addr uint64
@@ -40,6 +39,21 @@ func NewSymTable(syms []Sym) *SymTable {
 		return t.syms[i].Name < t.syms[j].Name
 	})
 	return t
+}
+
+// SymTableOf builds a table from the function symbols of every image (the
+// views of one process, say); nil when none has any.
+func SymTableOf(imgs ...*obj.Image) *SymTable {
+	var syms []Sym
+	for _, img := range imgs {
+		for _, s := range img.FuncSymbols() {
+			syms = append(syms, Sym{Name: s.Name, Addr: s.Addr, Size: s.Size})
+		}
+	}
+	if len(syms) == 0 {
+		return nil
+	}
+	return NewSymTable(syms)
 }
 
 // Resolve maps pc to the containing symbol and offset. A symbol with Size 0

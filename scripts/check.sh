@@ -3,8 +3,9 @@
 # full test suite under the race detector, the warm-loop and process-reset
 # alloc gates, the nil-hook instrumentation and guest profiler overhead
 # gates, the coverage-guided campaign smoke, and short native-fuzz smokes
-# over the differential oracles, the dense disassembler's reference and
-# the service's one-pass body decoder against encoding/json.
+# over the differential oracles, the image and fault-table parsers, the
+# dense disassembler's reference and the service's one-pass body decoder
+# against encoding/json.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -38,6 +39,8 @@ forbid() {
 }
 forbid service bench
 forbid emu telemetry
+forbid rewriters kernel
+forbid kernel telemetry
 for up in service bench evalmatrix fuzz; do
     forbid rewriters "$up"
 done
@@ -136,6 +139,7 @@ echo "== fuzz smoke (10s per target)"
 go test -run=- -fuzz=FuzzDifferential -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzRewrite -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzObjLoad -fuzztime=10s ./internal/obj >/dev/null
+go test -run=- -fuzz=FuzzUnmarshalTables -fuzztime=10s ./internal/chbp >/dev/null
 go test -run=- -fuzz=FuzzDisassemble -fuzztime=10s ./internal/dis >/dev/null
 go test -run=- -fuzz=FuzzDecodeBody -fuzztime=10s ./internal/service >/dev/null
 echo "== ok"

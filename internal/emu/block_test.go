@@ -30,6 +30,14 @@ func codeCPU(t *testing.T, text []byte) *CPU {
 	return cpu
 }
 
+// codeFrame returns an unmapped executable frame holding text, for the
+// remap tests to install with MapPage.
+func codeFrame(text []byte) *Page {
+	p := &Page{data: new([obj.PageSize]byte), Perm: obj.PermRX}
+	copy(p.data[:], text)
+	return p
+}
+
 // TestPokePartialWriteAtomic is the regression test for the multi-page Poke
 // bug: a poke whose second page is unmapped used to write the first page's
 // bytes and return false without bumping gen, leaving decoded caches
@@ -103,8 +111,7 @@ func TestMapPageInvalidatesBlock(t *testing.T) {
 	}
 
 	// A fresh frame with the same loop shape but a different increment.
-	frame := &Page{Perm: obj.PermRX}
-	copy(frame.Data[:], enc(t,
+	frame := codeFrame(enc(t,
 		riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 7},
 		riscv.Inst{Op: riscv.JAL, Rd: riscv.Zero, Imm: -4},
 	))

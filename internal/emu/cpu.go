@@ -134,8 +134,10 @@ type CPU struct {
 	TraceThreshold uint32
 
 	// icache is a direct-mapped decoded-instruction cache, invalidated by
-	// the mapping generation and the code frame's patch generation.
-	icache [4096]icacheEntry
+	// the mapping generation and the code frame's patch generation. Only
+	// Step uses it, which under the block engine runs for stragglers and
+	// precise faults alone, so its 288 KiB are allocated on the first Step.
+	icache *[4096]icacheEntry
 
 	// bcache is the 2-way set-associative basic-block cache (block.go):
 	// blockCacheSize sets of blockCacheWays ways, MRU first.
@@ -233,6 +235,9 @@ var (
 // Step executes one instruction. It returns (stop, true) when the kernel
 // must intervene; otherwise execution advanced normally.
 func (c *CPU) Step() (Stop, bool) {
+	if c.icache == nil {
+		c.icache = new([4096]icacheEntry)
+	}
 	if e := &c.icache[(c.PC>>1)&4095]; e.ok && e.pc == c.PC && e.mem == c.Mem &&
 		e.mapGen == c.Mem.mapGen && e.pg.gen == e.pgen {
 		if ext := e.inst.Extension(); !c.ISA.Has(ext) {

@@ -17,11 +17,20 @@ import (
 	"github.com/eurosys26p57/chimera/internal/obj"
 )
 
+// zeroFrame backs every frame Map creates until something writes to it, so
+// a mapped page costs its Page header, not 4 KiB, until it is first
+// written: the 1 MiB stack of a process whose guest uses a few KiB of it
+// costs a few frames. Nothing may write it. Every write path calls
+// Page.own first.
+var zeroFrame [obj.PageSize]byte
+
 // Page is one 4KiB frame plus its mapping permission. Pages are shared by
 // reference between address spaces: Chimera's MMViews map the same data
 // frames into every view while giving each view its own code frames (§4.3).
 type Page struct {
-	Data [obj.PageSize]byte
+	// data is the frame's bytes: &zeroFrame until the first write (a
+	// guest store, Poke or the loader), its own array after.
+	data *[obj.PageSize]byte
 	Perm obj.Perm
 
 	// gen counts Pokes into this frame. Because frames are shared by
@@ -33,8 +42,20 @@ type Page struct {
 
 	// dirty marks a frame a guest store has written since the last
 	// Memory.Restore. It lives on the frame, not the address space, so a
-	// frame shared by several MMViews is listed (and restored) once.
+	// frame shared by several MMViews is listed (and restored) once. A
+	// dirty frame never reads through zeroFrame: markDirty owns it first.
 	dirty bool
+}
+
+// own gives the frame bytes of its own if it still reads through
+// zeroFrame, and returns them for writing. The bytes are already zero, as
+// the zero frame's are; and because frames are shared by reference, every
+// address space mapping the frame sees the new bytes.
+func (p *Page) own() *[obj.PageSize]byte {
+	if p.data == &zeroFrame {
+		p.data = new([obj.PageSize]byte)
+	}
+	return p.data
 }
 
 // Gen returns the frame's code-patch generation.
@@ -87,18 +108,13 @@ func (m *Memory) MapGen() uint64 { return m.mapGen }
 // writes nothing, so a false return never leaves half-patched code behind a
 // stale generation.
 func (m *Memory) Poke(addr uint64, data []byte) bool {
-	if len(data) == 0 {
-		return true
-	}
-	for pn := pageOf(addr); pn <= pageOf(addr+uint64(len(data))-1); pn++ {
-		if _, ok := m.pages[pn]; !ok {
-			return false
-		}
+	if !m.mapped(addr, len(data)) {
+		return false
 	}
 	for len(data) > 0 {
 		p := m.pages[pageOf(addr)]
 		off := addr & (obj.PageSize - 1)
-		n := copy(p.Data[off:], data)
+		n := copy(p.own()[off:], data)
 		p.gen++
 		data = data[n:]
 		addr += uint64(n)
@@ -107,9 +123,43 @@ func (m *Memory) Poke(addr uint64, data []byte) bool {
 	return true
 }
 
-// markDirty records a guest store into frame p at page pn. Callers test
-// p.dirty first, so this runs once per frame between Restores.
+// Peek reads bytes bypassing page permissions: Poke's read twin, with
+// which the kernel decodes the code it patches. Like Poke it checks the
+// whole range first: a false return means a page of it is unmapped, and
+// buf is left as it was.
+func (m *Memory) Peek(addr uint64, buf []byte) bool {
+	if !m.mapped(addr, len(buf)) {
+		return false
+	}
+	for len(buf) > 0 {
+		p := m.pages[pageOf(addr)]
+		n := copy(buf, p.data[addr&(obj.PageSize-1):])
+		buf = buf[n:]
+		addr += uint64(n)
+	}
+	return true
+}
+
+// mapped reports whether every page of [addr, addr+n) is mapped.
+func (m *Memory) mapped(addr uint64, n int) bool {
+	if n == 0 {
+		return true
+	}
+	for pn := pageOf(addr); pn <= pageOf(addr+uint64(n)-1); pn++ {
+		if _, ok := m.pages[pn]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// markDirty records a guest store into frame p at page pn and gives the
+// frame its own bytes, which is how a guest store leaves the zero frame
+// untouched. Callers test p.dirty first, so this runs once per frame
+// between Restores, and a store into a dirty frame, the hot path, pays
+// nothing for demand-zero frames.
 func (m *Memory) markDirty(pn uint64, p *Page) {
+	p.own()
 	p.dirty = true
 	m.dirty = append(m.dirty, pn)
 }
@@ -128,7 +178,7 @@ func (m *Memory) Restore(fn func(addr uint64, data *[obj.PageSize]byte)) {
 	for _, pn := range m.dirty {
 		if p := m.pages[pn]; p != nil && p.dirty {
 			p.dirty = false
-			fn(pn<<12, &p.Data)
+			fn(pn<<12, p.data)
 		}
 	}
 	m.dirty = m.dirty[:0]
@@ -136,6 +186,18 @@ func (m *Memory) Restore(fn func(addr uint64, data *[obj.PageSize]byte)) {
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory { return &Memory{pages: make(map[uint64]*Page)} }
+
+// NewMemoryFor returns an empty address space whose page map is sized for
+// MapImage(img), so mapping the image and its stack does not grow it.
+func NewMemoryFor(img *obj.Image) *Memory {
+	n := int(obj.StackSize / obj.PageSize)
+	for _, s := range img.Sections {
+		if len(s.Data) > 0 {
+			n += int(pageOf(s.End()-1) - pageOf(s.Addr) + 1)
+		}
+	}
+	return &Memory{pages: make(map[uint64]*Page, n)}
+}
 
 func pageOf(addr uint64) uint64 { return addr >> 12 }
 
@@ -175,12 +237,13 @@ func (m *Memory) lookup(pn uint64, fetch bool) (*Page, bool) {
 	return p, ok
 }
 
-// Map allocates zeroed frames covering [addr, addr+size) with the given
-// permission. Partial pages are rounded out.
+// Map maps zeroed frames covering [addr, addr+size) with the given
+// permission. Partial pages are rounded out. A new frame reads through the
+// shared zero frame until its first write.
 func (m *Memory) Map(addr, size uint64, perm obj.Perm) {
 	for pn := pageOf(addr); pn <= pageOf(addr+size-1); pn++ {
 		if _, ok := m.pages[pn]; !ok {
-			m.pages[pn] = &Page{Perm: perm}
+			m.pages[pn] = &Page{data: &zeroFrame, Perm: perm}
 		} else {
 			m.pages[pn].Perm |= perm
 		}
@@ -212,7 +275,7 @@ func (m *Memory) write(addr uint64, data []byte) {
 	for len(data) > 0 {
 		p := m.pages[pageOf(addr)]
 		off := addr & (obj.PageSize - 1)
-		n := copy(p.Data[off:], data)
+		n := copy(p.own()[off:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -233,9 +296,9 @@ func (m *Memory) access(addr uint64, buf []byte, write bool, need obj.Perm) (uin
 			if !p.dirty {
 				m.markDirty(pageOf(a), p)
 			}
-			n = copy(p.Data[off:], buf)
+			n = copy(p.data[off:], buf)
 		} else {
-			n = copy(buf, p.Data[off:])
+			n = copy(buf, p.data[off:])
 		}
 		buf = buf[n:]
 		a += uint64(n)
@@ -260,7 +323,7 @@ func (m *Memory) loadU64(addr uint64) (uint64, bool) {
 	if !ok || p.Perm&obj.PermR == 0 {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint64(p.Data[off:]), true
+	return binary.LittleEndian.Uint64(p.data[off:]), true
 }
 
 func (m *Memory) loadU32(addr uint64) (uint32, bool) {
@@ -272,7 +335,7 @@ func (m *Memory) loadU32(addr uint64) (uint32, bool) {
 	if !ok || p.Perm&obj.PermR == 0 {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint32(p.Data[off:]), true
+	return binary.LittleEndian.Uint32(p.data[off:]), true
 }
 
 func (m *Memory) storeU64(addr uint64, v uint64) bool {
@@ -288,7 +351,7 @@ func (m *Memory) storeU64(addr uint64, v uint64) bool {
 	if !p.dirty {
 		m.markDirty(pn, p)
 	}
-	binary.LittleEndian.PutUint64(p.Data[off:], v)
+	binary.LittleEndian.PutUint64(p.data[off:], v)
 	return true
 }
 
@@ -305,7 +368,7 @@ func (m *Memory) storeU32(addr uint64, v uint32) bool {
 	if !p.dirty {
 		m.markDirty(pn, p)
 	}
-	binary.LittleEndian.PutUint32(p.Data[off:], v)
+	binary.LittleEndian.PutUint32(p.data[off:], v)
 	return true
 }
 
@@ -318,7 +381,7 @@ func (m *Memory) fetchU16(addr uint64) (uint16, bool) {
 	if !ok || p.Perm&obj.PermX == 0 {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint16(p.Data[off:]), true
+	return binary.LittleEndian.Uint16(p.data[off:]), true
 }
 
 // Read copies n bytes at addr into buf, checking read permission.
@@ -358,12 +421,17 @@ func (m *Memory) WriteUint64(addr, v uint64) error {
 }
 
 // Clone returns a new address space sharing no frames with m (deep copy).
-// The copy starts with no dirty marks.
+// The copy starts with no dirty marks. Frames still reading through the
+// zero frame stay there; only frames with bytes of their own are copied.
 func (m *Memory) Clone() *Memory {
 	out := NewMemory()
 	for pn, p := range m.pages {
 		cp := *p
 		cp.dirty = false
+		if p.data != &zeroFrame {
+			data := *p.data
+			cp.data = &data
+		}
 		out.pages[pn] = &cp
 	}
 	return out

@@ -110,8 +110,7 @@ func TestTraceMapPageRemap(t *testing.T) {
 		t.Fatalf("trace tier not exercised: %+v", cpu.Blocks)
 	}
 
-	frame := &Page{Perm: obj.PermRX}
-	copy(frame.Data[:], enc(t,
+	frame := codeFrame(enc(t,
 		riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 7},
 		riscv.Inst{Op: riscv.JAL, Rd: riscv.Zero, Imm: -4},
 	))

@@ -3,13 +3,36 @@ package fuzzsvc
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
+	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
+
+// TestMain checks, after every campaign of the package has run, that
+// nothing wrote through the shared zero frame.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if code == 0 && !zeroFrameIntact() {
+		fmt.Fprintln(os.Stderr, "fuzzsvc: the shared zero frame was written")
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// zeroFrameIntact reports whether a freshly mapped page, which reads
+// through the shared zero frame, reads all zero.
+func zeroFrameIntact() bool {
+	mem := emu.NewMemory()
+	mem.Map(0, obj.PageSize, obj.PermR)
+	var got [obj.PageSize]byte
+	return mem.Peek(0, got[:]) && got == [obj.PageSize]byte{}
+}
 
 func targetImage(t *testing.T) *obj.Image {
 	t.Helper()
@@ -145,6 +168,45 @@ func TestCampaignGoldenDigests(t *testing.T) {
 		if len(s.Crashes) != 1 {
 			t.Errorf("seed %d: %d crash buckets, want 1", g.seed, len(s.Crashes))
 		}
+	}
+}
+
+// TestCampaignStackGuestKeepsZeroFrame runs a campaign whose guest reads
+// each input onto one stack page and stores to another: every exec writes
+// frames that started zero-backed and that Reset then re-zeroes, and the
+// zero frame a fresh mapping reads must stay all zero.
+func TestCampaignStackGuestKeepsZeroFrame(t *testing.T) {
+	b := asm.NewBuilder(riscv.RV64GC)
+	b.Func("main")
+	b.Li(riscv.T0, 2*obj.PageSize)
+	b.Op(riscv.SUB, riscv.A1, riscv.SP, riscv.T0)
+	b.Li(riscv.A7, 63) // read(0, sp-8192, 64)
+	b.Li(riscv.A0, 0)
+	b.Li(riscv.A2, 64)
+	b.Ecall()
+	b.Load(riscv.LD, riscv.T1, riscv.A1, 0)
+	b.Li(riscv.T0, 5*obj.PageSize)
+	b.Op(riscv.SUB, riscv.T2, riscv.SP, riscv.T0)
+	b.Store(riscv.SD, riscv.T1, riscv.T2, 0)
+	b.Li(riscv.A0, 0)
+	b.Li(riscv.A7, 93)
+	b.Ecall()
+	img, err := b.Build("stackread", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Image: img, Seeds: [][]byte{[]byte("CHIMERA!")}, MaxExecs: 50, MaxInput: 64, ExecBudget: 10_000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); s.Execs != 50 || s.SimErrors != 0 {
+		t.Fatalf("campaign: %d execs, %d simulator errors", s.Execs, s.SimErrors)
+	}
+	if !zeroFrameIntact() {
+		t.Error("the campaign wrote the shared zero frame")
 	}
 }
 

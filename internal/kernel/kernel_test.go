@@ -1,11 +1,13 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
 	"github.com/eurosys26p57/chimera/internal/chbp"
+	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
@@ -485,5 +487,35 @@ func TestCountersAddCoversEveryField(t *testing.T) {
 		if g, want := got.Field(i).Uint(), 2*uint64(i+1); g != want {
 			t.Errorf("%s = %d after two Adds, want %d", got.Type().Field(i).Name, g, want)
 		}
+	}
+}
+
+// TestDecodeInStraddlesPages decodes, through the kernel's fault-path
+// decoder, a 32-bit instruction whose upper half sits on the next page,
+// and a compressed one in the last two bytes of the mapped range.
+func TestDecodeInStraddlesPages(t *testing.T) {
+	const base = 0x7000_0000
+	mem := emu.NewMemory()
+	mem.Map(base, 2*obj.PageSize, obj.PermRX)
+	w := riscv.MustEncode(riscv.Inst{Op: riscv.VADDVV, Rd: 2, Rs1: 1, Rs2: 3})
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], w)
+	if b[2] == b[3] {
+		t.Fatal("test instruction's upper bytes are equal; pick another")
+	}
+	pc := uint64(base + obj.PageSize - 2)
+	mem.Poke(pc, b[:])
+	if in, err := decodeIn(mem, pc); err != nil || riscv.MustEncode(in) != w {
+		t.Errorf("straddling instruction decoded as %v (%v), want %#x", in, err, w)
+	}
+	cnop, _ := riscv.EncodeCompressed(riscv.Inst{Op: riscv.ADDI})
+	end := uint64(base + 2*obj.PageSize - 2)
+	binary.LittleEndian.PutUint16(b[:], cnop)
+	mem.Poke(end, b[:2])
+	if in, err := decodeIn(mem, end); err != nil || in.Len != 2 {
+		t.Errorf("compressed instruction at the end of the mapping: %v, %v", in, err)
+	}
+	if _, err := decodeIn(mem, base+2*obj.PageSize); err == nil {
+		t.Error("decoded an unmapped pc")
 	}
 }

@@ -161,6 +161,17 @@ func saferHook(t *chbp.Tables, text *obj.Section) func(pc, target uint64) (uint6
 	}
 }
 
+// shareable reports whether section s of a later view can map the frames
+// of the first view's section of the same name: a data section both
+// images place at the same address with the same initial bytes.
+func shareable(first *obj.Image, s *obj.Section) bool {
+	if !sharedSections[s.Name] {
+		return false
+	}
+	ref := first.Section(s.Name)
+	return ref != nil && ref.Addr == s.Addr && bytes.Equal(ref.Data, s.Data)
+}
+
 // NewProcess loads the variants into views with shared data frames and
 // prepares the architectural state at the first variant's entry.
 func NewProcess(name string, variants []Variant) (*Process, error) {
@@ -183,8 +194,7 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kernel: parsing embedded tables: %w", err)
 		}
-		mem := emu.NewMemory()
-		mem.MapImage(v.Image)
+		mem := emu.NewMemoryFor(v.Image)
 		view := &View{isa: v.ISA, img: v.Image, tables: tables, mem: mem}
 		for _, s := range v.Image.Sections {
 			if len(s.Data) > 0 {
@@ -215,26 +225,28 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 		view.patchCursor = view.patchBase
 		view.patchEnd = view.patchBase + 1<<20
 		if first == nil {
+			mem.MapImage(v.Image)
 			first = view
 		} else {
-			// Share the data segments and the stack with the first view
-			// (Fig. 9: all MMViews point at common data frames). A section
-			// is shareable only when both views agree on its placement and
-			// initial contents — binaries from separate compilations (MELF's
-			// per-ISA versions) may embed view-local code pointers, which
-			// must stay private to their view.
+			// A later view maps only what it owns: its private sections.
+			// The shareable data sections and the stack are the first
+			// view's frames (Fig. 9: all MMViews point at common data
+			// frames). A section is shareable only when both views agree on
+			// its placement and initial contents — binaries from separate
+			// compilations (MELF's per-ISA versions) may embed view-local
+			// code pointers, which must stay private to their view. Private
+			// sections are mapped first, so the loader never writes through
+			// a shared frame, and a page holding both kinds ends up the
+			// shared frame.
 			for _, s := range v.Image.Sections {
-				if !sharedSections[s.Name] {
-					continue
+				if !shareable(first.img, s) {
+					mem.MapSection(s)
 				}
-				ref := first.img.Section(s.Name)
-				if ref == nil || ref.Addr != s.Addr || len(ref.Data) != len(s.Data) {
-					continue
+			}
+			for _, s := range v.Image.Sections {
+				if shareable(first.img, s) {
+					mem.ShareFrom(first.mem, s.Addr, uint64(len(s.Data)))
 				}
-				if !bytes.Equal(ref.Data, s.Data) {
-					continue
-				}
-				mem.ShareFrom(first.mem, s.Addr, uint64(len(s.Data)))
 			}
 			mem.ShareFrom(first.mem, obj.StackTop-obj.StackSize, obj.StackSize)
 		}
@@ -462,14 +474,7 @@ func (p *Process) switchView(target *View) error {
 // (§4.1/§4.3 "Redirection/Rewriting"): the kernel translates it in place
 // with a trap trampoline into a per-view patch area.
 func (p *Process) runtimeRewrite(v *View, pc uint64) error {
-	page, ok := v.mem.Page(pc)
-	if !ok {
-		return fmt.Errorf("kernel: faulting pc %#x unmapped", pc)
-	}
-	off := pc & (obj.PageSize - 1)
-	raw := make([]byte, 4)
-	n := copy(raw, page.Data[off:])
-	inst, err := riscv.Decode(raw[:n])
+	inst, err := decodeIn(v.mem, pc)
 	if err != nil {
 		return fmt.Errorf("kernel: cannot decode at %#x: %w", pc, err)
 	}

@@ -153,11 +153,14 @@ func TestResetRestoresOnlyDirtyPages(t *testing.T) {
 		}
 		for _, a := range want {
 			pg, _ := mem.Page(a)
-			if pg.Dirty() || pg.Data != [obj.PageSize]byte{} {
+			var data [obj.PageSize]byte
+			mem.Peek(a, data[:])
+			if pg.Dirty() || data != [obj.PageSize]byte{} {
 				t.Errorf("run %d: page %#x not restored (dirty %v)", run, a, pg.Dirty())
 			}
 		}
-		if pg, _ := mem.Page(clean); pg.Data[0] != 0xEE {
+		var b [1]byte
+		if mem.Peek(clean, b[:]); b[0] != 0xEE {
 			t.Errorf("run %d: Reset rewrote the clean page %#x", run, clean)
 		}
 	}
@@ -233,34 +236,30 @@ func stackDataGuest(t testing.TB, seed int64) *obj.Image {
 // the whole stack zeroed — with the page-tail fix applied: the bytes of a
 // writable section's pages that lie in no section are zeroed too.
 func referenceRestore(mem *emu.Memory, img *obj.Image) {
-	frame := func(a uint64) *emu.Page {
-		pg, _ := mem.Page(a)
-		return pg
-	}
+	var page, zero [obj.PageSize]byte
 	for _, s := range img.Sections {
 		if s.Perm&obj.PermW == 0 || len(s.Data) == 0 {
 			continue
 		}
 		for a := s.Addr &^ (obj.PageSize - 1); a < s.End(); a += obj.PageSize {
-			pg := frame(a)
-			for i := range pg.Data {
+			mem.Peek(a, page[:])
+			for i := range page {
 				if img.SectionAt(a+uint64(i)) == nil {
-					pg.Data[i] = 0
+					page[i] = 0
 				}
 			}
+			mem.Poke(a, page[:])
 		}
 	}
 	for _, s := range img.Sections {
-		if s.Perm&obj.PermW == 0 {
-			continue
-		}
-		for i, c := range s.Data {
-			a := s.Addr + uint64(i)
-			frame(a).Data[a&(obj.PageSize-1)] = c
+		if s.Perm&obj.PermW != 0 {
+			mem.Poke(s.Addr, s.Data)
 		}
 	}
 	for a := obj.StackTop - obj.StackSize; a < obj.StackTop; a += obj.PageSize {
-		frame(a).Data = [obj.PageSize]byte{}
+		if mem.Peek(a, page[:]); page != zero {
+			mem.Poke(a, zero[:])
+		}
 	}
 }
 
@@ -304,15 +303,17 @@ func checkResets(t *testing.T, name string, p *kernel.Process, run func() uint64
 				if !ok {
 					continue
 				}
-				exp, _ := want[i].Page(a)
 				if got.Dirty() {
 					t.Errorf("%s: view %d page %#x still dirty after Reset", name, i, a)
 				}
-				if got.Data != exp.Data {
-					for j := range got.Data {
-						if got.Data[j] != exp.Data[j] {
+				var gotData, expData [obj.PageSize]byte
+				f.Mem.Peek(a, gotData[:])
+				want[i].Peek(a, expData[:])
+				if gotData != expData {
+					for j := range gotData {
+						if gotData[j] != expData[j] {
 							t.Fatalf("%s round %d: view %d byte %#x = %#x after Reset, full restore gives %#x",
-								name, round, i, a+uint64(j), got.Data[j], exp.Data[j])
+								name, round, i, a+uint64(j), gotData[j], expData[j])
 						}
 					}
 				}

@@ -224,7 +224,7 @@ func (p *Process) handleFault(f emu.Fault) Status {
 			// page faults. Anything else is dropped too: whatever would
 			// genuinely fault at this pc will fault (precisely) when the
 			// hart actually executes it.
-			if inst, ok := p.decodeAt(f.PC); ok && p.CPU.ISA.Has(inst.Extension()) {
+			if inst, err := decodeIn(p.cur.mem, f.PC); err == nil && p.CPU.ISA.Has(inst.Extension()) {
 				p.Counters.SpuriousFaults++
 				p.Counters.KernelCycles += SpuriousFaultCost
 			}
@@ -240,7 +240,7 @@ func (p *Process) handleFault(f emu.Fault) Status {
 		}
 		// Unrecognized extension instruction? (The hart's ISA is the core's,
 		// which may be narrower than the view's.)
-		if inst, ok := p.decodeAt(f.PC); ok && !p.CPU.ISA.Has(inst.Extension()) {
+		if inst, err := decodeIn(p.cur.mem, f.PC); err == nil && !p.CPU.ISA.Has(inst.Extension()) {
 			if p.FAM {
 				return StatusNeedMigration
 			}
@@ -262,23 +262,19 @@ func (p *Process) signalStatus() Status {
 	return StatusRunning
 }
 
-func (p *Process) decodeAt(pc uint64) (riscv.Inst, bool) {
-	page, ok := p.cur.mem.Page(pc)
-	if !ok {
-		return riscv.Inst{}, false
+// decodeIn decodes the instruction at pc in m, reading through Peek: four
+// bytes, or two where pc+4 runs past the mapped range (a compressed
+// instruction at its end). An instruction that straddles two mapped pages
+// is read from both.
+func decodeIn(m *emu.Memory, pc uint64) (riscv.Inst, error) {
+	var buf [4]byte
+	if m.Peek(pc, buf[:]) {
+		return riscv.Decode(buf[:])
 	}
-	off := pc & 0xFFF
-	buf := make([]byte, 0, 4)
-	buf = append(buf, page.Data[off:min(off+4, 4096)]...)
-	for len(buf) < 4 {
-		next, ok := p.cur.mem.Page(pc + uint64(len(buf)))
-		if !ok {
-			break
-		}
-		buf = append(buf, next.Data[0])
+	if m.Peek(pc, buf[:2]) {
+		return riscv.Decode(buf[:2])
 	}
-	in, err := riscv.Decode(buf)
-	return in, err == nil
+	return riscv.Inst{}, fmt.Errorf("pc %#x unmapped", pc)
 }
 
 // deliverSignal delivers a signal to the process: to its registered user

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Emulator benchmark harness: runs the BenchmarkCPURun* emulated-MIPS
-# benchmarks, the BenchmarkService*/BenchmarkRewriteBatch service suite, the
+# benchmarks, the BenchmarkNewProcess process-build rows (one and two
+# views of the Fig. 11 matmul task, bytes and allocations per process),
+# the BenchmarkService*/BenchmarkRewriteBatch service suite, the
 # coverage-guided campaign throughput benchmark (whole fuzzing execs/s), the
 # store hit-path benchmarks (memory-tier verified hits, disk-store hit
 # latency), the BenchmarkRewrite cold-rewrite rows (one SPEC-shaped image
@@ -27,6 +29,10 @@ trap 'rm -f "$RAW"' EXIT
 echo "== go test -bench CPURun (internal/emu, -benchtime $BENCHTIME)"
 go test -run=- -bench='BenchmarkCPURun' -benchmem -benchtime "$BENCHTIME" \
     ./internal/emu/ | tee "$RAW"
+
+echo "== go test -bench NewProcess (internal/kernel, -benchtime $BENCHTIME)"
+go test -run=- -bench='BenchmarkNewProcess' -benchmem -benchtime "$BENCHTIME" \
+    ./internal/kernel/ | tee -a "$RAW"
 
 # median_rows keeps, per benchmark name, the row with the median ns/op
 # among the -count runs in the given raw `go test -bench` output.

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	chimera-served -addr :8080 -workers 8 -cache-mb 256 \
-//	    -request-timeout 2m -max-retries 2
+//	    -request-timeout 2m
 //
 // Persistence and clustering:
 //
@@ -31,12 +31,12 @@
 // mounts net/http/pprof on a SEPARATE listener (keep it private);
 // -guest-profile enables the per-image guest profiler served at /profile.
 //
-// Failure policy: a rewrite that keeps failing (panic, stall, repeated
-// errors) is retried with backoff, its config is quarantined by a circuit
-// breaker, and the request is answered with the ORIGINAL image (the
-// paper's scalar-core fallback) — flagged `degraded` in the response and
-// counted in /stats. -chaos-seed enables deterministic fault injection for
-// resilience testing.
+// Failure policy: a rewrite that fails (a rewriter reject, a panic, the
+// request deadline) is answered with the ORIGINAL image (the paper's
+// scalar-core fallback), flagged `degraded` in the response and counted in
+// /stats. Degraded answers are never cached, so the next identical request
+// tries the rewrite again. -chaos-seed enables deterministic fault
+// injection for resilience testing.
 package main
 
 import (
@@ -67,7 +67,6 @@ func main() {
 	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-peer-call timeout")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline (0 = library default, negative = off)")
-	maxRetries := flag.Int("max-retries", 2, "rewrite retries before degrading to the original image (negative = none)")
 	runBudget := flag.Int64("run-max-instret", 0, "per-/run instruction budget (0 = default 2e9, negative = off)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "enable fault injection with this seed (0 = off; NEVER in production)")
 	traceCap := flag.Int("trace-capacity", 0, "request traces retained for /trace/{id} (0 = default 256, negative = tracing off)")
@@ -85,7 +84,6 @@ func main() {
 		ClusterSelf:    *self,
 		PeerTimeout:    *peerTimeout,
 		RequestTimeout: *reqTimeout,
-		MaxRetries:     *maxRetries,
 		RunMaxInstret:  *runBudget,
 		TraceCapacity:  *traceCap,
 		GuestProfile:   *guestProfile,

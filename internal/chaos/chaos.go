@@ -32,8 +32,6 @@ const (
 	RewritePanic Kind = iota
 	// RewriteStall makes a worker stall mid-rewrite (slow/stuck worker).
 	RewriteStall
-	// RewriteTransient fails a rewrite attempt with ErrTransient.
-	RewriteTransient
 	// CacheCorrupt flips one bit in a freshly-inserted cache entry.
 	CacheCorrupt
 	// SpuriousFault raises an emulator fault that the instruction stream
@@ -66,7 +64,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"rewrite_panic", "rewrite_stall", "rewrite_transient", "cache_corrupt",
+	"rewrite_panic", "rewrite_stall", "cache_corrupt",
 	"spurious_fault", "migration_storm", "emu_loop",
 	"disk_torn_write", "disk_bit_flip", "disk_enospc",
 	"peer_timeout", "peer_error", "peer_corrupt",
@@ -91,8 +89,6 @@ func Kinds() []Kind {
 // Sentinel errors attached to injected failures so downstream layers can
 // tell injected chaos from organic faults.
 var (
-	// ErrTransient marks an injected failure that a retry may clear.
-	ErrTransient = errors.New("chaos: injected transient failure")
 	// ErrInjected marks an emulator fault that no instruction justified.
 	// The kernel treats such faults as spurious: it re-validates the
 	// faulting instruction and resumes instead of escalating to a signal.
@@ -116,19 +112,18 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Rates: map[Kind]float64{
-			RewritePanic:     0.05,
-			RewriteStall:     0.05,
-			RewriteTransient: 0.10,
-			CacheCorrupt:     0.05,
-			SpuriousFault:    0.05,
-			MigrationStorm:   0.02,
-			EmuLoop:          0.02,
-			DiskTornWrite:    0.05,
-			DiskBitFlip:      0.05,
-			DiskENOSPC:       0.05,
-			PeerTimeout:      0.05,
-			PeerError:        0.05,
-			PeerCorrupt:      0.05,
+			RewritePanic:   0.05,
+			RewriteStall:   0.05,
+			CacheCorrupt:   0.05,
+			SpuriousFault:  0.05,
+			MigrationStorm: 0.02,
+			EmuLoop:        0.02,
+			DiskTornWrite:  0.05,
+			DiskBitFlip:    0.05,
+			DiskENOSPC:     0.05,
+			PeerTimeout:    0.05,
+			PeerError:      0.05,
+			PeerCorrupt:    0.05,
 		},
 		Stall: 50 * time.Millisecond,
 	}

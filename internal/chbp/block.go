@@ -192,8 +192,6 @@ type exitEnv struct {
 	isSource func(addr uint64) bool
 	// enableShift enables exit-position shifting (§4.2, Fig. 8).
 	enableShift bool
-	// maxShift bounds how many instructions shifting may append.
-	maxShift int
 }
 
 // chooseExit selects the exit register for a region whose last original
@@ -215,7 +213,7 @@ func chooseExit(env *exitEnv, lastAddr, resume uint64) (riscv.Reg, uint64, []reg
 	// Shift the exit position forward, copying instructions into the block.
 	var extra []regionItem
 	addr := resume
-	for len(extra) < env.maxShift {
+	for len(extra) < maxShift {
 		in, ok := env.next(addr)
 		if !ok {
 			break

@@ -36,11 +36,6 @@ type Options struct {
 	// EmptyPatch replicates source instructions instead of translating them
 	// (the §6.2 evaluation methodology: overhead comes only from rewriting).
 	EmptyPatch bool
-	// MaxShift bounds exit-position shifting; 0 means the default (16).
-	MaxShift int
-	// MaxBatchGap bounds how many non-source instructions batching may copy
-	// between two sources; 0 means the default (10).
-	MaxBatchGap int
 	// Resolve runs the static indirect-target resolver (internal/resolve)
 	// first and rewrites the code it recovers: sites in recovered regions
 	// get their fault-table rows pre-materialized behind trap entries, so
@@ -48,6 +43,15 @@ type Options struct {
 	// fault (§4.3) are translated ahead of time.
 	Resolve bool
 }
+
+// Bounds of two CHBP optimizations: exit-position shifting appends at most
+// maxShift instructions to a region (§4.2, Fig. 8), and batching copies at
+// most maxBatchGap non-source instructions between two sources, and as
+// many into a batch's tail.
+const (
+	maxShift    = 16
+	maxBatchGap = 10
+)
 
 // Stats reports what the rewrite did — the Table 3 columns plus internals.
 // The JSON names are the service's wire names; internals the service does
@@ -98,8 +102,7 @@ type siteSeed struct {
 // or an image-dependent failure while analyzing or regenerating code.
 // Rejects are a clean, deterministic function of the input image — callers
 // (the service worker path, the evaluation matrix) treat them as "this
-// binary stays original", never as transient infrastructure faults worth a
-// retry or a circuit-breaker strike.
+// binary stays original".
 var ErrRewriteReject = errors.New("rewrite rejected")
 
 // Rewrite produces a rewritten binary for the target ISA (§3.4): step 1
@@ -132,12 +135,6 @@ func RewriteWith(img *obj.Image, opts Options, ts *resolve.TargetSet) (res *Resu
 }
 
 func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, error) {
-	if opts.MaxShift == 0 {
-		opts.MaxShift = 16
-	}
-	if opts.MaxBatchGap == 0 {
-		opts.MaxBatchGap = 10
-	}
 	stats := Stats{CodeSize: img.CodeSize()}
 	var d *dis.Result
 	var g *cfg.Graph
@@ -336,7 +333,6 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			return ok && isSource(in)
 		},
 		enableShift: !opts.DisableExitShift,
-		maxShift:    opts.MaxShift,
 	}
 	for _, site := range sites {
 		res, err := buildSiteBlock(site, img.GP, env, ctx, opts.EmptyPatch)
@@ -555,14 +551,14 @@ func computeBatches(d *dis.Result, sources []int, opts Options) []uint64 {
 	}
 	for i := 0; i < len(sources); {
 		j := i
-		for j+1 < len(sources) && gapRelocatable(d, selfEnd(sources[j]), d.Order[sources[j+1]], opts.MaxBatchGap) {
+		for j+1 < len(sources) && gapRelocatable(d, selfEnd(sources[j]), d.Order[sources[j+1]], maxBatchGap) {
 			j++
 		}
 		batchEnd := selfEnd(sources[j])
 		// Tail extension: copy the run up to (and including) the next
 		// control-flow instruction.
 		a, n := batchEnd, 0
-		for n < opts.MaxBatchGap {
+		for n < maxBatchGap {
 			in, ok := d.At(a)
 			if !ok {
 				break

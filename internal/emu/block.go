@@ -11,11 +11,11 @@ package emu
 // only ever contains instructions its core's ISA implements — and
 // dispatches the whole block from a 2-way set-associative cache keyed on
 // (pc, address space, mapping generation, spanned-frame patch generations,
-// core ISA, cost model). Block exits chain to their successor blocks, so a
-// steady-state hot loop runs block-to-block without touching the cache
-// index; indirect jumps chain through a small polymorphic inline cache
-// (picWays entries, MRU-ordered) instead of a single-entry slot, so
-// call-heavy code with rotating jalr/ret targets keeps chaining.
+// core ISA). Block exits chain to their successor blocks, so a steady-state
+// hot loop runs block-to-block without touching the cache index; indirect
+// jumps chain through a small polymorphic inline cache (picWays entries,
+// MRU-ordered) instead of a single-entry slot, so call-heavy code with
+// rotating jalr/ret targets keeps chaining.
 //
 // Blocks and traces are recycled through per-CPU free lists: eviction and
 // invalidation return the object (and its µop backing array) to the pool,
@@ -173,7 +173,6 @@ type block struct {
 	mapGen uint64
 	mem    *Memory
 	isa    riscv.Ext
-	cost   *CostModel
 	obs    uint8  // observer mask the µops were built under
 	covID  uint32 // stable coverage ID (covIDOf(pc)), computed at build
 	uops   []uop
@@ -249,12 +248,12 @@ const (
 )
 
 // blockValid reports whether b may run at pc on the CPU's current address
-// space, mapping generation, code-frame patch generations, ISA and cost
-// model. Note Pokes outside the block's own frames do not invalidate it,
-// and Pokes through *another* address space sharing a frame do.
+// space, mapping generation, code-frame patch generations and ISA. Note
+// Pokes outside the block's own frames do not invalidate it, and Pokes
+// through *another* address space sharing a frame do.
 func (c *CPU) blockValid(b *block, pc uint64) bool {
 	return b.pc == pc && b.mem == c.Mem && b.mapGen == c.Mem.mapGen &&
-		b.isa == c.ISA && b.cost == c.Cost && b.obs == c.obs &&
+		b.isa == c.ISA && b.obs == c.obs &&
 		b.pg0 != nil && b.pg0.gen == b.pgen0 &&
 		(b.pg1 == nil || b.pg1.gen == b.pgen1)
 }
@@ -366,8 +365,8 @@ func (c *CPU) decodeOne(pc uint64) (riscv.Inst, bool) {
 // targets, LUI/AUIPC results, both cycle charges, and the observer hook
 // flags the µop participates in under the obs mask. With obs == 0 the
 // result is bit-identical to an uninstrumented build.
-func makeUop(inst riscv.Inst, pc uint64, cost *CostModel, obs uint8) uop {
-	n, t := cost.Costs(inst)
+func makeUop(inst riscv.Inst, pc uint64, obs uint8) uop {
+	n, t := DefaultCost.Costs(inst)
 	u := uop{
 		op: inst.Op, rd: inst.Rd, rs1: inst.Rs1, rs2: inst.Rs2, rs3: inst.Rs3,
 		imm: inst.Imm, pc: pc, next: pc + uint64(inst.Len),
@@ -399,7 +398,7 @@ func makeUop(inst riscv.Inst, pc uint64, cost *CostModel, obs uint8) uop {
 // boundary, or maxBlockInsts.
 func (c *CPU) buildBlock(start uint64) *block {
 	b := c.newBlock()
-	b.pc, b.mapGen, b.mem, b.isa, b.cost = start, c.Mem.mapGen, c.Mem, c.ISA, c.Cost
+	b.pc, b.mapGen, b.mem, b.isa = start, c.Mem.mapGen, c.Mem, c.ISA
 	b.obs, b.covID = c.obs, covIDOf(start)
 	pc := start
 	for len(b.uops) < maxBlockInsts {
@@ -407,7 +406,7 @@ func (c *CPU) buildBlock(start uint64) *block {
 		if !ok || !c.ISA.Has(inst.Extension()) {
 			break
 		}
-		b.uops = append(b.uops, makeUop(inst, pc, c.Cost, c.obs))
+		b.uops = append(b.uops, makeUop(inst, pc, c.obs))
 		pc += uint64(inst.Len)
 		if inst.IsControl() {
 			break

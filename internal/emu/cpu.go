@@ -92,7 +92,6 @@ type CPU struct {
 	Mem *Memory
 	ISA riscv.Ext
 
-	Cost    *CostModel
 	Cycles  uint64
 	Instret uint64
 
@@ -190,10 +189,10 @@ type icacheEntry struct {
 	ok     bool
 }
 
-// NewCPU returns a hart with the default cost model and the trace tier
-// enabled at the default promotion threshold.
+// NewCPU returns a hart with the trace tier enabled at the default
+// promotion threshold. Every hart charges cycles by DefaultCost.
 func NewCPU(mem *Memory, isa riscv.Ext) *CPU {
-	return &CPU{Mem: mem, ISA: isa, Cost: &DefaultCost, TraceThreshold: DefaultTraceThreshold}
+	return &CPU{Mem: mem, ISA: isa, TraceThreshold: DefaultTraceThreshold}
 }
 
 // Reset prepares the hart to run an image: pc at the entry, sp at the stack
@@ -337,7 +336,7 @@ func (c *CPU) RunInterp(limit uint64) Stop {
 func (c *CPU) retire(inst riscv.Inst, nextPC uint64, taken bool) (Stop, bool) {
 	c.X[0] = 0
 	c.PC = nextPC
-	c.Cycles += c.Cost.Cost(inst, taken)
+	c.Cycles += DefaultCost.Cost(inst, taken)
 	c.Instret++
 	c.LastInst = inst
 	return Stop{}, false

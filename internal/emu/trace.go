@@ -23,10 +23,10 @@ package emu
 //
 // Validity rides the same machinery as blocks: a trace records every code
 // frame it was stitched from with that frame's patch generation, plus the
-// address-space mapping generation, ISA and cost model. Poke into any
-// spanned frame (through any address space sharing it), or any remap,
-// invalidates the trace at the next dispatch boundary; the entry block
-// then re-heats and the trace is rebuilt from fresh blocks.
+// address-space mapping generation and ISA. Poke into any spanned frame
+// (through any address space sharing it), or any remap, invalidates the
+// trace at the next dispatch boundary; the entry block then re-heats and
+// the trace is rebuilt from fresh blocks.
 
 import "github.com/eurosys26p57/chimera/internal/riscv"
 
@@ -43,7 +43,6 @@ type trace struct {
 	mapGen uint64
 	mem    *Memory
 	isa    riscv.Ext
-	cost   *CostModel
 	obs    uint8 // observer mask the stitched µops were built under
 	uops   []uop
 
@@ -77,10 +76,9 @@ type stitch struct {
 }
 
 // traceValid reports whether t may still run on the CPU's current address
-// space, mapping generation, spanned-frame patch generations, ISA and cost
-// model.
+// space, mapping generation, spanned-frame patch generations and ISA.
 func (c *CPU) traceValid(t *trace) bool {
-	if t.mem != c.Mem || t.mapGen != c.Mem.mapGen || t.isa != c.ISA || t.cost != c.Cost || t.obs != c.obs {
+	if t.mem != c.Mem || t.mapGen != c.Mem.mapGen || t.isa != c.ISA || t.obs != c.obs {
 		return false
 	}
 	for i, p := range t.pages {
@@ -136,7 +134,7 @@ func (t *trace) addFrame(p *Page, gen uint64) {
 // that ended it.
 func (c *CPU) buildTrace(entry *block) {
 	t := c.newTrace()
-	t.mapGen, t.mem, t.isa, t.cost = c.Mem.mapGen, entry.mem, entry.isa, entry.cost
+	t.mapGen, t.mem, t.isa = c.Mem.mapGen, entry.mem, entry.isa
 	t.obs = entry.obs
 	b := entry
 	nblocks := 0

@@ -10,7 +10,7 @@ import (
 // maxBatchItems bounds one POST /rewrite/batch request. The batch endpoint
 // exists to amortize HTTP round trips for bulk clients (a fleet manager
 // rewriting a package set), not to replace queue backpressure — items still
-// flow through the same pool, singleflight, and breaker as single requests.
+// flow through the same pool and singleflight as single requests.
 const maxBatchItems = 256
 
 // batchHTTPRequest is the POST /rewrite/batch JSON body.

@@ -206,20 +206,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleHealthz reports the ok/degraded/unhealthy machine. Degraded is
-// still 200: the server answers every request (some via the original-image
-// fallback), so load balancers must keep routing to it; the body tells
-// operators that rewriter configs are quarantined.
+// handleHealthz reports ok (200) or unhealthy (503, draining). A server
+// that degrades some rewrites to the original image is still ok: it
+// answers every request, so load balancers must keep routing to it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := s.Health()
 	status := http.StatusOK
 	if h == HealthUnhealthy {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
-		"status":              h,
-		"quarantined_configs": s.brk.active(time.Now()),
-	})
+	writeJSON(w, status, map[string]any{"status": h})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -27,13 +27,10 @@ type serviceMetrics struct {
 
 	// Fault accounting (FaultStats in /stats).
 	panics          *telemetry.Counter
-	retries         *telemetry.Counter
-	attemptFailures *telemetry.Counter
 	rewriteRejects  *telemetry.Counter
 	degradations    *telemetry.Counter
 	deadlineHits    *telemetry.Counter
 	budgetStops     *telemetry.Counter
-	breakerTrips    *telemetry.Counter
 	goroutinePanics *telemetry.CounterVec // {site}
 
 	// Peer-protocol endpoint (server side).
@@ -75,13 +72,10 @@ func newServiceMetrics() *serviceMetrics {
 		deduped:   r.Counter("chimera_requests_deduped_total", "requests that shared an in-flight identical rewrite"),
 
 		panics:          r.Counter("chimera_worker_panics_total", "rewrites that panicked on a worker and were isolated"),
-		retries:         r.Counter("chimera_rewrite_retries_total", "rewrite attempts re-submitted after a transient failure"),
-		attemptFailures: r.Counter("chimera_rewrite_attempt_failures_total", "individual failed rewrite attempts before retry accounting"),
 		rewriteRejects:  r.Counter("chimera_rewrite_rejects_total", "rewrites refused by the rewriter itself (typed ErrRewriteReject; deterministic per input, no retry, no breaker strike)"),
 		degradations:    r.Counter("chimera_degradations_total", "requests answered with the original image via graceful degradation"),
 		deadlineHits:    r.Counter("chimera_deadline_exceeded_total", "requests that hit their per-request deadline"),
 		budgetStops:     r.Counter("chimera_run_budget_stops_total", "runs ended by the hard instruction budget"),
-		breakerTrips:    r.Counter("chimera_breaker_trips_total", "circuit breaker openings (rewriter config quarantines)"),
 		goroutinePanics: r.CounterVec("chimera_goroutine_panics_total", "panics recovered on the server's own goroutines, by launch site", "site"),
 
 		peerServes:  r.Counter("chimera_peer_store_serves_total", "peer-protocol GETs served with an entry"),

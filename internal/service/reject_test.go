@@ -6,22 +6,21 @@ import (
 	"testing"
 )
 
-// TestRewriteRejectBypassesBreaker sends the same adversarial image (entry
+// TestRewriteRejectDegrades sends the same adversarial image (entry
 // overwritten with undecodable bytes, so Safer's regeneration cannot
-// relocate it) more times than the breaker's failure threshold. The typed
-// ErrRewriteReject path must degrade each request to the original image
-// WITHOUT retries, attempt-failure accounting, or breaker strikes: an
-// adversarial-input wave is not an infrastructure failure and must not
-// quarantine the config for well-formed binaries behind it.
-func TestRewriteRejectBypassesBreaker(t *testing.T) {
+// relocate it) several times. Each request runs the rewriter, which
+// refuses it with the typed ErrRewriteReject; each degrades to the original
+// image with the reject as its reason, and /stats counts every one as a
+// reject and a degradation, not as a worker panic.
+func TestRewriteRejectDegrades(t *testing.T) {
 	img := testImages(t, 1)[0]
 	if err := img.WriteAt(img.Entry, []byte{0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Workers: 2, QuarantineAfter: 3})
+	srv := New(Config{Workers: 2})
 	defer srv.Shutdown(context.Background())
 
-	const n = 8 // well past the breaker threshold
+	const n = 8
 	for i := 0; i < n; i++ {
 		res, err := srv.Rewrite(context.Background(),
 			&RewriteRequest{Method: "safer", Target: "rv64gc", Wire: wire(t, img)})
@@ -40,16 +39,11 @@ func TestRewriteRejectBypassesBreaker(t *testing.T) {
 	if fs.Rejects != n {
 		t.Errorf("rejects = %d, want %d", fs.Rejects, n)
 	}
-	if fs.Retries != 0 || fs.AttemptFailures != 0 {
-		t.Errorf("reject path leaked into retry accounting: retries=%d attempts=%d",
-			fs.Retries, fs.AttemptFailures)
-	}
-	if fs.QuarantineTrips != 0 || fs.QuarantinedConfigs != 0 {
-		t.Errorf("reject path tripped the breaker: trips=%d active=%d",
-			fs.QuarantineTrips, fs.QuarantinedConfigs)
-	}
 	if fs.Degradations != n {
 		t.Errorf("degradations = %d, want %d", fs.Degradations, n)
+	}
+	if fs.Panics != 0 {
+		t.Errorf("panics = %d, want 0: a reject is not a worker panic", fs.Panics)
 	}
 	if h := srv.Health(); h != HealthOK {
 		t.Errorf("health = %q after rejects, want %q", h, HealthOK)

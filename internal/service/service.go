@@ -72,29 +72,15 @@ type Config struct {
 	// PeerTimeout bounds each peer store call (default 2s). A peer slower
 	// than this is worth less than rewriting locally.
 	PeerTimeout time.Duration
-	// RequestTimeout bounds each request end-to-end — queue wait, retries,
-	// backoff, execution (default 2 minutes; negative disables). A /rewrite
-	// that exceeds it is answered via degradation; a /run gets 504.
+	// RequestTimeout bounds each request end-to-end — queue wait and
+	// execution (default 2 minutes; negative disables). A /rewrite that
+	// exceeds it is answered via degradation; a /run gets 504.
 	RequestTimeout time.Duration
-	// MaxRetries is how many times a failed rewrite attempt is re-submitted
-	// with exponential backoff before the request degrades (default 2;
-	// negative means no retries).
-	MaxRetries int
-	// RetryBackoff is the base delay before the first retry (default 10ms);
-	// each further retry doubles it, capped at 1s, plus jitter.
-	RetryBackoff time.Duration
-	// QuarantineAfter opens a rewriter config's circuit breaker after this
-	// many consecutive failed requests (default 3; negative disables
-	// quarantine entirely).
-	QuarantineAfter int
-	// QuarantineFor is how long an open breaker quarantines its config
-	// before the half-open probe (default 30s).
-	QuarantineFor time.Duration
 	// RunMaxInstret is the hard per-/run instruction budget — the watchdog
 	// against unbounded guest loops (default 2e9; negative disables).
 	RunMaxInstret int64
 	// Chaos, when non-nil, injects faults throughout the stack (rewriter
-	// panics/stalls/transients, cache bit-flips, unbounded emulations,
+	// panics and stalls, cache bit-flips, unbounded emulations,
 	// spurious emulator faults). Tests and soaks only; nil in production.
 	Chaos *chaos.Injector
 	// TraceCapacity bounds the request-trace ring buffer (default 256;
@@ -132,21 +118,6 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 2 * time.Minute
 	case c.RequestTimeout < 0:
 		c.RequestTimeout = 0
-	}
-	switch {
-	case c.MaxRetries == 0:
-		c.MaxRetries = 2
-	case c.MaxRetries < 0:
-		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 3
-	}
-	if c.QuarantineFor <= 0 {
-		c.QuarantineFor = 30 * time.Second
 	}
 	switch {
 	case c.RunMaxInstret == 0:
@@ -204,10 +175,10 @@ type RewriteResult struct {
 	// PeerHit marks a miss that was answered by the key's shard owner over
 	// the cluster peer protocol instead of a local rewrite.
 	PeerHit bool `json:"peer_hit,omitempty"`
-	// Degraded marks a graceful-degradation answer: the rewrite failed (or
-	// its config is quarantined) and ImageBytes is the ORIGINAL image,
-	// unmodified — the paper's fallback of running the untouched binary on a
-	// core implementing its own ISA (§4.3). DegradedReason says why.
+	// Degraded marks a graceful-degradation answer: the rewrite failed and
+	// ImageBytes is the ORIGINAL image, unmodified — the paper's fallback of
+	// running the untouched binary on a core implementing its own ISA
+	// (§4.3). DegradedReason says why.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
@@ -277,7 +248,6 @@ type Server struct {
 	offers sync.WaitGroup
 
 	flight flightGroup
-	brk    *breakers
 
 	// tel is the single source of truth for every request counter and
 	// latency distribution the server owns: /metrics renders it directly
@@ -376,13 +346,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = telemetry.NewTracer(cfg.TraceCapacity)
 	}
-	after := cfg.QuarantineAfter
-	if after < 0 {
-		// Quarantine disabled: an unreachable threshold keeps every breaker
-		// closed without special-casing call sites.
-		after = int(^uint(0) >> 1)
-	}
-	s.brk = newBreakers(after, cfg.QuarantineFor, tel.breakerTrips)
 	if cfg.MaxCampaigns > 0 {
 		s.fuzz = newFuzzManager(cfg.MaxCampaigns)
 	}
@@ -402,8 +365,6 @@ func NewServer(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.cfg.QueueDepth) })
 	r.GaugeFunc("chimera_requests_running", "jobs currently executing on a worker",
 		func() float64 { return float64(s.running.Load()) })
-	r.GaugeFunc("chimera_quarantined_configs", "rewriter configs with an open circuit breaker",
-		func() float64 { return float64(s.brk.active(time.Now())) })
 	if s.fuzz != nil {
 		r.GaugeFunc("chimera_fuzz_campaigns_active", "fuzzing campaigns currently running",
 			func() float64 { return float64(s.fuzz.activeCount()) })
@@ -597,12 +558,13 @@ func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
 	}, nil
 }
 
-// Rewrite serves one rewrite request: cache lookup, then singleflight, then
-// the worker pool with retries and a per-config circuit breaker. A rewrite
-// failure is never fatal (the paper's core invariant): quarantined configs,
-// exhausted retries, panics, and deadlines all degrade to the original
-// image. The returned result is a per-request copy; its ImageBytes are
-// shared and must be treated as read-only.
+// Rewrite serves one rewrite request: cache lookup, then singleflight,
+// then a peer fetch, then one attempt on the worker pool. A rewrite failure
+// is never fatal (the paper's core invariant): rejects, panics and
+// deadlines all degrade to the original image, which is never cached, so
+// the next identical request is the retry. The returned result is a
+// per-request copy; its ImageBytes are shared and must be treated as
+// read-only.
 func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResult, error) {
 	startAt := time.Now()
 	tr := telemetry.TraceFrom(ctx)
@@ -654,24 +616,23 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		}
 	}
 
-	cfgKey := req.Method + "/" + cfg.Target.String()
 	flightSpan := tr.Span("singleflight")
 	flightStart := time.Now()
-	val, err, shared := s.flight.do(ctx, key, func() (*RewriteResult, error) {
-		// The whole miss path lives INSIDE the flight leader so followers
-		// share the final outcome: one peer fetch, one breaker verdict, one
-		// retry loop — never a per-follower storm.
-		if res, ok := s.peerFetch(ctx, key); ok {
+	val, err, shared := s.flight.do(ctx, key, s.spawn, func() (*RewriteResult, error) {
+		// The whole miss path lives INSIDE the flight so every caller
+		// shares its outcome: one peer fetch, one rewrite. It runs on a
+		// context that outlives the first caller's client but keeps its
+		// request deadline, so a caller that hangs up fails no other.
+		fctx := context.WithoutCancel(ctx)
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			fctx, cancel = context.WithDeadline(fctx, startAt.Add(s.cfg.RequestTimeout))
+			defer cancel()
+		}
+		if res, ok := s.peerFetch(fctx, key); ok {
 			return res, nil
 		}
-		brkSpan := telemetry.TraceFrom(ctx).Span("breaker_check")
-		quarantined := s.brk.quarantined(cfgKey, time.Now())
-		brkSpan.Annotate("quarantined", fmt.Sprint(quarantined))
-		brkSpan.End()
-		if quarantined {
-			return nil, fmt.Errorf("%w: %s", ErrQuarantined, cfgKey)
-		}
-		return s.rewriteWithRetries(ctx, img, cfg, key, cfgKey)
+		return s.rewriteOnce(fctx, img, cfg, key)
 	})
 	if shared {
 		s.tel.deduped.Inc()
@@ -683,20 +644,20 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	flightSpan.End()
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrBadRequest), errors.Is(err, ErrShuttingDown):
+		case errors.Is(err, ErrShuttingDown), errors.Is(ctx.Err(), context.Canceled):
+			// Shutdown, or this caller is gone and nobody is listening for a
+			// degraded answer.
 			s.tel.requestErrors.With("rewrite").Inc()
 			return nil, err
-		case errors.Is(err, context.Canceled) && ctx.Err() != nil:
-			// This caller is gone; nobody is listening for a degraded answer.
-			s.tel.requestErrors.With("rewrite").Inc()
-			return nil, err
-		default:
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.tel.deadlineHits.Inc()
-				err = fmt.Errorf("%w: %v", ErrDeadline, err)
-			}
-			return s.degrade(ctx, req.Method, img, key, cfg.Target, startAt, err)
+		case errors.Is(err, context.DeadlineExceeded):
+			s.tel.deadlineHits.Inc()
+			err = fmt.Errorf("%w: %v", ErrDeadline, err)
 		}
+		res, err := s.degrade(ctx, req.Method, img, key, cfg.Target, startAt, err)
+		if res != nil {
+			res.Deduped = shared
+		}
+		return res, err
 	}
 	s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
 	s.tel.methodSeconds.With(req.Method).Observe(time.Since(startAt).Seconds())
@@ -705,69 +666,37 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	return &out, nil
 }
 
-// rewriteWithRetries is the singleflight leader body: submit the rewrite to
-// the pool, retrying transient failures with exponential backoff + jitter,
-// and feed the config's circuit breaker with the request outcome.
-func (s *Server) rewriteWithRetries(ctx context.Context, img *obj.Image, cfg rewriters.Config, key, cfgKey string) (*RewriteResult, error) {
+// rewriteOnce is the singleflight leader's rewrite: one attempt on the
+// pool, stored and offered to the key's owner on success. Rewriter rejects
+// are counted here; every failure is the caller's to degrade.
+func (s *Server) rewriteOnce(ctx context.Context, img *obj.Image, cfg rewriters.Config, key string) (*RewriteResult, error) {
 	tr := telemetry.TraceFrom(ctx)
-	attempts := s.cfg.MaxRetries + 1
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		asp := tr.Span("rewrite_attempt")
-		asp.Annotate("attempt", fmt.Sprint(attempt))
-		v, err := s.submit(ctx, func() (any, error) {
-			return s.doRewriteChaos(ctx, img, cfg, key)
-		})
-		if err == nil {
-			asp.End()
-			res := v.(*RewriteResult)
-			storeSpan := tr.Span("cache_store")
-			s.storeAdd(key, res)
-			storeSpan.End()
-			s.offerToOwner(res)
-			s.brk.success(cfgKey)
-			return res, nil
-		}
+	asp := tr.Span("rewrite_attempt")
+	v, err := s.submit(ctx, func() (any, error) {
+		return s.doRewriteChaos(ctx, img, cfg, key)
+	})
+	if err != nil {
 		asp.Annotate("error", err.Error())
 		asp.End()
-		lastErr = err
-		if !retryable(err) {
-			// Caller mistakes, shutdown, context expiry, and typed rewriter
-			// rejects are not the config's fault; they neither retry nor
-			// count toward quarantine. Rejects are tallied separately so an
-			// adversarial-input wave is distinguishable from an
-			// infrastructure failure wave on /stats.
-			if errors.Is(err, rewriters.ErrRewriteReject) {
-				s.tel.rewriteRejects.Inc()
-				tr.Annotate("rewrite_rejected", err.Error())
-			}
-			return nil, err
+		if errors.Is(err, rewriters.ErrRewriteReject) {
+			s.tel.rewriteRejects.Inc()
+			tr.Annotate("rewrite_rejected", err.Error())
 		}
-		s.tel.attemptFailures.Inc()
-		if attempt < attempts {
-			s.tel.retries.Inc()
-			bsp := tr.Span("backoff")
-			t := time.NewTimer(backoff(s.cfg.RetryBackoff, attempt))
-			select {
-			case <-t.C:
-				bsp.End()
-			case <-ctx.Done():
-				t.Stop()
-				bsp.End()
-				return nil, ctx.Err()
-			}
-		}
+		return nil, err
 	}
-	if s.brk.failure(cfgKey, time.Now()) {
-		tr.Annotate("breaker_tripped", cfgKey)
-	}
-	return nil, fmt.Errorf("service: rewrite failed after %d attempts: %w", attempts, lastErr)
+	asp.End()
+	res := v.(*RewriteResult)
+	storeSpan := tr.Span("cache_store")
+	s.storeAdd(key, res)
+	storeSpan.End()
+	s.offerToOwner(res)
+	return res, nil
 }
 
 // doRewriteChaos interposes the chaos injector between the pool and the
 // rewriter: stalls hold the worker for real (bounded only by the request
-// context), panics unwind through the worker's recover, and transients
-// exercise the retry path. With a nil injector every roll is false.
+// context) and panics unwind through the worker's recover. With a nil
+// injector every roll is false.
 func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewriters.Config, key string) (any, error) {
 	inj := s.cfg.Chaos
 	if inj.Roll(chaos.RewriteStall) {
@@ -777,9 +706,6 @@ func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewrite
 	}
 	if inj.Roll(chaos.RewritePanic) {
 		panic(chaos.PanicValue)
-	}
-	if inj.Roll(chaos.RewriteTransient) {
-		return nil, chaos.ErrTransient
 	}
 	start := time.Now()
 	v, err := doRewrite(img, cfg, key)
@@ -792,12 +718,11 @@ func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewrite
 	return v, err
 }
 
-// degrade answers a failed or quarantined rewrite with the ORIGINAL image,
-// byte-for-byte: the paper's fallback semantics (§4.3) are that when no
-// rewrite is available the unmodified binary still runs, on a core
-// implementing its own ISA — slower, never wrong. Degraded results carry
-// the cause and are never cached, so the next identical request retries
-// the real rewrite (or hits the breaker, which heals by cooldown).
+// degrade answers a failed rewrite with the ORIGINAL image, byte-for-byte:
+// the paper's fallback semantics (§4.3) are that when no rewrite is
+// available the unmodified binary still runs, on a core implementing its
+// own ISA — slower, never wrong. Degraded results carry the cause and are
+// never cached, so the next identical request retries the real rewrite.
 func (s *Server) degrade(ctx context.Context, method string, img *obj.Image, key string, isa riscv.Ext, startAt time.Time, cause error) (*RewriteResult, error) {
 	tr := telemetry.TraceFrom(ctx)
 	dsp := tr.Span("degrade")
@@ -1228,17 +1153,13 @@ func (r *ResolveStats) add(st *RewriteStats) {
 }
 
 // Health returns the server's health state: unhealthy while draining or
-// shut down, degraded while at least one rewriter config is quarantined,
-// ok otherwise.
+// shut down, ok otherwise.
 func (s *Server) Health() string {
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return HealthUnhealthy
-	}
-	if s.brk.active(time.Now()) > 0 {
-		return HealthDegraded
 	}
 	return HealthOK
 }
@@ -1265,16 +1186,12 @@ func (s *Server) Stats() Stats {
 	es.TraceSideExitRate = es.Blocks.SideExitRate()
 	es.PICHitRatio = es.Blocks.PICHitRatio()
 	fs := FaultStats{
-		Panics:             m.panics.Value(),
-		Retries:            m.retries.Value(),
-		AttemptFailures:    m.attemptFailures.Value(),
-		QuarantineTrips:    s.brk.tripCount(),
-		QuarantinedConfigs: s.brk.active(time.Now()),
-		Rejects:            m.rewriteRejects.Value(),
-		Degradations:       m.degradations.Value(),
-		DeadlineExceeded:   m.deadlineHits.Value(),
-		BudgetStops:        m.budgetStops.Value(),
-		CacheCorruptions:   cs.CorruptEvictions,
+		Panics:           m.panics.Value(),
+		Rejects:          m.rewriteRejects.Value(),
+		Degradations:     m.degradations.Value(),
+		DeadlineExceeded: m.deadlineHits.Value(),
+		BudgetStops:      m.budgetStops.Value(),
+		CacheCorruptions: cs.CorruptEvictions,
 	}
 	if v := s.lastPanic.Load(); v != nil {
 		fs.LastPanic = v.(string)

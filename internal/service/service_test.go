@@ -15,6 +15,7 @@ import (
 
 	"github.com/eurosys26p57/chimera/internal/asm"
 	"github.com/eurosys26p57/chimera/internal/bench"
+	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
@@ -198,6 +199,88 @@ func TestServiceSingleflight(t *testing.T) {
 	if st.Deduped+st.Cache.Hits == 0 {
 		t.Error("no request was deduplicated or served from cache")
 	}
+}
+
+// TestFollowerOutlivesLeaderClient checks that a singleflight leader whose
+// client hangs up fails none of the followers sharing its rewrite: the
+// flight runs on under the request deadline, the follower gets the real
+// rewrite, marked deduped, and the result is cached. When the shared
+// rewrite itself fails, the follower's degraded answer is marked deduped
+// too.
+func TestFollowerOutlivesLeaderClient(t *testing.T) {
+	img := testImages(t, 1)[0]
+	req := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}
+	// share starts a leader, joins a follower to its flight while the only
+	// worker stalls, hangs up the leader's client and returns the
+	// follower's answer once both requests have returned.
+	share := func(t *testing.T, srv *Server) *RewriteResult {
+		leaderCtx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		leaderDone := make(chan struct{})
+		go func() {
+			defer close(leaderDone)
+			srv.Rewrite(leaderCtx, req)
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Stats().Running == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("leader never started running")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var res *RewriteResult
+		var err error
+		followerDone := make(chan struct{})
+		go func() {
+			defer close(followerDone)
+			res, err = srv.Rewrite(context.Background(), req)
+		}()
+		// Hang up once the follower has joined. The outcome does not hang on
+		// this wait: a follower arriving after the hang-up still joins the
+		// flight, which stays registered for the whole stall.
+		time.Sleep(100 * time.Millisecond)
+		cancel()
+		<-followerDone
+		<-leaderDone
+		if err != nil {
+			t.Fatalf("follower: %v", err)
+		}
+		return res
+	}
+
+	t.Run("rewrite", func(t *testing.T) {
+		srv := New(Config{Workers: 1, Chaos: chaosCfg(500*time.Millisecond, chaos.RewriteStall)})
+		defer srv.Shutdown(context.Background())
+		res := share(t, srv)
+		if res.Degraded {
+			t.Fatalf("follower degraded by its leader's hang-up: %q", res.DegradedReason)
+		}
+		if !res.Deduped {
+			t.Error("follower answer not marked deduped")
+		}
+		again, err := srv.Rewrite(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit || !bytes.Equal(again.ImageBytes, res.ImageBytes) {
+			t.Errorf("the shared rewrite was not cached (hit=%t)", again.CacheHit)
+		}
+	})
+
+	t.Run("degraded", func(t *testing.T) {
+		srv := New(Config{Workers: 1, Chaos: chaosCfg(500*time.Millisecond, chaos.RewriteStall, chaos.RewritePanic)})
+		defer srv.Shutdown(context.Background())
+		res := share(t, srv)
+		if !res.Degraded || !strings.Contains(res.DegradedReason, "panic") {
+			t.Fatalf("follower answer degraded=%t (%q), want degradation by the shared panic", res.Degraded, res.DegradedReason)
+		}
+		if !bytes.Equal(res.ImageBytes, req.Wire) {
+			t.Error("degraded bytes are not the original image")
+		}
+		if !res.Deduped {
+			t.Error("follower's degraded answer not marked deduped")
+		}
+	})
 }
 
 // TestIgnoredOptionsShareCacheKey checks that options a method ignores do

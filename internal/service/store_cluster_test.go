@@ -293,21 +293,19 @@ func TestChaosSoakCluster(t *testing.T) {
 	const peerTimeout = 150 * time.Millisecond
 	servers, urls := startCluster(t, 3, func(i int) Config {
 		return Config{
-			Workers:      2,
-			StoreDir:     t.TempDir(),
-			PeerTimeout:  peerTimeout,
-			MaxRetries:   2,
-			RetryBackoff: time.Millisecond,
+			Workers:     2,
+			StoreDir:    t.TempDir(),
+			PeerTimeout: peerTimeout,
 			Chaos: chaos.New(20260808+int64(i), chaos.Config{
 				Rates: map[chaos.Kind]float64{
-					chaos.DiskTornWrite:    0.20,
-					chaos.DiskBitFlip:      0.20,
-					chaos.DiskENOSPC:       0.10,
-					chaos.PeerTimeout:      0.05,
-					chaos.PeerError:        0.20,
-					chaos.PeerCorrupt:      0.20,
-					chaos.CacheCorrupt:     0.25,
-					chaos.RewriteTransient: 0.10,
+					chaos.DiskTornWrite: 0.20,
+					chaos.DiskBitFlip:   0.20,
+					chaos.DiskENOSPC:    0.10,
+					chaos.PeerTimeout:   0.05,
+					chaos.PeerError:     0.20,
+					chaos.PeerCorrupt:   0.20,
+					chaos.CacheCorrupt:  0.25,
+					chaos.RewritePanic:  0.10,
 				},
 			}),
 		}

@@ -418,6 +418,19 @@ func TestStatsCacheKeys(t *testing.T) {
 	}
 }
 
+// TestStatsFaultKeys pins the /stats faults block's JSON keys and their
+// order. The omitempty last_panic key is absent on a server that has
+// isolated no panic.
+func TestStatsFaultKeys(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	keys := jsonKeys(t, srv.Stats().Faults)
+	want := []string{"panics", "rejects", "degradations", "deadline_exceeded", "budget_stops", "cache_corruptions"}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Errorf("/stats faults keys %v, want %v", keys, want)
+	}
+}
+
 // TestStatsTotalsKeys pins the JSON keys and their order of the /stats
 // blocks copied from the server's totals: emulator, resolve and fuzz.
 func TestStatsTotalsKeys(t *testing.T) {
@@ -518,9 +531,9 @@ func TestMetricsCatalogueStable(t *testing.T) {
 
 // TestTraceEndpoint checks request tracing end to end over HTTP: a traced
 // /rewrite answers with an X-Chimera-Trace id whose /trace/{id} JSON shows
-// the full pipeline (cache lookup, breaker check, singleflight, queue wait,
-// rewrite attempt), and a second identical request's trace records the
-// cache hit instead.
+// the full pipeline (cache lookup, singleflight, queue wait, one rewrite
+// attempt, cache store), and a second identical request's trace records
+// the cache hit instead.
 func TestTraceEndpoint(t *testing.T) {
 	img := testImages(t, 1)[0]
 	srv := New(Config{Workers: 1})
@@ -572,13 +585,18 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("trace attrs %v, want method/target recorded", cold.Attrs)
 	}
 	spans := make(map[string]telemetry.SpanJSON, len(cold.Spans))
+	count := make(map[string]int, len(cold.Spans))
 	for _, sp := range cold.Spans {
 		spans[sp.Name] = sp
+		count[sp.Name]++
 	}
-	for _, want := range []string{"decode", "cache_lookup", "breaker_check", "singleflight", "queue_wait", "rewrite_attempt", "cache_store", "encode"} {
+	for _, want := range []string{"decode", "cache_lookup", "singleflight", "queue_wait", "rewrite_attempt", "cache_store", "encode"} {
 		if _, ok := spans[want]; !ok {
 			t.Errorf("cold rewrite trace missing span %q (got %v)", want, cold.Spans)
 		}
+	}
+	if count["rewrite_attempt"] != 1 {
+		t.Errorf("cold rewrite trace has %d rewrite_attempt spans, want 1", count["rewrite_attempt"])
 	}
 	if spans["cache_lookup"].Attrs["hit"] != "false" {
 		t.Errorf("cold lookup span attrs %v, want hit=false", spans["cache_lookup"].Attrs)
@@ -686,7 +704,7 @@ func TestChaosMetricsExact(t *testing.T) {
 	t.Run("worker_panics", func(t *testing.T) {
 		images := testImages(t, 3)
 		inj := chaosCfg(0, chaos.RewritePanic)
-		srv := New(Config{Workers: 1, MaxRetries: -1, Chaos: inj})
+		srv := New(Config{Workers: 1, Chaos: inj})
 		defer srv.Shutdown(context.Background())
 		for _, img := range images {
 			if _, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}); err != nil {

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, build (this module and benchmark/), the
-# full test suite under the race detector, the warm-loop and process-reset
-# alloc gates, the nil-hook instrumentation and guest profiler overhead
-# gates, the coverage-guided campaign smoke, and short native-fuzz smokes
-# over the differential oracles, the image and fault-table parsers, the
-# dense disassembler's reference and the service's one-pass body decoder
-# against encoding/json.
+# benchmark module's tests, the full test suite under the race detector,
+# the warm-loop and process-reset alloc gates, the nil-hook instrumentation
+# and guest profiler overhead gates, the coverage-guided campaign smoke,
+# and short native-fuzz smokes over the differential oracles, the image
+# and fault-table parsers, the dense disassembler's reference and the
+# service's one-pass body decoder against encoding/json.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -22,11 +22,12 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 # benchmark/ is its own module (it imports this one through a replace), so
-# the commands above never compile it; build it offline as benchmark/run.sh
-# does, so an API change it depends on fails here, not at benchmark time.
-echo "== benchmark module: go vet ./... && go build ./..."
+# the commands above never compile it; build and test it offline as
+# benchmark/run.sh does, so an API change it depends on fails here, not at
+# benchmark time. Its TestSmoke runs every workload, traced and untraced.
+echo "== benchmark module: go vet ./... && go build ./... && go test ./..."
 (cd benchmark && export GOFLAGS= GOPROXY=off GOWORK=off GOTOOLCHAIN=local &&
-    go vet ./... && go build ./...)
+    go vet ./... && go build ./... && go test ./...)
 echo "== layering gate (dependencies point downward)"
 # forbid PKG DEP: fail if PKG transitively imports DEP (non-test imports).
 mod=$(go list -m)

@@ -8,23 +8,19 @@
 //	chimera-served -addr :8080 -workers 8 -cache-mb 256 \
 //	    -request-timeout 2m
 //
-// Persistence and clustering:
+// Persistence:
 //
-//	chimera-served -addr :8080 -store-dir /var/lib/chimera \
-//	    -self http://10.0.0.1:8080 \
-//	    -peers http://10.0.0.2:8080,http://10.0.0.3:8080
+//	chimera-served -addr :8080 -store-dir /var/lib/chimera
 //
-// -store-dir mounts a persistent disk tier under the memory cache (warm
-// restarts); -self/-peers shard the store across nodes by consistent
-// hashing — a miss consults the key's shard owner before rewriting, and a
-// dead peer only costs extra rewrites, never errors.
+// -store-dir mounts a persistent disk tier under the memory cache, so a
+// restarted server answers earlier rewrites from disk instead of redoing
+// them.
 //
 // Endpoints: POST /rewrite, POST /rewrite/batch, POST /run, POST /fuzz
 // (coverage-guided fuzzing campaigns; GET /fuzz/{id} and /fuzz/{id}/corpus
 // for status and corpus), GET /healthz, GET /stats, GET /metrics
-// (Prometheus), GET /trace/{id}, GET /profile, GET/PUT /peer/store/{id}
-// (the cluster peer protocol). -fuzz-campaigns caps concurrent campaigns
-// (negative disables the fuzz endpoints entirely).
+// (Prometheus), GET /trace/{id}, GET /profile. -fuzz-campaigns caps
+// concurrent campaigns (negative disables the fuzz endpoints entirely).
 //
 // Observability: every response to a traced endpoint carries an
 // X-Chimera-Trace header naming its /trace/{id} record; -debug-addr
@@ -47,7 +43,6 @@ import (
 	_ "net/http/pprof" // registered on http.DefaultServeMux, served only via -debug-addr
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,9 +57,6 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 256, "memory-tier rewrite cache budget in MiB")
 	storeDir := flag.String("store-dir", "", "persistent disk store directory (empty = memory-only)")
 	diskCacheMB := flag.Int64("disk-cache-mb", 1024, "disk-tier store budget in MiB (with -store-dir)")
-	self := flag.String("self", "", "this node's advertised base URL for clustering, e.g. http://10.0.0.1:8080")
-	peers := flag.String("peers", "", "comma-separated peer base URLs for sharded cluster serving")
-	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-peer-call timeout")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline (0 = library default, negative = off)")
 	runBudget := flag.Int64("run-max-instret", 0, "per-/run instruction budget (0 = default 2e9, negative = off)")
@@ -81,23 +73,11 @@ func main() {
 		CacheBytes:     *cacheMB << 20,
 		StoreDir:       *storeDir,
 		DiskCacheBytes: *diskCacheMB << 20,
-		ClusterSelf:    *self,
-		PeerTimeout:    *peerTimeout,
 		RequestTimeout: *reqTimeout,
 		RunMaxInstret:  *runBudget,
 		TraceCapacity:  *traceCap,
 		GuestProfile:   *guestProfile,
 		MaxCampaigns:   *fuzzCampaigns,
-	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.ClusterPeers = append(cfg.ClusterPeers, p)
-			}
-		}
-		if cfg.ClusterSelf == "" {
-			fatal(fmt.Errorf("-peers requires -self (this node's advertised URL)"))
-		}
 	}
 	if *chaosSeed != 0 {
 		cfg.Chaos = chaos.Default(*chaosSeed)
@@ -109,9 +89,6 @@ func main() {
 	}
 	if *storeDir != "" {
 		fmt.Fprintf(os.Stderr, "chimera-served: disk store at %s (%d MiB budget)\n", *storeDir, *diskCacheMB)
-	}
-	if len(cfg.ClusterPeers) > 0 {
-		fmt.Fprintf(os.Stderr, "chimera-served: cluster self=%s peers=%v\n", cfg.ClusterSelf, cfg.ClusterPeers)
 	}
 	hs := srv.HTTPServer(*addr)
 

@@ -52,14 +52,6 @@ const (
 	// DiskENOSPC fails a disk-store write as if the volume were full; the
 	// memory tier must keep serving the entry.
 	DiskENOSPC
-	// PeerTimeout stalls a peer-protocol response past the client's
-	// deadline, so the requester must fall back to rewriting locally.
-	PeerTimeout
-	// PeerError answers a peer-protocol request with HTTP 500.
-	PeerError
-	// PeerCorrupt flips one bit in a peer-protocol response body; the
-	// requester's checksum verification must reject it.
-	PeerCorrupt
 	numKinds
 )
 
@@ -67,7 +59,6 @@ var kindNames = [numKinds]string{
 	"rewrite_panic", "rewrite_stall", "cache_corrupt",
 	"spurious_fault", "migration_storm", "emu_loop",
 	"disk_torn_write", "disk_bit_flip", "disk_enospc",
-	"peer_timeout", "peer_error", "peer_corrupt",
 }
 
 func (k Kind) String() string {
@@ -121,9 +112,6 @@ func DefaultConfig() Config {
 			DiskTornWrite:  0.05,
 			DiskBitFlip:    0.05,
 			DiskENOSPC:     0.05,
-			PeerTimeout:    0.05,
-			PeerError:      0.05,
-			PeerCorrupt:    0.05,
 		},
 		Stall: 50 * time.Millisecond,
 	}
@@ -143,8 +131,8 @@ type Injector struct {
 	rates [numKinds]float64
 	stall time.Duration
 
-	fired [numKinds]atomic.Uint64
-	rolls atomic.Uint64
+	fired  [numKinds]atomic.Uint64
+	rolled [numKinds]atomic.Uint64
 }
 
 // New builds an injector from a seed and a config. Rates outside [0, 1]
@@ -178,13 +166,14 @@ func (in *Injector) Seed() int64 {
 	return in.seed
 }
 
-// Roll decides whether a fault of kind k fires at this site, counting it
-// when it does. Nil-safe: a nil injector never fires.
+// Roll decides whether a fault of kind k fires at this site, counting the
+// roll and, when it fires, the fault. Nil-safe: a nil injector never
+// fires. A kind with rate 0 is not rolled.
 func (in *Injector) Roll(k Kind) bool {
 	if in == nil || k >= numKinds || in.rates[k] == 0 {
 		return false
 	}
-	in.rolls.Add(1)
+	in.rolled[k].Add(1)
 	in.mu.Lock()
 	hit := in.rng.Float64() < in.rates[k]
 	in.mu.Unlock()
@@ -230,6 +219,15 @@ func (in *Injector) Fired(k Kind) uint64 {
 		return 0
 	}
 	return in.fired[k].Load()
+}
+
+// Rolled reports how many times a site asked whether a fault of kind k
+// should fire: the number of chances it had, fired or not.
+func (in *Injector) Rolled(k Kind) uint64 {
+	if in == nil || k >= numKinds {
+		return 0
+	}
+	return in.rolled[k].Load()
 }
 
 // Counts snapshots every kind's fired tally, keyed by kind name. Nil

@@ -46,7 +46,7 @@ func TestNilInjector(t *testing.T) {
 		if in.Roll(k) {
 			t.Fatalf("nil injector fired %v", k)
 		}
-		if in.Fired(k) != 0 {
+		if in.Fired(k) != 0 || in.Rolled(k) != 0 {
 			t.Fatalf("nil injector counted %v", k)
 		}
 	}
@@ -59,7 +59,8 @@ func TestNilInjector(t *testing.T) {
 }
 
 // TestRatesAndCounts: a rate-0 kind never fires, a rate-1 kind always
-// fires, and counts account for exactly the fired decisions.
+// fires, counts account for exactly the fired decisions, and rolls count
+// every decision of a kind with a rate, fired or not.
 func TestRatesAndCounts(t *testing.T) {
 	in := New(7, Config{Rates: map[Kind]float64{
 		RewritePanic:  1.0,
@@ -85,6 +86,19 @@ func TestRatesAndCounts(t *testing.T) {
 	}
 	if in.TotalFired() != 100 {
 		t.Errorf("total = %d, want 100", in.TotalFired())
+	}
+	if got := in.Rolled(RewritePanic); got != 100 {
+		t.Errorf("rolled(RewritePanic) = %d, want 100", got)
+	}
+	if got := in.Rolled(SpuriousFault) + in.Rolled(EmuLoop); got != 0 {
+		t.Errorf("rate-0 kinds rolled %d times, want 0", got)
+	}
+	half := New(7, Config{Rates: map[Kind]float64{CacheCorrupt: 0.5}})
+	for i := 0; i < 1000; i++ {
+		half.Roll(CacheCorrupt)
+	}
+	if r, f := half.Rolled(CacheCorrupt), half.Fired(CacheCorrupt); r != 1000 || f == 0 || f == r {
+		t.Errorf("rate 0.5 over 1000 rolls: rolled %d, fired %d", r, f)
 	}
 }
 
@@ -128,5 +142,8 @@ func TestConcurrentRolls(t *testing.T) {
 	}
 	if got := in.Fired(CacheCorrupt); got != goroutines*per {
 		t.Errorf("lost counts: %d fired, want %d", got, goroutines*per)
+	}
+	if got := in.Rolled(CacheCorrupt); got != goroutines*per {
+		t.Errorf("lost rolls: %d rolled, want %d", got, goroutines*per)
 	}
 }

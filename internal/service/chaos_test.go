@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -330,15 +331,7 @@ func TestChaosSoak(t *testing.T) {
 	if os.Getenv("CHIMERA_CHAOS_SOAK") != "" {
 		n = 1000
 	}
-	seed := int64(20260806)
-	switch sv := os.Getenv("CHIMERA_SOAK_SEED"); {
-	case sv == "random":
-		seed = time.Now().UnixNano()
-	case sv != "":
-		if v, err := strconv.ParseInt(sv, 10, 64); err == nil {
-			seed = v
-		}
-	}
+	seed := soakSeed(20260806)
 	var timebox time.Time
 	if sv := os.Getenv("CHIMERA_SOAK_SECONDS"); sv != "" {
 		if secs, err := strconv.Atoi(sv); err == nil && secs > 0 {
@@ -351,16 +344,14 @@ func TestChaosSoak(t *testing.T) {
 	// most traffic: only cold rewrites, re-rewrites forced by corruption and
 	// repeats of degraded requests roll the rewrite-path dice at all, once
 	// per miss, about 20 times in 200 requests.
-	inj := chaos.New(seed, chaos.Config{
-		Rates: map[chaos.Kind]float64{
-			chaos.RewritePanic:  0.40,
-			chaos.RewriteStall:  0.30,
-			chaos.CacheCorrupt:  0.50,
-			chaos.SpuriousFault: 0.05,
-			chaos.EmuLoop:       0.15,
-		},
-		Stall: 5 * time.Millisecond,
-	})
+	rates := map[chaos.Kind]float64{
+		chaos.RewritePanic:  0.40,
+		chaos.RewriteStall:  0.30,
+		chaos.CacheCorrupt:  0.50,
+		chaos.SpuriousFault: 0.05,
+		chaos.EmuLoop:       0.15,
+	}
+	inj := chaos.New(seed, chaos.Config{Rates: rates, Stall: 5 * time.Millisecond})
 	const reqTimeout = 30 * time.Second
 	srv := New(Config{
 		Workers:        4,
@@ -555,14 +546,7 @@ func TestChaosSoak(t *testing.T) {
 	if st.Errors["rewrite"] != 0 {
 		t.Errorf("rewrite errors %d; failed rewrites must degrade, not error", st.Errors["rewrite"])
 	}
-	for _, k := range []chaos.Kind{
-		chaos.RewritePanic, chaos.RewriteStall,
-		chaos.CacheCorrupt, chaos.SpuriousFault, chaos.EmuLoop,
-	} {
-		if inj.Fired(k) == 0 {
-			t.Errorf("fault kind %v never fired over %d requests", k, issued)
-		}
-	}
+	checkChaosCoverage(t, inj, rates)
 	if chm := st.Chaos; chm == nil || chm[chaos.RewritePanic.String()] != inj.Fired(chaos.RewritePanic) {
 		t.Errorf("stats chaos block missing or stale: %v", chm)
 	}
@@ -589,5 +573,41 @@ func TestChaosSoak(t *testing.T) {
 	// bounded by — not equal to — the injected count.
 	if got := mx["chimera_kernel_spurious_faults_total"]; got > float64(inj.Fired(chaos.SpuriousFault)) {
 		t.Errorf("/metrics spurious faults %v exceed injected %d", got, inj.Fired(chaos.SpuriousFault))
+	}
+}
+
+// soakSeed is a soak's chaos seed: def, or CHIMERA_SOAK_SEED when set
+// ("random" picks one from the clock).
+func soakSeed(def int64) int64 {
+	switch sv := os.Getenv("CHIMERA_SOAK_SEED"); {
+	case sv == "random":
+		return time.Now().UnixNano()
+	case sv != "":
+		if v, err := strconv.ParseInt(sv, 10, 64); err == nil {
+			return v
+		}
+	}
+	return def
+}
+
+// checkChaosCoverage requires every kind in rates to have been rolled: its
+// injection site was reached, which the soak's workload makes certain. A
+// kind must also have fired where not firing on any of its rolls had a
+// chance below 1e-9; below that many rolls, not firing is luck, not a
+// fault.
+func checkChaosCoverage(t *testing.T, inj *chaos.Injector, rates map[chaos.Kind]float64) {
+	t.Helper()
+	for _, k := range chaos.Kinds() {
+		rate := rates[k]
+		if rate == 0 {
+			continue
+		}
+		rolled := inj.Rolled(k)
+		switch {
+		case rolled == 0:
+			t.Errorf("fault kind %v was never rolled: its injection site was not reached", k)
+		case inj.Fired(k) == 0 && math.Pow(1-rate, float64(rolled)) < 1e-9:
+			t.Errorf("fault kind %v never fired in %d rolls at rate %.2f", k, rolled, rate)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
@@ -86,11 +85,10 @@ type errorResponse struct {
 //	GET  /fuzz/{id}          campaign status (execs, coverage, triaged crashes)
 //	GET  /fuzz/{id}/corpus   the campaign's coverage-novel corpus entries
 //	GET  /healthz        liveness probe
-//	GET  /stats          counters, cache/store/cluster state, latency histograms (JSON)
+//	GET  /stats          counters, cache/store state, latency histograms (JSON)
 //	GET  /metrics        the same counters in Prometheus text exposition
 //	GET  /trace/{id}     one request trace (id from the X-Chimera-Trace header)
 //	GET  /profile        guest profiles aggregated per image (when enabled)
-//	GET/PUT /peer/store/{id}  the cluster peer protocol (entry fetch/offer)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/rewrite", s.handleRewrite)
@@ -103,7 +101,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/metrics", s.tel.reg)
 	mux.HandleFunc("/trace/", s.handleTrace)
 	mux.HandleFunc("/profile", s.handleProfile)
-	mux.HandleFunc(cluster.PeerPathPrefix, s.handlePeerStore)
 	return mux
 }
 

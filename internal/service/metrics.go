@@ -3,7 +3,6 @@ package service
 import (
 	"time"
 
-	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/store"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
@@ -13,8 +12,8 @@ import (
 // counters and latency distributions it owns: they live in the telemetry
 // registry, and both /metrics (Prometheus exposition) and /stats (the JSON
 // blob) are rendered FROM it, so the two can never disagree. Counts kept
-// elsewhere (the store tiers, the cluster, the server's totals) stay there,
-// and /metrics samples them at scrape time (registerStoreCounters,
+// elsewhere (the store tiers, the server's totals) stay there, and
+// /metrics samples them at scrape time (registerStoreCounters,
 // registerTotals).
 type serviceMetrics struct {
 	reg *telemetry.Registry
@@ -32,11 +31,6 @@ type serviceMetrics struct {
 	deadlineHits    *telemetry.Counter
 	budgetStops     *telemetry.Counter
 	goroutinePanics *telemetry.CounterVec // {site}
-
-	// Peer-protocol endpoint (server side).
-	peerServes  *telemetry.Counter
-	peerAccepts *telemetry.Counter
-	peerRejects *telemetry.Counter
 
 	// Batch endpoint.
 	batchRequests *telemetry.Counter
@@ -72,15 +66,11 @@ func newServiceMetrics() *serviceMetrics {
 		deduped:   r.Counter("chimera_requests_deduped_total", "requests that shared an in-flight identical rewrite"),
 
 		panics:          r.Counter("chimera_worker_panics_total", "rewrites that panicked on a worker and were isolated"),
-		rewriteRejects:  r.Counter("chimera_rewrite_rejects_total", "rewrites refused by the rewriter itself (typed ErrRewriteReject; deterministic per input, no retry, no breaker strike)"),
+		rewriteRejects:  r.Counter("chimera_rewrite_rejects_total", "rewrites refused by the rewriter itself (typed ErrRewriteReject, deterministic per input) and answered degraded"),
 		degradations:    r.Counter("chimera_degradations_total", "requests answered with the original image via graceful degradation"),
 		deadlineHits:    r.Counter("chimera_deadline_exceeded_total", "requests that hit their per-request deadline"),
 		budgetStops:     r.Counter("chimera_run_budget_stops_total", "runs ended by the hard instruction budget"),
 		goroutinePanics: r.CounterVec("chimera_goroutine_panics_total", "panics recovered on the server's own goroutines, by launch site", "site"),
-
-		peerServes:  r.Counter("chimera_peer_store_serves_total", "peer-protocol GETs served with an entry"),
-		peerAccepts: r.Counter("chimera_peer_store_accepts_total", "peer-protocol PUTs accepted into the store"),
-		peerRejects: r.Counter("chimera_peer_store_rejects_total", "peer-protocol requests rejected (bad id, corrupt body)"),
 
 		batchRequests: r.Counter("chimera_batch_requests_total", "POST /rewrite/batch requests"),
 		batchItems:    r.Counter("chimera_batch_items_total", "individual items across all batch requests"),
@@ -102,11 +92,11 @@ func newServiceMetrics() *serviceMetrics {
 	return m
 }
 
-// registerStoreCounters registers the store and cluster counter families
-// as scrape-time samples of the counts those layers keep (TierStats and
-// the cluster Snapshot), so each event has one counter and /metrics reads
-// the number /stats reports. Every family is registered whatever the
-// configuration and reads 0 without a disk tier or a cluster.
+// registerStoreCounters registers the store counter families as
+// scrape-time samples of the counts the tiers keep (TierStats), so each
+// event has one counter and /metrics reads the number /stats reports.
+// Every family is registered whatever the configuration and reads 0
+// without a disk tier.
 func (s *Server) registerStoreCounters() {
 	r := s.tel.reg
 	tiers := func(f func(store.TieredStats) uint64) func() uint64 {
@@ -122,14 +112,6 @@ func (s *Server) registerStoreCounters() {
 			}
 			return f(*ts.Disk)
 		})
-	}
-	peers := func(f func(cluster.Stats) uint64) func() uint64 {
-		return func() uint64 {
-			if s.clu == nil {
-				return 0
-			}
-			return f(s.clu.Snapshot())
-		}
 	}
 	hits := func(st store.Stats) uint64 { return st.Hits }
 	misses := func(st store.Stats) uint64 { return st.Misses }
@@ -157,26 +139,6 @@ func (s *Server) registerStoreCounters() {
 	r.CounterFunc("chimera_store_disk_corrupt_evictions_total", "disk entries that failed verification on read and were deleted", disk(corrupt))
 	r.CounterFunc("chimera_store_disk_errors_total", "disk-tier I/O failures absorbed (failed writes, vanished reads)",
 		disk(func(st store.Stats) uint64 { return st.Errors }))
-
-	// Cluster peer traffic (client side).
-	r.CounterFunc("chimera_cluster_peer_hits_total", "cache misses answered by the key's shard owner",
-		peers(func(cs cluster.Stats) uint64 { return cs.PeerHits }))
-	r.CounterFunc("chimera_cluster_peer_misses_total", "shard-owner lookups that missed",
-		peers(func(cs cluster.Stats) uint64 { return cs.PeerMisses }))
-	r.CounterFunc("chimera_cluster_peer_errors_total", "failed shard-owner calls (unreachable, bad status, corrupt body)",
-		peers(func(cs cluster.Stats) uint64 { return cs.PeerErrors }))
-	r.CounterFunc("chimera_cluster_offers_total", "completed rewrites offered to their shard owner",
-		peers(func(cs cluster.Stats) uint64 { return cs.Offers }))
-	r.CounterFunc("chimera_cluster_offer_errors_total", "shard-owner offers that failed (absorbed)",
-		peers(func(cs cluster.Stats) uint64 { return cs.OfferErrors }))
-	r.CounterFunc("chimera_cluster_breaker_trips_total", "per-peer health breaker openings",
-		peers(func(cs cluster.Stats) uint64 {
-			var trips uint64
-			for _, p := range cs.Peers {
-				trips += p.Trips
-			}
-			return trips
-		}))
 }
 
 // totals sums every completed /run, resolver-on rewrite and fuzzing

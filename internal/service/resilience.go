@@ -26,7 +26,7 @@ var (
 // done with fn's error. A panic in fn is recovered into an
 // ErrGoroutinePanic error for done, counted in
 // chimera_goroutine_panics_total{site} and kept as /stats' last panic, so
-// it fails one campaign, batch item or offer instead of the server.
+// it fails one campaign, batch item or flight instead of the server.
 func (s *Server) spawn(site string, fn func() error, done func(error)) {
 	go func() {
 		var err error

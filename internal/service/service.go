@@ -4,11 +4,10 @@
 // by every process and core that runs it; this package is that amortization
 // made explicit: a content-addressed rewrite cache (SHA-256 of the image's
 // wire form + canonicalized options) tiered across a memory LRU and an
-// optional persistent disk store (internal/store), optionally sharded
-// across a static peer cluster by consistent hashing (internal/cluster),
-// singleflight deduplication so N concurrent identical requests share one
-// rewrite, a bounded worker pool with per-request context cancellation and
-// graceful drain, and an HTTP JSON front end (cmd/chimera-served).
+// optional persistent disk store (internal/store), singleflight
+// deduplication so N concurrent identical requests share one rewrite, a
+// bounded worker pool with per-request context cancellation and graceful
+// drain, and an HTTP JSON front end (cmd/chimera-served).
 package service
 
 import (
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
-	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/kernel"
@@ -62,16 +60,6 @@ type Config struct {
 	// DiskCacheBytes is the disk tier's byte budget (default 1 GiB; only
 	// meaningful with StoreDir set).
 	DiskCacheBytes int64
-	// ClusterSelf is this node's advertised base URL (scheme://host:port)
-	// for sharded cluster serving; ClusterPeers are the other nodes'. With
-	// peers configured, a cache miss consults the key's shard owner before
-	// rewriting, and completed rewrites are offered to their owner. Empty
-	// peers means single-node operation.
-	ClusterSelf  string
-	ClusterPeers []string
-	// PeerTimeout bounds each peer store call (default 2s). A peer slower
-	// than this is worth less than rewriting locally.
-	PeerTimeout time.Duration
 	// RequestTimeout bounds each request end-to-end — queue wait and
 	// execution (default 2 minutes; negative disables). A /rewrite that
 	// exceeds it is answered via degradation; a /run gets 504.
@@ -109,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DiskCacheBytes <= 0 {
 		c.DiskCacheBytes = 1 << 30
-	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 2 * time.Second
 	}
 	switch {
 	case c.RequestTimeout == 0:
@@ -172,9 +157,6 @@ type RewriteResult struct {
 	// empty for cold rewrites and degraded answers.
 	Tier    string `json:"tier,omitempty"`
 	Deduped bool   `json:"deduped"` // shared an in-flight identical rewrite
-	// PeerHit marks a miss that was answered by the key's shard owner over
-	// the cluster peer protocol instead of a local rewrite.
-	PeerHit bool `json:"peer_hit,omitempty"`
 	// Degraded marks a graceful-degradation answer: the rewrite failed and
 	// ImageBytes is the ORIGINAL image, unmodified — the paper's fallback of
 	// running the untouched binary on a core implementing its own ISA
@@ -239,21 +221,15 @@ type Server struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// st is the tiered result store (memory LRU over an optional disk
-	// tier); clu, when non-nil, shards keys across static peers. offers
-	// tracks in-flight async entry offers to shard owners so Shutdown can
-	// drain them.
-	st     *store.Tiered
-	clu    *cluster.Cluster
-	offers sync.WaitGroup
+	st *store.Tiered // memory LRU over an optional disk tier
 
 	flight flightGroup
 
 	// tel is the single source of truth for every request counter and
 	// latency distribution the server owns: /metrics renders it directly
 	// and /stats is rebuilt from it, so the two views cannot disagree.
-	// Store and cluster counts stay in st and clu, run, resolver and
-	// campaign sums in tot, and /metrics samples them.
+	// Store counts stay in st, run, resolver and campaign sums in tot, and
+	// /metrics samples them.
 	tel    *serviceMetrics
 	tracer *telemetry.Tracer
 
@@ -338,11 +314,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s.st = store.NewTiered(mem, disk)
-	s.clu = cluster.New(cluster.Options{
-		Self:    cfg.ClusterSelf,
-		Peers:   cfg.ClusterPeers,
-		Timeout: cfg.PeerTimeout,
-	})
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = telemetry.NewTracer(cfg.TraceCapacity)
 	}
@@ -382,20 +353,6 @@ func NewServer(cfg Config) (*Server, error) {
 			func() float64 { return float64(d.Bytes()) })
 		r.GaugeFunc("chimera_store_disk_budget_bytes", "disk-tier store byte budget",
 			func() float64 { return float64(cfg.DiskCacheBytes) })
-	}
-	if s.clu != nil {
-		r.GaugeFunc("chimera_cluster_peers", "configured cluster peers",
-			func() float64 { return float64(s.clu.Ring().Len() - 1) })
-		r.GaugeFunc("chimera_cluster_peers_open", "cluster peers with an open health breaker",
-			func() float64 {
-				open := 0
-				for _, p := range s.clu.Snapshot().Peers {
-					if p.Open {
-						open++
-					}
-				}
-				return float64(open)
-			})
 	}
 
 	s.workers.Add(cfg.Workers)
@@ -492,7 +449,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.queue)
 		s.spawn("drain", func() error {
 			s.workers.Wait()
-			s.offers.Wait() // in-flight peer offers finish or time out
 			if s.fuzz != nil {
 				s.fuzz.stopAll() // cancel campaigns and wait for their goroutines
 			}
@@ -559,7 +515,7 @@ func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
 }
 
 // Rewrite serves one rewrite request: cache lookup, then singleflight,
-// then a peer fetch, then one attempt on the worker pool. A rewrite failure
+// then one attempt on the worker pool. A rewrite failure
 // is never fatal (the paper's core invariant): rejects, panics and
 // deadlines all degrade to the original image, which is never cached, so
 // the next identical request is the retry. The returned result is a
@@ -619,18 +575,15 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	flightSpan := tr.Span("singleflight")
 	flightStart := time.Now()
 	val, err, shared := s.flight.do(ctx, key, s.spawn, func() (*RewriteResult, error) {
-		// The whole miss path lives INSIDE the flight so every caller
-		// shares its outcome: one peer fetch, one rewrite. It runs on a
-		// context that outlives the first caller's client but keeps its
-		// request deadline, so a caller that hangs up fails no other.
+		// The rewrite runs INSIDE the flight so every caller shares its
+		// outcome. It runs on a context that outlives the first caller's
+		// client but keeps its request deadline, so a caller that hangs up
+		// fails no other.
 		fctx := context.WithoutCancel(ctx)
 		if s.cfg.RequestTimeout > 0 {
 			var cancel context.CancelFunc
 			fctx, cancel = context.WithDeadline(fctx, startAt.Add(s.cfg.RequestTimeout))
 			defer cancel()
-		}
-		if res, ok := s.peerFetch(fctx, key); ok {
-			return res, nil
 		}
 		return s.rewriteOnce(fctx, img, cfg, key)
 	})
@@ -667,7 +620,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 }
 
 // rewriteOnce is the singleflight leader's rewrite: one attempt on the
-// pool, stored and offered to the key's owner on success. Rewriter rejects
+// pool, stored on success. Rewriter rejects
 // are counted here; every failure is the caller's to degrade.
 func (s *Server) rewriteOnce(ctx context.Context, img *obj.Image, cfg rewriters.Config, key string) (*RewriteResult, error) {
 	tr := telemetry.TraceFrom(ctx)
@@ -689,7 +642,6 @@ func (s *Server) rewriteOnce(ctx context.Context, img *obj.Image, cfg rewriters.
 	storeSpan := tr.Span("cache_store")
 	s.storeAdd(key, res)
 	storeSpan.End()
-	s.offerToOwner(res)
 	return res, nil
 }
 
@@ -796,59 +748,6 @@ func (s *Server) storeAdd(key string, res *RewriteResult) {
 	if inj := s.cfg.Chaos; inj.Roll(chaos.CacheCorrupt) {
 		s.st.Mem().Corrupt(key, inj.Intn)
 	}
-}
-
-// peerFetch consults key's shard owner on a local miss. A verified peer
-// entry is stored locally (write-through, so the next miss is a local hit)
-// and returned marked PeerHit; every failure mode — self-owned key, open
-// breaker, peer miss, peer error, corrupt body — returns false and the
-// caller rewrites locally.
-func (s *Server) peerFetch(ctx context.Context, key string) (*RewriteResult, bool) {
-	if s.clu == nil {
-		return nil, false
-	}
-	sp := telemetry.TraceFrom(ctx).Span("peer_fetch")
-	e, from, ok := s.clu.Fetch(ctx, key)
-	sp.Annotate("hit", fmt.Sprint(ok))
-	if !ok {
-		sp.End()
-		return nil, false
-	}
-	sp.Annotate("peer", from)
-	sp.End()
-	res, err := resultFromEntry(e)
-	if err != nil {
-		return nil, false
-	}
-	s.st.Put(e)
-	res.PeerHit = true
-	return res, true
-}
-
-// offerToOwner pushes a freshly completed rewrite to its shard owner so the
-// next cluster-wide request for it is a peer hit instead of a second
-// rewrite. The offer is asynchronous (the requester does not wait on a
-// peer), bounded by the peer timeout, tracked for shutdown drain, and
-// absorbed on failure — durability elsewhere is an optimization, never a
-// dependency.
-func (s *Server) offerToOwner(res *RewriteResult) {
-	if s.clu == nil {
-		return
-	}
-	if _, local := s.clu.Owner(res.Key); local {
-		return
-	}
-	e, err := entryFromResult(res)
-	if err != nil {
-		return
-	}
-	s.offers.Add(1)
-	s.spawn("offer", func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
-		defer cancel()
-		s.clu.Offer(ctx, e)
-		return nil
-	}, func(error) { s.offers.Done() })
 }
 
 // doRewrite performs the actual rewrite on a worker. The rewriters clone
@@ -1098,9 +997,8 @@ type Stats struct {
 	Deduped       uint64     `json:"deduped"`
 	Cache         CacheStats `json:"cache"`
 	// Store is the tiered-store snapshot: per-tier counters plus which tier
-	// answered each lookup. Cluster is present only with peers configured.
+	// answered each lookup.
 	Store     store.TieredStats         `json:"store"`
-	Cluster   *cluster.Stats            `json:"cluster,omitempty"`
 	Emulator  EmuStats                  `json:"emulator"`
 	Resolve   ResolveStats              `json:"resolve"`
 	Fuzz      FuzzStats                 `json:"fuzz"`
@@ -1165,9 +1063,9 @@ func (s *Server) Health() string {
 }
 
 // Stats snapshots the server's observables. Every number is read from the
-// source /metrics renders — the telemetry registry, or the store and
-// cluster snapshots its scrape-time counters sample — so the JSON blob and
-// the Prometheus exposition cannot disagree.
+// source /metrics renders — the telemetry registry, or the store snapshot
+// its scrape-time counters sample — so the JSON blob and the Prometheus
+// exposition cannot disagree.
 func (s *Server) Stats() Stats {
 	ts := s.st.TierStats()
 	cs := CacheStats{Stats: ts.Memory}
@@ -1222,10 +1120,6 @@ func (s *Server) Stats() Stats {
 	out.Resolve.FaultsAvoided = tot.kernel.RewriteFaultsAvoided
 	if s.fuzz != nil {
 		out.Fuzz.Active = s.fuzz.activeCount()
-	}
-	if s.clu != nil {
-		cls := s.clu.Snapshot()
-		out.Cluster = &cls
 	}
 	return out
 }

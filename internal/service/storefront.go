@@ -9,8 +9,8 @@ import (
 
 // This file adapts the service's RewriteResult to the store package's Entry:
 // the rewritten image bytes become the entry payload and the per-rewrite
-// stats ride in the metadata sidecar, so a result can round-trip through any
-// tier — memory, disk, or a peer — and come back as the same RewriteResult
+// stats ride in the metadata sidecar, so a result can round-trip through
+// either tier — memory or disk — and come back as the same RewriteResult
 // (minus per-request markers like CacheHit/Deduped, which describe how THIS
 // request was served, not what is stored).
 

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +17,6 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
-	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/store"
@@ -259,21 +260,13 @@ type statPair struct {
 	stat float64
 }
 
-// storageCounterPairs pairs every store and cluster counter sample with its
-// /stats field. The disk and cluster rows read 0 when the server has no
-// disk tier or cluster, as their samples do.
+// storageCounterPairs pairs every store counter sample with its /stats
+// field. The disk rows read 0 when the server has no disk tier, as their
+// samples do.
 func storageCounterPairs(st Stats) []statPair {
 	var disk store.Stats
 	if st.Store.Disk != nil {
 		disk = *st.Store.Disk
-	}
-	var clu cluster.Stats
-	if st.Cluster != nil {
-		clu = *st.Cluster
-	}
-	var trips uint64
-	for _, p := range clu.Peers {
-		trips += p.Trips
 	}
 	return []statPair{
 		{"chimera_cache_hits_total", float64(st.Cache.Hits)},
@@ -288,12 +281,6 @@ func storageCounterPairs(st Stats) []statPair {
 		{"chimera_store_disk_evictions_total", float64(disk.Evictions)},
 		{"chimera_store_disk_corrupt_evictions_total", float64(disk.CorruptEvictions)},
 		{"chimera_store_disk_errors_total", float64(disk.Errors)},
-		{"chimera_cluster_peer_hits_total", float64(clu.PeerHits)},
-		{"chimera_cluster_peer_misses_total", float64(clu.PeerMisses)},
-		{"chimera_cluster_peer_errors_total", float64(clu.PeerErrors)},
-		{"chimera_cluster_offers_total", float64(clu.Offers)},
-		{"chimera_cluster_offer_errors_total", float64(clu.OfferErrors)},
-		{"chimera_cluster_breaker_trips_total", float64(trips)},
 	}
 }
 
@@ -351,8 +338,8 @@ func totalsCounterPairs(st Stats, kern kernel.Counters) []statPair {
 	}
 }
 
-// checkStorageCounters requires every store and cluster counter sample in
-// the scrape m to equal its /stats counterpart in st.
+// checkStorageCounters requires every store counter sample in the scrape
+// m to equal its /stats counterpart in st.
 func checkStorageCounters(t *testing.T, m map[string]float64, st Stats) {
 	t.Helper()
 	checkPairs(t, m, storageCounterPairs(st))
@@ -527,6 +514,66 @@ func TestMetricsCatalogueStable(t *testing.T) {
 	if strings.Join(before, "\n") != strings.Join(after, "\n") {
 		t.Errorf("/metrics exposed %d samples before a /stats read and %d after", len(before), len(after))
 	}
+}
+
+// updateCatalogue rewrites testdata/metric_catalogue.txt from the running
+// code: go test -run TestMetricCatalogueGolden ./internal/service -update
+var updateCatalogue = flag.Bool("update", false, "rewrite testdata/metric_catalogue.txt")
+
+// TestMetricCatalogueGolden pins the metric catalogue: the # HELP and
+// # TYPE lines a fresh server exposes must equal
+// testdata/metric_catalogue.txt, so adding, dropping or re-describing a
+// family shows up as a reviewed diff of that file.
+func TestMetricCatalogueGolden(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	var exp bytes.Buffer
+	srv.Metrics().WritePrometheus(&exp)
+	var got strings.Builder
+	for _, line := range strings.Split(exp.String(), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			got.WriteString(line + "\n")
+		}
+	}
+	const path = "testdata/metric_catalogue.txt"
+	if *updateCatalogue {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("/metrics catalogue differs from %s; diff the -update output and review it:\n%s",
+			path, lineDiff(string(want), got.String()))
+	}
+}
+
+// lineDiff lists the lines only in want (-) and only in got (+).
+func lineDiff(want, got string) string {
+	count := func(s string) map[string]int {
+		m := map[string]int{}
+		for _, l := range strings.Split(s, "\n") {
+			m[l]++
+		}
+		return m
+	}
+	w, g := count(want), count(got)
+	var out []string
+	for l, n := range w {
+		if g[l] < n {
+			out = append(out, "- "+l)
+		}
+	}
+	for l, n := range g {
+		if w[l] < n {
+			out = append(out, "+ "+l)
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
 }
 
 // TestTraceEndpoint checks request tracing end to end over HTTP: a traced

@@ -205,7 +205,7 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 		b[headerLen+bit/8] ^= 1 << (bit % 8)
 	}
 	start := time.Now()
-	e, err := DecodeEntry(b)
+	e, err := decodeEntry(b)
 	d.met.Verify.Observe(time.Since(start).Seconds())
 	if err != nil || e.Key != key {
 		// Corrupt on disk (or a hash-collision impostor): delete the file
@@ -247,7 +247,7 @@ func (d *Disk) Put(e *Entry) error {
 	d.mu.Unlock()
 
 	path := d.pathFor(e.Key)
-	buf := EncodeEntry(e)
+	buf := encodeEntry(e)
 	if d.inj.Roll(chaos.DiskENOSPC) {
 		d.errs.Add(1)
 		return fmt.Errorf("store: writing %s: %w", filepath.Base(path), errNoSpace)

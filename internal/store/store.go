@@ -2,8 +2,8 @@
 // makes a completed rewrite durable and shareable. The rewrite pipeline is
 // deterministic and keyed by content address (image SHA-256 plus
 // canonicalized options), so a stored entry is valid anywhere — in this
-// process, on this machine across restarts, or on a peer node — as long as
-// its bytes still match the checksum taken at insertion time.
+// process or on this machine across restarts — as long as its bytes still
+// match the checksum taken at insertion time.
 //
 // The package provides three stores over one checksummed Entry:
 //
@@ -17,11 +17,8 @@
 //   - Tiered: memory over disk — write-through on Put, read-promote on a
 //     disk hit — the shape the service mounts.
 //
-// internal/cluster adds Remote, which speaks the same entry codec to a
-// peer node.
-//
 // The invariant every store upholds: a Get either returns the exact bytes
-// Put stored, or a miss. Corruption (bit rot, torn writes, hostile peers)
+// Put stored, or a miss. Corruption (bit rot, torn writes, bit flips)
 // is always converted into a miss plus an eviction, never into a wrong
 // entry. Each store counts its own events in atomics that back its Stats;
 // nothing else holds a copy of those counts.
@@ -111,13 +108,13 @@ const (
 // checksum verification.
 var ErrCorrupt = errors.New("store: corrupt entry")
 
-// EncodeEntry renders the entry in the store wire format — the same bytes
-// the disk store persists and the peer protocol ships:
+// encodeEntry renders the entry in the store wire format — the bytes the
+// disk store persists:
 //
 //	magic[8] | keyLen u32 | metaLen u32 | dataLen u64 | sum[32] | key | meta | data
 //
 // all integers little-endian, sum = Entry.Sum over the three parts.
-func EncodeEntry(e *Entry) []byte {
+func encodeEntry(e *Entry) []byte {
 	sum := e.Sum()
 	buf := make([]byte, headerLen+int(e.size()))
 	copy(buf, entryMagic[:])
@@ -132,12 +129,12 @@ func EncodeEntry(e *Entry) []byte {
 	return buf
 }
 
-// DecodeEntry parses and VERIFIES an encoded entry: structural bounds
+// decodeEntry parses and VERIFIES an encoded entry: structural bounds
 // first, then the embedded SHA-256 over key, meta, and data. Any failure —
 // truncation, a flipped bit anywhere, hostile lengths — returns ErrCorrupt;
-// a decoded entry is exactly what EncodeEntry was given. The returned
+// a decoded entry is exactly what encodeEntry was given. The returned
 // entry aliases b's memory; callers that reuse b must copy first.
-func DecodeEntry(b []byte) (*Entry, error) {
+func decodeEntry(b []byte) (*Entry, error) {
 	hdr, err := parseHeader(b)
 	if err != nil {
 		return nil, err

@@ -32,8 +32,8 @@ func TestEntryCodec(t *testing.T) {
 		{Key: "k2", Data: []byte{0}},              // 1-byte payload
 		testEntry(strings.Repeat("K", 100), 0, 2), // meta only
 	} {
-		buf := EncodeEntry(e)
-		got, err := DecodeEntry(buf)
+		buf := encodeEntry(e)
+		got, err := decodeEntry(buf)
 		if err != nil {
 			t.Fatalf("decode(%q): %v", e.Key, err)
 		}
@@ -47,7 +47,7 @@ func TestEntryCodec(t *testing.T) {
 			cp := append([]byte(nil), buf...)
 			bit := rng.Intn(len(cp) * 8)
 			cp[bit/8] ^= 1 << (bit % 8)
-			if dec, err := DecodeEntry(cp); err == nil && !entriesEqual(e, dec) {
+			if dec, err := decodeEntry(cp); err == nil && !entriesEqual(e, dec) {
 				t.Fatalf("corrupted buffer (bit %d) decoded to a DIFFERENT entry", bit)
 			} else if err == nil {
 				t.Fatalf("corrupted buffer (bit %d) decoded cleanly", bit)
@@ -58,7 +58,7 @@ func TestEntryCodec(t *testing.T) {
 			if cut >= len(buf) {
 				continue
 			}
-			if _, err := DecodeEntry(buf[:cut]); err == nil {
+			if _, err := decodeEntry(buf[:cut]); err == nil {
 				t.Fatalf("truncated buffer (%d of %d bytes) decoded cleanly", cut, len(buf))
 			}
 		}

@@ -45,22 +45,26 @@ forbid kernel telemetry
 for up in service bench evalmatrix fuzz; do
     forbid rewriters "$up"
 done
-# The instrumentation ABI imports nothing but the standard library.
-instrument_deps=$(go list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' ./internal/instrument |
-    grep -vx "$mod/internal/instrument" || true)
-if [ -n "$instrument_deps" ]; then
-    echo "layering: internal/instrument imports non-standard packages: $instrument_deps" >&2
-    layering_bad=1
-fi
+# stdlib_only PKG: fail if PKG imports anything outside the standard
+# library. The instrumentation ABI and the chaos injector are leaves that
+# every layer may import.
+stdlib_only() {
+    deps=$(go list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' "./internal/$1" |
+        grep -vx "$mod/internal/$1" || true)
+    if [ -n "$deps" ]; then
+        echo "layering: internal/$1 imports non-standard packages:" $deps >&2
+        layering_bad=1
+    fi
+}
+stdlib_only instrument
+stdlib_only chaos
 [ "$layering_bad" = 0 ] || exit 1
 echo "== metrics lint (chimera_[a-z_]+ naming + help text)"
 go test -run 'TestMetricsLint|TestMetricNameValidation' -count=1 ./internal/service ./internal/telemetry
 echo "== go test -race ./..."
 go test -race ./...
-echo "== chaos soak (1000 requests, fixed seed, -race; includes the 3-node cluster soak)"
+echo "== chaos soaks (fixed seeds, -race: 1000 mixed requests, and 600 against the disk tier)"
 CHIMERA_CHAOS_SOAK=1 go test -race -run 'TestChaosSoak' -count=1 -timeout 300s ./internal/service
-echo "== cluster smoke (3 chimera-served processes, kill the shard owner, degraded-but-correct)"
-go run ./cmd/chimera-smoke
 echo "== resolver smoke (static recovery exact pins + >=5x runtime-rewrite fault reduction)"
 go test -run 'TestResolverFaultReduction|TestResolverAvoidsRuntimeRewrites|TestDispatchFamilyRecovery' \
     -count=1 ./internal/bench ./internal/kernel ./internal/resolve

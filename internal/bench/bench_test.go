@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
@@ -229,6 +231,62 @@ func TestRunOnCoreExitCodes(t *testing.T) {
 			t.Errorf("exit code %d, want %d", p.ExitCode, c.code)
 		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
 			t.Errorf("null dereference: err %v, want %q", err, c.err)
+		}
+	}
+}
+
+// fig11PointConfig is the configuration of one Fig. 11 point as the repo
+// benchmark's fig11 workload runs it: 4 base + 4 extension cores, 24
+// tasks, a 16×16 matmul, one extension-task share.
+func fig11PointConfig(share int) Fig11Config {
+	return Fig11Config{
+		BaseCores: 4, ExtCores: 4, Tasks: 24, MatmulN: 16,
+		Shares: []int{share},
+	}
+}
+
+// TestFig11Concurrent runs two Fig. 11 sweeps on separate goroutines, as
+// two clients of the service benchmark do, and requires the cells of a
+// sequential run: no state may leak between concurrent sweeps.
+func TestFig11Concurrent(t *testing.T) {
+	cfg := fig11PointConfig(60)
+	for _, inputExt := range []bool{true, false} {
+		want, err := Fig11(cfg, inputExt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2]*Fig11Result
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = Fig11(cfg, inputExt)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("inputExt=%t client %d: %v", inputExt, i, errs[i])
+			}
+			if !reflect.DeepEqual(got[i].Cells, want.Cells) {
+				t.Errorf("inputExt=%t client %d: cells %+v, sequential %+v", inputExt, i, got[i].Cells, want.Cells)
+			}
+		}
+	}
+}
+
+// BenchmarkFig11Point measures one Fig. 11 point per op, cycling through
+// every share of both directions: the calibration, the four systems'
+// preparation, and 24 tasks scheduled on each of them.
+func BenchmarkFig11Point(b *testing.B) {
+	shares := DefaultFig11().Shares
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % (2 * len(shares))
+		if _, err := Fig11(fig11PointConfig(shares[k/2]), k%2 == 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -22,7 +22,8 @@ package emu
 // so steady-state rebuild churn allocates nothing. Reuse is safe because
 // every block pointer read from a chain link, PIC entry or cache way is
 // re-validated with blockValid against the actual dispatch pc before it
-// executes.
+// executes. An Arena carries the same objects from one hart to the next:
+// a hart that borrowed it returns all its translations on Release.
 //
 // The engine is required to be architecturally indistinguishable from
 // stepping: identical X/F/V/PC/Instret/Cycles trajectories, identical
@@ -258,19 +259,97 @@ func (c *CPU) blockValid(b *block, pc uint64) bool {
 		(b.pg1 == nil || b.pg1.gen == b.pgen1)
 }
 
-// newBlock pops a recycled block from the free list (reusing its µop
-// backing array) or allocates a fresh one.
+// blockTable is one block cache's ways.
+type blockTable [blockCacheSize * blockCacheWays]*block
+
+// Arena is a free list of translations: blocks, traces and block-cache
+// tables, their backing arrays intact and their identity cleared. A hart
+// borrows it (CPU.Borrow), builds from it what its own free lists cannot
+// supply, and gives back everything it holds on Release, so a run of
+// short-lived harts builds into the arrays its predecessors left. An Arena
+// is not safe for concurrent use: its owner lends it to one hart at a
+// time, on one goroutine. The zero Arena is empty and ready to use.
+type Arena struct {
+	blocks []*block
+	traces []*trace
+	tables []*blockTable
+}
+
+// pop removes and returns the last element of *free, or nil.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// Borrow lends a to the hart until Release; nil detaches the arena the
+// hart holds without returning anything to it.
+func (c *CPU) Borrow(a *Arena) { c.arena = a }
+
+// Release gives the borrowed arena every translation the hart holds, each
+// cached block with its trace, the hart's own free lists and its block
+// cache table, and detaches it. The hart stays runnable: it rebuilds its
+// translations from nothing. Without an arena Release does nothing.
+func (c *CPU) Release() {
+	a := c.arena
+	if a == nil {
+		return
+	}
+	if t := c.bcache; t != nil {
+		for _, b := range t {
+			c.recycleBlock(b)
+		}
+		clear(t[:])
+		a.tables = append(a.tables, t)
+		c.bcache = nil
+	}
+	a.blocks = append(a.blocks, c.free.blocks...)
+	a.traces = append(a.traces, c.free.traces...)
+	c.free = Arena{}
+	c.arena = nil
+}
+
+// pool returns where a recycled translation parks: the borrowed arena,
+// so it outlives the hart, else the hart's own free lists.
+func (c *CPU) pool() *Arena {
+	if c.arena != nil {
+		return c.arena
+	}
+	return &c.free
+}
+
+// newBlock pops a recycled block from the hart's free list, then the
+// arena's (reusing its µop backing array), or allocates a fresh one.
 func (c *CPU) newBlock() *block {
-	if n := len(c.freeBlocks); n > 0 {
-		b := c.freeBlocks[n-1]
-		c.freeBlocks = c.freeBlocks[:n-1]
+	if b := pop(&c.free.blocks); b != nil {
 		return b
+	}
+	if c.arena != nil {
+		if b := pop(&c.arena.blocks); b != nil {
+			return b
+		}
 	}
 	return &block{}
 }
 
+// newTable returns an empty block cache table from the arena, or a fresh
+// one.
+func (c *CPU) newTable() *blockTable {
+	if c.arena != nil {
+		if t := pop(&c.arena.tables); t != nil {
+			return t
+		}
+	}
+	return new(blockTable)
+}
+
 // recycleBlock returns an evicted/invalidated block (and its trace, if any)
-// to the free lists. All identity fields are cleared so any dangling chain
+// to the pool. All identity fields are cleared so any dangling chain
 // or PIC pointer to it fails blockValid until it is legitimately reused.
 func (c *CPU) recycleBlock(b *block) {
 	if b == nil {
@@ -280,7 +359,8 @@ func (c *CPU) recycleBlock(b *block) {
 		c.recycleTrace(b)
 	}
 	*b = block{uops: b.uops[:0]}
-	c.freeBlocks = append(c.freeBlocks, b)
+	pool := c.pool()
+	pool.blocks = append(pool.blocks, b)
 }
 
 // blockFor returns the cached block at pc, building and caching it on a
@@ -289,6 +369,9 @@ func (c *CPU) recycleBlock(b *block) {
 // the caller steps once so the precise fault is raised exactly as the
 // interpreter would.
 func (c *CPU) blockFor(pc uint64) *block {
+	if c.bcache == nil {
+		c.bcache = c.newTable()
+	}
 	set := ((pc >> 1) & (blockCacheSize - 1)) * blockCacheWays
 	w0, w1 := c.bcache[set], c.bcache[set+1]
 	if w0 != nil && c.blockValid(w0, pc) {

@@ -139,14 +139,19 @@ type CPU struct {
 	icache *[4096]icacheEntry
 
 	// bcache is the 2-way set-associative basic-block cache (block.go):
-	// blockCacheSize sets of blockCacheWays ways, MRU first.
-	bcache [blockCacheSize * blockCacheWays]*block
+	// blockCacheSize sets of blockCacheWays ways, MRU first. The first
+	// lookup takes it from the arena or allocates it.
+	bcache *blockTable
 
-	// freeBlocks/freeTraces are the per-CPU recycling arenas: evicted and
-	// invalidated translations park here (µop backing arrays intact) so
-	// steady-state rebuild churn allocates nothing.
-	freeBlocks []*block
-	freeTraces []*trace
+	// free holds the hart's own recycled translations: evicted and
+	// invalidated blocks and traces park here (µop backing arrays intact)
+	// so steady-state rebuild churn allocates nothing.
+	free Arena
+
+	// arena, when lent (Borrow), backs free: a translation free cannot
+	// supply comes from it before the allocator, recycled translations
+	// park on it, and Release gives it every translation the hart holds.
+	arena *Arena
 
 	// obs is the observer mask compiled into translations (hookCmp |
 	// hookMem bits, block.go). Blocks and traces record the mask they were

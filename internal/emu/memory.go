@@ -65,10 +65,42 @@ func (p *Page) Gen() uint64 { return p.gen }
 // Memory.Restore.
 func (p *Page) Dirty() bool { return p.dirty }
 
-// Memory is a sparse paged address space. A one-entry translation cache
-// keeps the hot-loop lookup off the page map.
+// region is a run of pages mapped at once whose Page headers are made on
+// first lookup. MapImage maps the stack as one, so a guest that touches a
+// few KiB of its 1 MiB stack costs a few headers, not 256. Making a header
+// is not a mapping mutation: the page was mapped when the region was.
+// Address spaces share a region by reference (ShareFrom), so a page of it
+// resolves to the same header in each of them, touched or not.
+type region struct {
+	base  uint64 // first page number
+	perm  obj.Perm
+	pages []*Page // nil until first lookup
+}
+
+// page returns the header of page pn, making it on first lookup, or false
+// when pn lies outside the region.
+func (r *region) page(pn uint64) (*Page, bool) {
+	i := pn - r.base
+	if i >= uint64(len(r.pages)) {
+		return nil, false
+	}
+	p := r.pages[i]
+	if p == nil {
+		p = &Page{data: &zeroFrame, Perm: r.perm}
+		r.pages[i] = p
+	}
+	return p, true
+}
+
+// last returns the region's last page number.
+func (r *region) last() uint64 { return r.base + uint64(len(r.pages)) - 1 }
+
+// Memory is a sparse paged address space: a page map plus at most one lazy
+// region, which a page map entry shadows. A one-entry translation cache
+// keeps the hot-loop lookup off both.
 type Memory struct {
 	pages map[uint64]*Page
+	lazy  *region
 
 	lastPN   uint64
 	lastPage *Page
@@ -112,7 +144,7 @@ func (m *Memory) Poke(addr uint64, data []byte) bool {
 		return false
 	}
 	for len(data) > 0 {
-		p := m.pages[pageOf(addr)]
+		p, _ := m.page(pageOf(addr))
 		off := addr & (obj.PageSize - 1)
 		n := copy(p.own()[off:], data)
 		p.gen++
@@ -132,7 +164,7 @@ func (m *Memory) Peek(addr uint64, buf []byte) bool {
 		return false
 	}
 	for len(buf) > 0 {
-		p := m.pages[pageOf(addr)]
+		p, _ := m.page(pageOf(addr))
 		n := copy(buf, p.data[addr&(obj.PageSize-1):])
 		buf = buf[n:]
 		addr += uint64(n)
@@ -146,7 +178,7 @@ func (m *Memory) mapped(addr uint64, n int) bool {
 		return true
 	}
 	for pn := pageOf(addr); pn <= pageOf(addr+uint64(n)-1); pn++ {
-		if _, ok := m.pages[pn]; !ok {
+		if _, ok := m.page(pn); !ok {
 			return false
 		}
 	}
@@ -176,7 +208,7 @@ func (m *Memory) DirtyPages() int { return len(m.dirty) }
 // be executed — that is what Poke is for.
 func (m *Memory) Restore(fn func(addr uint64, data *[obj.PageSize]byte)) {
 	for _, pn := range m.dirty {
-		if p := m.pages[pn]; p != nil && p.dirty {
+		if p, _ := m.page(pn); p != nil && p.dirty {
 			p.dirty = false
 			fn(pn<<12, p.data)
 		}
@@ -188,9 +220,10 @@ func (m *Memory) Restore(fn func(addr uint64, data *[obj.PageSize]byte)) {
 func NewMemory() *Memory { return &Memory{pages: make(map[uint64]*Page)} }
 
 // NewMemoryFor returns an empty address space whose page map is sized for
-// MapImage(img), so mapping the image and its stack does not grow it.
+// MapImage(img), so mapping the image does not grow it. The stack is a
+// lazy region and takes no map entries.
 func NewMemoryFor(img *obj.Image) *Memory {
-	n := int(obj.StackSize / obj.PageSize)
+	n := 0
 	for _, s := range img.Sections {
 		if len(s.Data) > 0 {
 			n += int(pageOf(s.End()-1) - pageOf(s.Addr) + 1)
@@ -202,9 +235,17 @@ func NewMemoryFor(img *obj.Image) *Memory {
 func pageOf(addr uint64) uint64 { return addr >> 12 }
 
 // Page returns the frame mapped at the page containing addr.
-func (m *Memory) Page(addr uint64) (*Page, bool) {
-	p, ok := m.pages[pageOf(addr)]
-	return p, ok
+func (m *Memory) Page(addr uint64) (*Page, bool) { return m.page(pageOf(addr)) }
+
+// page resolves page number pn through the page map, then the lazy region.
+func (m *Memory) page(pn uint64) (*Page, bool) {
+	if p, ok := m.pages[pn]; ok {
+		return p, true
+	}
+	if m.lazy != nil {
+		return m.lazy.page(pn)
+	}
+	return nil, false
 }
 
 // MapPage installs an existing frame at the page containing addr, enabling
@@ -226,7 +267,7 @@ func (m *Memory) lookup(pn uint64, fetch bool) (*Page, bool) {
 	} else if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage, true
 	}
-	p, ok := m.pages[pn]
+	p, ok := m.page(pn)
 	if ok {
 		if fetch {
 			m.lastFetchPN, m.lastFetchPage = pn, p
@@ -242,10 +283,10 @@ func (m *Memory) lookup(pn uint64, fetch bool) (*Page, bool) {
 // shared zero frame until its first write.
 func (m *Memory) Map(addr, size uint64, perm obj.Perm) {
 	for pn := pageOf(addr); pn <= pageOf(addr+size-1); pn++ {
-		if _, ok := m.pages[pn]; !ok {
-			m.pages[pn] = &Page{data: &zeroFrame, Perm: perm}
+		if p, ok := m.page(pn); ok {
+			p.Perm |= perm
 		} else {
-			m.pages[pn].Perm |= perm
+			m.pages[pn] = &Page{data: &zeroFrame, Perm: perm}
 		}
 	}
 	m.lastPage, m.lastFetchPage = nil, nil
@@ -262,18 +303,39 @@ func (m *Memory) MapSection(s *obj.Section) {
 	m.write(s.Addr, s.Data)
 }
 
-// MapImage maps every section of an image plus a stack.
+// MapImage maps every section of an image plus a stack, the stack as the
+// address space's lazy region.
 func (m *Memory) MapImage(img *obj.Image) {
 	for _, s := range img.Sections {
 		m.MapSection(s)
 	}
-	m.Map(obj.StackTop-obj.StackSize, obj.StackSize, obj.PermRW)
+	m.mapLazy(obj.StackTop-obj.StackSize, obj.StackSize, obj.PermRW)
+}
+
+// mapLazy maps [addr, addr+size) like Map, as a region whose Page headers
+// are made on first lookup. An address space holds one region; a second
+// is mapped eagerly.
+func (m *Memory) mapLazy(addr, size uint64, perm obj.Perm) {
+	if m.lazy != nil {
+		m.Map(addr, size, perm)
+		return
+	}
+	lo, hi := pageOf(addr), pageOf(addr+size-1)
+	m.lazy = &region{base: lo, perm: perm, pages: make([]*Page, hi-lo+1)}
+	for pn, p := range m.pages {
+		if lo <= pn && pn <= hi {
+			p.Perm |= perm
+		}
+	}
+	m.lastPage, m.lastFetchPage = nil, nil
+	m.gen++
+	m.mapGen++
 }
 
 // write stores bytes without permission checks (loader path).
 func (m *Memory) write(addr uint64, data []byte) {
 	for len(data) > 0 {
-		p := m.pages[pageOf(addr)]
+		p, _ := m.page(pageOf(addr))
 		off := addr & (obj.PageSize - 1)
 		n := copy(p.own()[off:], data)
 		data = data[n:]
@@ -426,24 +488,48 @@ func (m *Memory) WriteUint64(addr, v uint64) error {
 func (m *Memory) Clone() *Memory {
 	out := NewMemory()
 	for pn, p := range m.pages {
-		cp := *p
-		cp.dirty = false
-		if p.data != &zeroFrame {
-			data := *p.data
-			cp.data = &data
+		out.pages[pn] = p.clone()
+	}
+	if r := m.lazy; r != nil {
+		out.lazy = &region{base: r.base, perm: r.perm, pages: make([]*Page, len(r.pages))}
+		for i, p := range r.pages {
+			if p != nil {
+				out.lazy.pages[i] = p.clone()
+			}
 		}
-		out.pages[pn] = &cp
 	}
 	return out
 }
 
+// clone returns a copy of the frame with bytes of its own, unless it still
+// reads through the zero frame, and no dirty mark.
+func (p *Page) clone() *Page {
+	cp := *p
+	cp.dirty = false
+	if p.data != &zeroFrame {
+		data := *p.data
+		cp.data = &data
+	}
+	return &cp
+}
+
 // ShareFrom maps every frame of src whose page falls inside [addr,
-// addr+size) into m by reference. Used to share data segments between
-// MMViews.
+// addr+size) into m by reference. Used to share data segments and the
+// stack between MMViews. A lazy region of src that the range covers is
+// shared whole, headers not yet made included, when m has none of its own;
+// otherwise the pages of it in range are shared one header at a time.
 func (m *Memory) ShareFrom(src *Memory, addr, size uint64) {
-	for pn := pageOf(addr); pn <= pageOf(addr+size-1); pn++ {
+	lo, hi := pageOf(addr), pageOf(addr+size-1)
+	if r := src.lazy; r != nil && m.lazy == nil && lo <= r.base && r.last() <= hi {
+		m.lazy = r
+	}
+	for pn := lo; pn <= hi; pn++ {
 		if p, ok := src.pages[pn]; ok {
 			m.pages[pn] = p
+		} else if src.lazy != nil && src.lazy != m.lazy {
+			if p, ok := src.lazy.page(pn); ok {
+				m.pages[pn] = p
+			}
 		}
 	}
 	m.lastPage, m.lastFetchPage = nil, nil

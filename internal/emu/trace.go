@@ -89,13 +89,17 @@ func (c *CPU) traceValid(t *trace) bool {
 	return true
 }
 
-// newTrace pops a recycled trace from the free list or allocates a fresh
-// one with full µop capacity so stitching never regrows it.
+// newTrace pops a recycled trace from the hart's free list, then the
+// arena's, or allocates a fresh one with full µop capacity so stitching
+// never regrows it.
 func (c *CPU) newTrace() *trace {
-	if n := len(c.freeTraces); n > 0 {
-		t := c.freeTraces[n-1]
-		c.freeTraces = c.freeTraces[:n-1]
+	if t := pop(&c.free.traces); t != nil {
 		return t
+	}
+	if c.arena != nil {
+		if t := pop(&c.arena.traces); t != nil {
+			return t
+		}
 	}
 	return &trace{uops: make([]uop, 0, maxTraceInsts)}
 }
@@ -109,10 +113,13 @@ func (c *CPU) recycleTrace(b *block) {
 	}
 }
 
-// freeTrace clears t and parks it on the free list with its backing arrays.
+// freeTrace clears t and parks it in the pool with its backing arrays,
+// dropping the frames they point at.
 func (c *CPU) freeTrace(t *trace) {
+	clear(t.pages)
 	*t = trace{uops: t.uops[:0], pages: t.pages[:0], pgens: t.pgens[:0], stitches: t.stitches[:0]}
-	c.freeTraces = append(c.freeTraces, t)
+	pool := c.pool()
+	pool.traces = append(pool.traces, t)
 }
 
 // addFrame records a code frame and its current patch generation in the

@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/eurosys26p57/chimera/internal/asm"
@@ -10,6 +11,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
+	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
 // exitWith emits "li a7, 93; ecall" exiting with the value already in a0.
@@ -433,6 +435,47 @@ func TestSchedulerFAM(t *testing.T) {
 		if !task.RanOnExt {
 			t.Errorf("task %d never reached an extension core", task.ID)
 		}
+	}
+}
+
+// TestSchedulerRecyclesTranslations runs batches of identical tasks on one
+// core. Each task after the first builds its blocks, traces and block
+// cache into what the task before it left in the scheduler's arena, so a
+// batch of eight allocates about what a batch of one does, not eight
+// times as much.
+func TestSchedulerRecyclesTranslations(t *testing.T) {
+	img, err := workload.Fibonacci(20, riscv.RV64GC, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(n int) uint64 {
+		s := NewScheduler(NewMachine(1, 0))
+		for i := 0; i < n; i++ {
+			p, err := NewProcess("fib", []Variant{{ISA: riscv.RV64GC, Image: img}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Submit(&Task{Proc: p})
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := s.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range res.Tasks {
+			if task.Proc.CPU.Blocks.TracesBuilt == 0 {
+				t.Fatalf("task %d built no trace", task.ID)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, eight := batch(1), batch(8)
+	t.Logf("scheduler run: %d B for one task, %d B for eight", one, eight)
+	if eight > 2*one {
+		t.Errorf("eight tasks allocate %d B, more than twice one task's %d B", eight, one)
 	}
 }
 

@@ -56,9 +56,12 @@ func matmulVariants(t testing.TB) []kernel.Variant {
 }
 
 // TestNewProcessBytes bounds what building a two-view process allocates:
-// frames the guest has not written cost no bytes, and the later view maps
-// only its private sections.
+// frames the guest has not written cost no bytes, the later view maps
+// only its private sections, and the stack costs neither page headers nor
+// map entries until the guest touches it. The bounds sit about 20% above
+// the measured 40464 B and 52 mallocs.
 func TestNewProcessBytes(t *testing.T) {
+	const maxBytes, maxMallocs = 48 << 10, 64
 	variants := matmulVariants(t)
 	const n = 20
 	var before, after runtime.MemStats
@@ -71,10 +74,13 @@ func TestNewProcessBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perProc := (after.TotalAlloc - before.TotalAlloc) / n
-	t.Logf("NewProcess, 2 views: %d B, %d mallocs per process",
-		perProc, (after.Mallocs-before.Mallocs)/n)
-	if perProc > 256<<10 {
-		t.Errorf("NewProcess allocates %d B per process, want at most %d", perProc, 256<<10)
+	mallocs := (after.Mallocs - before.Mallocs) / n
+	t.Logf("NewProcess, 2 views: %d B, %d mallocs per process", perProc, mallocs)
+	if perProc > maxBytes {
+		t.Errorf("NewProcess allocates %d B per process, want at most %d", perProc, maxBytes)
+	}
+	if mallocs > maxMallocs {
+		t.Errorf("NewProcess makes %d mallocs per process, want at most %d", mallocs, maxMallocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
@@ -63,6 +64,11 @@ type Scheduler struct {
 	// invariantErr latches the first scheduling-invariant violation
 	// (double-enqueue, reschedule after completion); Run reports it.
 	invariantErr error
+	// arena is lent to each dispatched task's hart and takes back every
+	// translation of a task that will not run again, so the next task
+	// builds its blocks and traces into the arrays this one leaves. Tasks
+	// run one at a time, so one arena serves them all.
+	arena emu.Arena
 }
 
 // NewScheduler builds a scheduler over the machine's cores.
@@ -247,7 +253,14 @@ func (s *Scheduler) runTask(w *Worker, t *Task) error {
 	}
 	// A batch workload without preemption: the task keeps this worker
 	// until it exits or asks to migrate.
+	cpu := t.Proc.CPU
+	cpu.Borrow(&s.arena)
 	cycles, st, err := t.Proc.RunToExit(context.Background(), s.SliceInstr)
+	if st == StatusNeedMigration && err == nil {
+		cpu.Borrow(nil) // it keeps its translations for its next dispatch
+	} else {
+		cpu.Release()
+	}
 	w.Now += cycles
 	w.Busy += cycles
 	t.CyclesUsed += cycles

@@ -2,6 +2,8 @@
 # Emulator benchmark harness: runs the BenchmarkCPURun* emulated-MIPS
 # benchmarks, the BenchmarkNewProcess process-build rows (one and two
 # views of the Fig. 11 matmul task, bytes and allocations per process),
+# the BenchmarkFig11Point row (one point of the repo benchmark's Fig. 11
+# sweep per op, both directions: time, bytes and allocations per point),
 # the BenchmarkService*/BenchmarkRewriteBatch service suite, the
 # coverage-guided campaign throughput benchmark (whole fuzzing execs/s), the
 # store hit-path benchmarks (memory-tier verified hits, disk-store hit
@@ -65,6 +67,15 @@ go test -run=- -bench='BenchmarkCampaignExecs' -benchtime "$BENCHTIME" -count 5 
     ./internal/fuzzsvc/ | tee "$CAMPAIGN_RAW"
 median_rows "$CAMPAIGN_RAW" >> "$RAW"
 rm -f "$CAMPAIGN_RAW"
+
+# A Fig. 11 point schedules 96 short-lived processes; its time per op
+# moves with the host's load, so it too is the median of five.
+echo "== go test -bench Fig11Point (internal/bench, one Fig. 11 point per op, median of 5)"
+FIG11_RAW="$(mktemp)"
+go test -run=- -bench='BenchmarkFig11Point' -benchmem -benchtime "$BENCHTIME" -count 5 \
+    ./internal/bench/ | tee "$FIG11_RAW"
+median_rows "$FIG11_RAW" >> "$RAW"
+rm -f "$FIG11_RAW"
 
 # The service rows likewise: at 1x the "warm" BenchmarkServiceRewrite row
 # would time one cold miss. Steady-state -benchtime, median of five.

@@ -8,14 +8,6 @@
 //	chimera-served -addr :8080 -workers 8 -cache-mb 256 \
 //	    -request-timeout 2m
 //
-// Persistence:
-//
-//	chimera-served -addr :8080 -store-dir /var/lib/chimera
-//
-// -store-dir mounts a persistent disk tier under the memory cache, so a
-// restarted server answers earlier rewrites from disk instead of redoing
-// them.
-//
 // Endpoints: POST /rewrite, POST /rewrite/batch, POST /run, POST /fuzz
 // (coverage-guided fuzzing campaigns; GET /fuzz/{id} and /fuzz/{id}/corpus
 // for status and corpus), GET /healthz, GET /stats, GET /metrics
@@ -54,9 +46,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "pending-request queue depth (0 = 4x workers)")
-	cacheMB := flag.Int64("cache-mb", 256, "memory-tier rewrite cache budget in MiB")
-	storeDir := flag.String("store-dir", "", "persistent disk store directory (empty = memory-only)")
-	diskCacheMB := flag.Int64("disk-cache-mb", 1024, "disk-tier store budget in MiB (with -store-dir)")
+	cacheMB := flag.Int64("cache-mb", 256, "rewrite cache budget in MiB")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline (0 = library default, negative = off)")
 	runBudget := flag.Int64("run-max-instret", 0, "per-/run instruction budget (0 = default 2e9, negative = off)")
@@ -71,8 +61,6 @@ func main() {
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheBytes:     *cacheMB << 20,
-		StoreDir:       *storeDir,
-		DiskCacheBytes: *diskCacheMB << 20,
 		RequestTimeout: *reqTimeout,
 		RunMaxInstret:  *runBudget,
 		TraceCapacity:  *traceCap,
@@ -83,13 +71,7 @@ func main() {
 		cfg.Chaos = chaos.Default(*chaosSeed)
 		fmt.Fprintf(os.Stderr, "chimera-served: CHAOS INJECTION ENABLED (seed %d)\n", *chaosSeed)
 	}
-	srv, err := service.NewServer(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if *storeDir != "" {
-		fmt.Fprintf(os.Stderr, "chimera-served: disk store at %s (%d MiB budget)\n", *storeDir, *diskCacheMB)
-	}
+	srv := service.New(cfg)
 	hs := srv.HTTPServer(*addr)
 
 	errc := make(chan error, 1)

@@ -42,23 +42,12 @@ const (
 	// EmuLoop points a /run execution at a genuine unbounded loop, so only
 	// the instruction budget can end it.
 	EmuLoop
-	// DiskTornWrite leaves a truncated entry file in the disk store (the
-	// on-disk image of a crash mid-write that bypassed the rename protocol);
-	// the read path's checksum must catch it.
-	DiskTornWrite
-	// DiskBitFlip flips one bit in the bytes a disk-store read returns
-	// (media corruption); verification must turn it into a miss.
-	DiskBitFlip
-	// DiskENOSPC fails a disk-store write as if the volume were full; the
-	// memory tier must keep serving the entry.
-	DiskENOSPC
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"rewrite_panic", "rewrite_stall", "cache_corrupt",
 	"spurious_fault", "migration_storm", "emu_loop",
-	"disk_torn_write", "disk_bit_flip", "disk_enospc",
 }
 
 func (k Kind) String() string {
@@ -109,9 +98,6 @@ func DefaultConfig() Config {
 			SpuriousFault:  0.05,
 			MigrationStorm: 0.02,
 			EmuLoop:        0.02,
-			DiskTornWrite:  0.05,
-			DiskBitFlip:    0.05,
-			DiskENOSPC:     0.05,
 		},
 		Stall: 50 * time.Millisecond,
 	}

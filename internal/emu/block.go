@@ -991,7 +991,7 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 			c.F[u.rd] = f64b(float64(int64(x[u.rs1])))
 		case riscv.FCVTLD:
 			if u.rd != 0 {
-				x[u.rd] = uint64(int64(f64(c.F[u.rs1])))
+				x[u.rd] = fcvtLD(f64(c.F[u.rs1]))
 			}
 
 		case riscv.BEQ, riscv.BNE, riscv.BLT, riscv.BGE, riscv.BLTU, riscv.BGEU:

@@ -3,12 +3,27 @@ package emu
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
 // The FP retire helpers mirror the integer ones in cpu.go: methods rather
 // than per-call closures so the hot path never allocates.
+
+// fcvtLD is fcvt.l.d with round-toward-zero, as the RISC-V conversion
+// table gives it: in-range values truncate, NaN and positive overflow
+// saturate to 2^63-1 and negative overflow to -2^63. Go's int64(d) leaves
+// the out-of-range cases to the implementation.
+func fcvtLD(d float64) uint64 {
+	switch {
+	case d != d || d >= 0x1p63:
+		return math.MaxInt64
+	case d < -0x1p63:
+		return 1 << 63
+	}
+	return uint64(int64(d))
+}
 
 // fd writes a double result and retires.
 func (c *CPU) fd(inst riscv.Inst, next uint64, v float64) (Stop, bool) {
@@ -68,7 +83,7 @@ func (c *CPU) execFPV(inst riscv.Inst, next uint64) (Stop, bool) {
 	case riscv.FCVTDL:
 		return c.fd(inst, next, float64(int64(c.X[rs1])))
 	case riscv.FCVTLD:
-		return c.xv(inst, next, uint64(int64(d1)))
+		return c.xv(inst, next, fcvtLD(d1))
 	case riscv.FMVXD:
 		return c.xv(inst, next, c.F[rs1])
 	case riscv.FMVDX:

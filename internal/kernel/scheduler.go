@@ -1,9 +1,10 @@
 package kernel
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -69,6 +70,9 @@ type Scheduler struct {
 	// builds its blocks and traces into the arrays this one leaves. Tasks
 	// run one at a time, so one arena serves them all.
 	arena emu.Arena
+	// order is Run's per-round copy of Workers sorted by clock, kept so a
+	// dispatch round does not allocate.
+	order []*Worker
 }
 
 // NewScheduler builds a scheduler over the machine's cores.
@@ -185,8 +189,11 @@ func (s *Scheduler) Run() (*Results, error) {
 			return nil, fmt.Errorf("kernel: scheduler livelock after %d dispatch rounds", iter)
 		}
 		// Pick the worker with the smallest clock that can obtain work.
-		ws := append([]*Worker(nil), s.Workers...)
-		sort.Slice(ws, func(i, j int) bool { return ws[i].Now < ws[j].Now })
+		// Each round sorts a fresh copy of Workers, so ties break as they
+		// did when the copy was allocated.
+		s.order = append(s.order[:0], s.Workers...)
+		ws := s.order
+		slices.SortFunc(ws, func(a, b *Worker) int { return cmp.Compare(a.Now, b.Now) })
 		var w *Worker
 		var task *Task
 		for _, cand := range ws {

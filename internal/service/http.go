@@ -85,7 +85,7 @@ type errorResponse struct {
 //	GET  /fuzz/{id}          campaign status (execs, coverage, triaged crashes)
 //	GET  /fuzz/{id}/corpus   the campaign's coverage-novel corpus entries
 //	GET  /healthz        liveness probe
-//	GET  /stats          counters, cache/store state, latency histograms (JSON)
+//	GET  /stats          counters, cache state, latency histograms (JSON)
 //	GET  /metrics        the same counters in Prometheus text exposition
 //	GET  /trace/{id}     one request trace (id from the X-Chimera-Trace header)
 //	GET  /profile        guest profiles aggregated per image (when enabled)

@@ -12,7 +12,7 @@ import (
 // counters and latency distributions it owns: they live in the telemetry
 // registry, and both /metrics (Prometheus exposition) and /stats (the JSON
 // blob) are rendered FROM it, so the two can never disagree. Counts kept
-// elsewhere (the store tiers, the server's totals) stay there, and
+// elsewhere (the rewrite cache, the server's totals) stay there, and
 // /metrics samples them at scrape time (registerStoreCounters,
 // registerTotals).
 type serviceMetrics struct {
@@ -48,7 +48,6 @@ type serviceMetrics struct {
 	stageQueueWait   *telemetry.Histogram
 	stageRewrite     *telemetry.Histogram
 	stageVerify      *telemetry.Histogram
-	stageStoreVerify *telemetry.Histogram
 	stageRunExec     *telemetry.Histogram
 	stageDecode      *telemetry.Histogram
 	stageEncode      *telemetry.Histogram
@@ -85,60 +84,28 @@ func newServiceMetrics() *serviceMetrics {
 	m.stageQueueWait = m.stageSeconds.With("queue_wait")
 	m.stageRewrite = m.stageSeconds.With("rewrite")
 	m.stageVerify = m.stageSeconds.With("verify")
-	m.stageStoreVerify = m.stageSeconds.With("store_verify")
 	m.stageRunExec = m.stageSeconds.With("run_exec")
 	m.stageDecode = m.stageSeconds.With("decode")
 	m.stageEncode = m.stageSeconds.With("encode")
 	return m
 }
 
-// registerStoreCounters registers the store counter families as
-// scrape-time samples of the counts the tiers keep (TierStats), so each
-// event has one counter and /metrics reads the number /stats reports.
-// Every family is registered whatever the configuration and reads 0
-// without a disk tier.
+// registerStoreCounters registers the rewrite cache's counter families as
+// scrape-time samples of the counts the cache keeps (Memory.Stats), so
+// each event has one counter and /metrics reads the number /stats reports.
 func (s *Server) registerStoreCounters() {
 	r := s.tel.reg
-	tiers := func(f func(store.TieredStats) uint64) func() uint64 {
-		return func() uint64 { return f(s.st.TierStats()) }
+	cache := func(f func(store.Stats) uint64) func() uint64 {
+		return func() uint64 { return f(s.cache.Stats()) }
 	}
-	mem := func(f func(store.Stats) uint64) func() uint64 {
-		return tiers(func(ts store.TieredStats) uint64 { return f(ts.Memory) })
-	}
-	disk := func(f func(store.Stats) uint64) func() uint64 {
-		return tiers(func(ts store.TieredStats) uint64 {
-			if ts.Disk == nil {
-				return 0
-			}
-			return f(*ts.Disk)
-		})
-	}
-	hits := func(st store.Stats) uint64 { return st.Hits }
-	misses := func(st store.Stats) uint64 { return st.Misses }
-	evictions := func(st store.Stats) uint64 { return st.Evictions }
-	corrupt := func(st store.Stats) uint64 { return st.CorruptEvictions }
-
-	// Rewrite cache: the memory tier (names predate the disk tier and are
-	// kept stable for dashboards).
-	r.CounterFunc("chimera_cache_hits_total", "memory-tier rewrite cache hits", mem(hits))
-	r.CounterFunc("chimera_cache_misses_total", "memory-tier rewrite cache misses", mem(misses))
-	r.CounterFunc("chimera_cache_evictions_total", "memory-tier rewrite cache LRU evictions", mem(evictions))
-	r.CounterFunc("chimera_cache_corrupt_evictions_total", "cache entries that failed checksum verification on a hit and were evicted", mem(corrupt))
-
-	// Tiered store: which tier answered, end-to-end misses, and the disk
-	// tier's own counters.
-	r.CounterFuncVec("chimera_store_tier_hits_total", "store lookups served, by tier", "tier", map[string]func() uint64{
-		store.TierMemory: tiers(func(ts store.TieredStats) uint64 { return ts.MemHits }),
-		store.TierDisk:   tiers(func(ts store.TieredStats) uint64 { return ts.DiskHits }),
-	})
-	r.CounterFunc("chimera_store_misses_total", "store lookups that missed every tier",
-		tiers(func(ts store.TieredStats) uint64 { return ts.Misses }))
-	r.CounterFunc("chimera_store_disk_hits_total", "disk-tier store hits (verified reads)", disk(hits))
-	r.CounterFunc("chimera_store_disk_misses_total", "disk-tier store misses", disk(misses))
-	r.CounterFunc("chimera_store_disk_evictions_total", "disk-tier store LRU evictions", disk(evictions))
-	r.CounterFunc("chimera_store_disk_corrupt_evictions_total", "disk entries that failed verification on read and were deleted", disk(corrupt))
-	r.CounterFunc("chimera_store_disk_errors_total", "disk-tier I/O failures absorbed (failed writes, vanished reads)",
-		disk(func(st store.Stats) uint64 { return st.Errors }))
+	r.CounterFunc("chimera_cache_hits_total", "memory-tier rewrite cache hits",
+		cache(func(st store.Stats) uint64 { return st.Hits }))
+	r.CounterFunc("chimera_cache_misses_total", "memory-tier rewrite cache misses",
+		cache(func(st store.Stats) uint64 { return st.Misses }))
+	r.CounterFunc("chimera_cache_evictions_total", "memory-tier rewrite cache LRU evictions",
+		cache(func(st store.Stats) uint64 { return st.Evictions }))
+	r.CounterFunc("chimera_cache_corrupt_evictions_total", "cache entries that failed checksum verification on a hit and were evicted",
+		cache(func(st store.Stats) uint64 { return st.CorruptEvictions }))
 }
 
 // totals sums every completed /run, resolver-on rewrite and fuzzing

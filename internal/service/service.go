@@ -3,11 +3,11 @@
 // that a binary is rewritten once per target ISA and the result is reused
 // by every process and core that runs it; this package is that amortization
 // made explicit: a content-addressed rewrite cache (SHA-256 of the image's
-// wire form + canonicalized options) tiered across a memory LRU and an
-// optional persistent disk store (internal/store), singleflight
-// deduplication so N concurrent identical requests share one rewrite, a
-// bounded worker pool with per-request context cancellation and graceful
-// drain, and an HTTP JSON front end (cmd/chimera-served).
+// wire form + canonicalized options) held in one checksummed memory LRU
+// (internal/store), singleflight deduplication so N concurrent identical
+// requests share one rewrite, a bounded worker pool with per-request
+// context cancellation and graceful drain, and an HTTP JSON front end
+// (cmd/chimera-served).
 package service
 
 import (
@@ -50,16 +50,8 @@ type Config struct {
 	// When the queue is full, Rewrite/Run block until a slot frees or the
 	// request's context ends — closed-loop backpressure, not load shedding.
 	QueueDepth int
-	// CacheBytes is the memory-tier rewrite cache budget (default 256 MiB).
+	// CacheBytes is the rewrite cache's byte budget (default 256 MiB).
 	CacheBytes int64
-	// StoreDir, when set, mounts a persistent disk tier under the memory
-	// cache: completed rewrites are written through to
-	// StoreDir/<fanout>/<sha256(key)>.ent and survive restarts (warm-start
-	// hits instead of cold rewrites). Empty means memory-only.
-	StoreDir string
-	// DiskCacheBytes is the disk tier's byte budget (default 1 GiB; only
-	// meaningful with StoreDir set).
-	DiskCacheBytes int64
 	// RequestTimeout bounds each request end-to-end — queue wait and
 	// execution (default 2 minutes; negative disables). A /rewrite that
 	// exceeds it is answered via degradation; a /run gets 504.
@@ -94,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
-	}
-	if c.DiskCacheBytes <= 0 {
-		c.DiskCacheBytes = 1 << 30
 	}
 	switch {
 	case c.RequestTimeout == 0:
@@ -153,10 +142,7 @@ type RewriteResult struct {
 	ImageBytes []byte       `json:"image"`
 	Stats      RewriteStats `json:"stats"`
 	CacheHit   bool         `json:"cache_hit"`
-	// Tier says which store tier served a cache hit ("memory" or "disk");
-	// empty for cold rewrites and degraded answers.
-	Tier    string `json:"tier,omitempty"`
-	Deduped bool   `json:"deduped"` // shared an in-flight identical rewrite
+	Deduped    bool         `json:"deduped"` // shared an in-flight identical rewrite
 	// Degraded marks a graceful-degradation answer: the rewrite failed and
 	// ImageBytes is the ORIGINAL image, unmodified — the paper's fallback of
 	// running the untouched binary on a core implementing its own ISA
@@ -221,15 +207,15 @@ type Server struct {
 	mu     sync.RWMutex
 	closed bool
 
-	st *store.Tiered // memory LRU over an optional disk tier
+	cache *store.Memory // the checksummed rewrite cache
 
 	flight flightGroup
 
 	// tel is the single source of truth for every request counter and
 	// latency distribution the server owns: /metrics renders it directly
 	// and /stats is rebuilt from it, so the two views cannot disagree.
-	// Store counts stay in st, run, resolver and campaign sums in tot, and
-	// /metrics samples them.
+	// Cache counts stay in cache, run, resolver and campaign sums in tot,
+	// and /metrics samples them.
 	tel    *serviceMetrics
 	tracer *telemetry.Tracer
 
@@ -279,20 +265,12 @@ type EmuStats struct {
 	PICHitRatio        float64 `json:"pic_hit_ratio"`
 }
 
-// New starts a server with cfg's worker pool already running. It panics if
-// the disk store cannot be opened (callers that want the error use
-// NewServer).
-func New(cfg Config) *Server {
-	s, err := NewServer(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+// NewServer is New for the repo benchmark, which checks an error that New
+// cannot return. It is deleted with the next change to benchmark/.
+func NewServer(cfg Config) (*Server, error) { return New(cfg), nil }
 
-// NewServer starts a server with cfg's worker pool already running. The
-// only fallible part is opening the disk store (Config.StoreDir).
-func NewServer(cfg Config) (*Server, error) {
+// New starts a server with cfg's worker pool already running.
+func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	tel := newServiceMetrics()
 	s := &Server{
@@ -303,17 +281,7 @@ func NewServer(cfg Config) (*Server, error) {
 		tel:      tel,
 		profiles: make(map[string]*imageProfile),
 	}
-	mem := store.NewMemory(cfg.CacheBytes, store.Counters{Verify: tel.stageVerify})
-	var disk *store.Disk
-	if cfg.StoreDir != "" {
-		var err error
-		disk, err = store.OpenDisk(cfg.StoreDir, cfg.DiskCacheBytes,
-			store.Counters{Verify: tel.stageStoreVerify}, cfg.Chaos)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.st = store.NewTiered(mem, disk)
+	s.cache = store.NewMemory(cfg.CacheBytes, store.Counters{Verify: tel.stageVerify})
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = telemetry.NewTracer(cfg.TraceCapacity)
 	}
@@ -341,25 +309,17 @@ func NewServer(cfg Config) (*Server, error) {
 			func() float64 { return float64(s.fuzz.activeCount()) })
 	}
 	r.GaugeFunc("chimera_cache_entries", "memory-tier rewrite cache entries",
-		func() float64 { return float64(s.st.Mem().Len()) })
+		func() float64 { return float64(s.cache.Len()) })
 	r.GaugeFunc("chimera_cache_bytes", "memory-tier rewrite cache resident bytes",
-		func() float64 { return float64(s.st.Mem().Bytes()) })
+		func() float64 { return float64(s.cache.Bytes()) })
 	r.GaugeFunc("chimera_cache_budget_bytes", "memory-tier rewrite cache byte budget",
 		func() float64 { return float64(cfg.CacheBytes) })
-	if d := s.st.Disk(); d != nil {
-		r.GaugeFunc("chimera_store_disk_entries", "disk-tier store entries",
-			func() float64 { return float64(d.Len()) })
-		r.GaugeFunc("chimera_store_disk_bytes", "disk-tier store resident bytes",
-			func() float64 { return float64(d.Bytes()) })
-		r.GaugeFunc("chimera_store_disk_budget_bytes", "disk-tier store byte budget",
-			func() float64 { return float64(cfg.DiskCacheBytes) })
-	}
 
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		s.spawn("worker", s.worker, func(error) { s.workers.Done() })
 	}
-	return s, nil
+	return s
 }
 
 // Metrics exposes the server's telemetry registry (the /metrics handler).
@@ -697,56 +657,51 @@ func (s *Server) degrade(ctx context.Context, method string, img *obj.Image, key
 	}, nil
 }
 
-// lookup is the cache_lookup stage. A hit comes back marked with the tier
-// that served it, and ends the request.
+// lookup is the cache_lookup stage. A hit comes back marked as one, and
+// ends the request.
 func (s *Server) lookup(tr *telemetry.Trace, key string, startAt time.Time) (*RewriteResult, bool) {
 	span := tr.Span("cache_lookup")
 	start := time.Now()
-	res, tier, hit := s.cacheGet(key)
+	res, hit := s.cacheGet(key)
 	observeStage(s.tel.stageCacheLookup, time.Since(start))
 	span.Annotate("hit", fmt.Sprint(hit))
-	if hit {
-		span.Annotate("tier", tier)
-	}
 	span.End()
 	if !hit {
 		return nil, false
 	}
 	s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
 	res.CacheHit = true
-	res.Tier = tier
 	return res, true
 }
 
-// cacheGet looks key up in the tiered store (hit verification included, a
-// disk hit is promoted) and reports which tier answered.
-func (s *Server) cacheGet(key string) (*RewriteResult, string, bool) {
-	e, tier, ok := s.st.Get(key)
+// cacheGet looks key up in the cache, hit verification included.
+func (s *Server) cacheGet(key string) (*RewriteResult, bool) {
+	e, ok := s.cache.Get(key)
 	if !ok {
-		return nil, "", false
+		return nil, false
 	}
 	res, err := resultFromEntry(e)
 	if err != nil {
 		// Checksum-valid bytes with an unparseable sidecar is a codec
 		// version skew: drop the entry and rewrite rather than erroring.
-		s.st.Delete(key)
-		return nil, "", false
+		s.cache.Delete(key)
+		return nil, false
 	}
-	return res, tier, true
+	return res, true
 }
 
-// storeAdd writes a fresh result through the tiers — and, under chaos, may
-// flip one bit of a private copy of the memory-resident entry so the next
-// hit exercises the verification/eviction path. In-flight responses keep
-// the pristine bytes.
+// storeAdd puts a fresh result in the cache — and, under chaos, may flip
+// one bit of a private copy of the resident entry so the next hit
+// exercises the verification/eviction path. In-flight responses keep the
+// pristine bytes.
 func (s *Server) storeAdd(key string, res *RewriteResult) {
 	e, err := entryFromResult(res)
 	if err != nil {
 		return
 	}
-	s.st.Put(e)
+	s.cache.Put(e)
 	if inj := s.cfg.Chaos; inj.Roll(chaos.CacheCorrupt) {
-		s.st.Mem().Corrupt(key, inj.Intn)
+		s.cache.Corrupt(key, inj.Intn)
 	}
 }
 
@@ -996,9 +951,9 @@ type Stats struct {
 	Rejected      uint64     `json:"rejected"`
 	Deduped       uint64     `json:"deduped"`
 	Cache         CacheStats `json:"cache"`
-	// Store is the tiered-store snapshot: per-tier counters plus which tier
-	// answered each lookup.
-	Store     store.TieredStats         `json:"store"`
+	// Store is the cache's lookup tally in the shape the repo benchmark
+	// reads (see store.TieredStats); it is not part of the JSON.
+	Store     store.TieredStats         `json:"-"`
 	Emulator  EmuStats                  `json:"emulator"`
 	Resolve   ResolveStats              `json:"resolve"`
 	Fuzz      FuzzStats                 `json:"fuzz"`
@@ -1007,7 +962,7 @@ type Stats struct {
 	PerMethod map[string]LatencySummary `json:"per_method"`
 	// Stages is the per-pipeline-stage latency breakdown (decode,
 	// cache_lookup, singleflight_wait, queue_wait, rewrite, verify,
-	// store_verify, run_exec, encode).
+	// run_exec, encode).
 	Stages map[string]LatencySummary `json:"stages,omitempty"`
 	Errors map[string]uint64         `json:"errors"`
 	// Chaos is the injector's fire counts by fault kind; absent when chaos
@@ -1063,12 +1018,11 @@ func (s *Server) Health() string {
 }
 
 // Stats snapshots the server's observables. Every number is read from the
-// source /metrics renders — the telemetry registry, or the store snapshot
+// source /metrics renders — the telemetry registry, or the cache snapshot
 // its scrape-time counters sample — so the JSON blob and the Prometheus
 // exposition cannot disagree.
 func (s *Server) Stats() Stats {
-	ts := s.st.TierStats()
-	cs := CacheStats{Stats: ts.Memory}
+	cs := CacheStats{Stats: s.cache.Stats()}
 	if total := cs.Hits + cs.Misses; total > 0 {
 		cs.HitRatio = float64(cs.Hits) / float64(total)
 	}
@@ -1108,7 +1062,7 @@ func (s *Server) Stats() Stats {
 		Rejected:      m.rejected.Value(),
 		Deduped:       m.deduped.Value(),
 		Cache:         cs,
-		Store:         ts,
+		Store:         store.TieredStats{MemHits: cs.Hits, Misses: cs.Misses},
 		Emulator:      es,
 		Resolve:       tot.resolve,
 		Fuzz:          tot.fuzz,

@@ -10,13 +10,12 @@ import (
 // This file adapts the service's RewriteResult to the store package's Entry:
 // the rewritten image bytes become the entry payload and the per-rewrite
 // stats ride in the metadata sidecar, so a result can round-trip through
-// either tier — memory or disk — and come back as the same RewriteResult
-// (minus per-request markers like CacheHit/Deduped, which describe how THIS
-// request was served, not what is stored).
+// the cache and come back as the same RewriteResult (minus per-request
+// markers like CacheHit/Deduped, which describe how THIS request was
+// served, not what is stored).
 
-// CacheStats is the /stats cache block: the memory tier's counters plus the
-// derived hit ratio (kept from the pre-tiered schema so dashboards survive).
-// The memory tier never sets Errors, so its omitempty key stays absent.
+// CacheStats is the /stats cache block: the cache's counters plus the
+// derived hit ratio.
 type CacheStats struct {
 	store.Stats
 	// HitRatio is Hits / (Hits + Misses), 0 when no lookups happened.
@@ -55,7 +54,7 @@ func entryFromResult(res *RewriteResult) (*store.Entry, error) {
 }
 
 // resultFromEntry reconstructs the RewriteResult a stored entry encodes. The
-// entry's bytes were checksum-verified by whichever tier produced it; a meta
+// entry's bytes were checksum-verified by the cache's Get; a meta
 // sidecar that still fails to parse means a version skew, which callers
 // treat as a miss (delete and rewrite), never an error.
 func resultFromEntry(e *store.Entry) (*RewriteResult, error) {

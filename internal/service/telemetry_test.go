@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,8 +19,8 @@ import (
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/kernel"
+	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/store"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
@@ -260,27 +261,14 @@ type statPair struct {
 	stat float64
 }
 
-// storageCounterPairs pairs every store counter sample with its /stats
-// field. The disk rows read 0 when the server has no disk tier, as their
-// samples do.
+// storageCounterPairs pairs every cache counter sample with its /stats
+// field.
 func storageCounterPairs(st Stats) []statPair {
-	var disk store.Stats
-	if st.Store.Disk != nil {
-		disk = *st.Store.Disk
-	}
 	return []statPair{
 		{"chimera_cache_hits_total", float64(st.Cache.Hits)},
 		{"chimera_cache_misses_total", float64(st.Cache.Misses)},
 		{"chimera_cache_evictions_total", float64(st.Cache.Evictions)},
 		{"chimera_cache_corrupt_evictions_total", float64(st.Cache.CorruptEvictions)},
-		{`chimera_store_tier_hits_total{tier="memory"}`, float64(st.Store.MemHits)},
-		{`chimera_store_tier_hits_total{tier="disk"}`, float64(st.Store.DiskHits)},
-		{"chimera_store_misses_total", float64(st.Store.Misses)},
-		{"chimera_store_disk_hits_total", float64(disk.Hits)},
-		{"chimera_store_disk_misses_total", float64(disk.Misses)},
-		{"chimera_store_disk_evictions_total", float64(disk.Evictions)},
-		{"chimera_store_disk_corrupt_evictions_total", float64(disk.CorruptEvictions)},
-		{"chimera_store_disk_errors_total", float64(disk.Errors)},
 	}
 }
 
@@ -338,13 +326,6 @@ func totalsCounterPairs(st Stats, kern kernel.Counters) []statPair {
 	}
 }
 
-// checkStorageCounters requires every store counter sample in the scrape
-// m to equal its /stats counterpart in st.
-func checkStorageCounters(t *testing.T, m map[string]float64, st Stats) {
-	t.Helper()
-	checkPairs(t, m, storageCounterPairs(st))
-}
-
 // checkPairs requires each pair's sample in the scrape m to exist and
 // equal the reported value.
 func checkPairs(t *testing.T, m map[string]float64, pairs []statPair) {
@@ -386,8 +367,8 @@ func jsonKeys(t *testing.T, v any) []string {
 }
 
 // TestStatsCacheKeys pins the /stats cache block's JSON keys and their
-// order: CacheStats embeds store.Stats, and the memory tier never sets the
-// omitempty errors key, so the block keeps its pre-tiered shape.
+// order (CacheStats embeds store.Stats), and checks that /stats carries no
+// store block: Stats.Store is for the repo benchmark alone.
 func TestStatsCacheKeys(t *testing.T) {
 	img := testImages(t, 1)[0]
 	srv := New(Config{Workers: 1})
@@ -403,6 +384,47 @@ func TestStatsCacheKeys(t *testing.T) {
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
 		t.Errorf("/stats cache keys %v, want %v", keys, want)
 	}
+	if keys := jsonKeys(t, srv.Stats()); slices.Contains(keys, "store") {
+		t.Errorf("/stats keys %v include store", keys)
+	}
+}
+
+// TestStoreStatsMatchCache checks the lookup tally the repo benchmark
+// reads (Stats().Store, whose hits over lookups is rewrite-warm's
+// store.hit_ratio) against the cache counters across a miss, a hit and a
+// CacheCorrupt-forced corrupt hit, and both against /metrics.
+func TestStoreStatsMatchCache(t *testing.T) {
+	images := testImages(t, 2)
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	rewrite := func(img *obj.Image, wantHit bool) {
+		t.Helper()
+		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit != wantHit {
+			t.Fatalf("cache_hit %t, want %t", res.CacheHit, wantHit)
+		}
+	}
+	rewrite(images[0], false) // miss
+	rewrite(images[0], true)  // hit
+	// Requests run one at a time, so the worker has read the injector
+	// before the next request swaps it in.
+	srv.cfg.Chaos = chaosCfg(0, chaos.CacheCorrupt)
+	rewrite(images[1], false) // miss; the stored entry is corrupted
+	rewrite(images[1], false) // corrupt hit: evicted, counted as a miss
+
+	st := srv.Stats()
+	if st.Cache.Hits != 1 || st.Cache.Misses != 3 || st.Cache.CorruptEvictions != 1 {
+		t.Fatalf("cache hits %d, misses %d, corrupt evictions %d; want 1, 3, 1",
+			st.Cache.Hits, st.Cache.Misses, st.Cache.CorruptEvictions)
+	}
+	if st.Store.MemHits != st.Cache.Hits || st.Store.Misses != st.Cache.Misses || st.Store.DiskHits != 0 {
+		t.Errorf("Stats().Store %+v, want mem hits %d, misses %d and no disk hits",
+			st.Store, st.Cache.Hits, st.Cache.Misses)
+	}
+	checkPairs(t, scrape(t, srv.Handler()), storageCounterPairs(st))
 }
 
 // TestStatsFaultKeys pins the /stats faults block's JSON keys and their
@@ -789,32 +811,6 @@ func TestChaosMetricsExact(t *testing.T) {
 			t.Errorf("/stats corrupt evictions %d != /metrics %v",
 				st.Cache.CorruptEvictions, m["chimera_cache_corrupt_evictions_total"])
 		}
-	})
-
-	// A failed disk write is one event: the disk tier counts it and the
-	// tiered store above absorbs it, but /metrics must report it once.
-	t.Run("disk_enospc", func(t *testing.T) {
-		img := testImages(t, 1)[0]
-		inj := chaosCfg(0, chaos.DiskENOSPC)
-		srv := New(Config{Workers: 1, StoreDir: t.TempDir(), Chaos: inj})
-		defer srv.Shutdown(context.Background())
-		if _, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, img)}); err != nil {
-			t.Fatal(err)
-		}
-		m := scrape(t, srv.Handler())
-		fired := float64(inj.Fired(chaos.DiskENOSPC))
-		if fired != 1 {
-			t.Fatalf("ENOSPC injector fired %v times for one cold rewrite, want 1", fired)
-		}
-		got := m["chimera_store_disk_errors_total"]
-		if got != fired {
-			t.Errorf("chimera_store_disk_errors_total = %v, injector fired %v", got, fired)
-		}
-		st := srv.Stats()
-		if float64(st.Store.Disk.Errors) != got {
-			t.Errorf("/stats store.disk.errors %d != /metrics %v", st.Store.Disk.Errors, got)
-		}
-		checkStorageCounters(t, m, st)
 	})
 }
 

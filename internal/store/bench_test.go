@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkMemoryHitParallel measures concurrent hit throughput on the
-// memory tier, whose checksum verification runs outside the mutex so
+// memory store, whose checksum verification runs outside the mutex so
 // parallel hits hash in parallel. Run with -cpu to see it scale.
 func BenchmarkMemoryHitParallel(b *testing.B) {
 	const (
@@ -34,26 +34,4 @@ func BenchmarkMemoryHitParallel(b *testing.B) {
 			}
 		})
 	})
-}
-
-// BenchmarkDiskStoreHit measures single-entry disk-tier hit latency: read,
-// decode, verify. This is the cost of serving a warm-restart hit before the
-// entry gets promoted to memory.
-func BenchmarkDiskStoreHit(b *testing.B) {
-	d, err := OpenDisk(b.TempDir(), 1<<30, Counters{}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const payload = 256 << 10
-	e := testEntry("m=chbp;img=bench", payload, 1)
-	if err := d.Put(e); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(payload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := d.Get("m=chbp;img=bench"); !ok {
-			b.Fatal("disk entry missing")
-		}
-	}
 }

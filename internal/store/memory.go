@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Memory is the in-memory LRU tier: entries under a byte budget, most
+// Memory is the in-memory LRU store: entries under a byte budget, most
 // recently used at the front, every hit re-verified against its
 // insertion-time checksum. It is the service's original rewrite cache
 // extracted into this package, with one load-bearing change: the
@@ -49,8 +49,8 @@ func NewMemory(budget int64, met Counters) *Memory {
 
 // Get returns the entry for key, promoting it to most recently used. A hit
 // whose bytes no longer match the insertion-time checksum is evicted and
-// reported as a miss: a corrupted entry must trigger a fresh rewrite (or a
-// lower tier), never reach a client.
+// reported as a miss: a corrupted entry must trigger a fresh rewrite, never
+// reach a client.
 func (m *Memory) Get(key string) (*Entry, bool) {
 	m.mu.Lock()
 	el, ok := m.entries[key]

@@ -6,8 +6,7 @@
 # sweep per op, both directions: time, bytes and allocations per point),
 # the BenchmarkService*/BenchmarkRewriteBatch service suite, the
 # coverage-guided campaign throughput benchmark (whole fuzzing execs/s), the
-# store hit-path benchmarks (memory-tier verified hits, disk-store hit
-# latency), the BenchmarkRewrite cold-rewrite rows (one SPEC-shaped image
+# store hit-path benchmark (verified memory-store hits), the BenchmarkRewrite cold-rewrite rows (one SPEC-shaped image
 # under each of the 16 rewrite-cold configs), and the BenchmarkResolve
 # rewriter-config rows (runtime-rewrite fault rate and per-task p50/p99
 # with the indirect-target resolver off vs on), and distills the results
@@ -88,8 +87,8 @@ go test -run=- -bench='BenchmarkService|BenchmarkRewriteBatch' -benchmem -bencht
 median_rows "$SERVICE_RAW" >> "$RAW"
 rm -f "$SERVICE_RAW"
 
-echo "== go test -bench store hit paths (internal/store, -benchtime $BENCHTIME)"
-go test -run=- -bench='BenchmarkMemoryHitParallel|BenchmarkDiskStoreHit' -benchmem \
+echo "== go test -bench store hit path (internal/store, -benchtime $BENCHTIME)"
+go test -run=- -bench='BenchmarkMemoryHitParallel' -benchmem \
     -benchtime "$BENCHTIME" ./internal/store/ | tee -a "$RAW"
 
 # One cold rewrite of a fixed image per config: steady-state -benchtime,

@@ -42,6 +42,7 @@ forbid service bench
 forbid emu telemetry
 forbid rewriters kernel
 forbid kernel telemetry
+forbid store chaos
 for up in service bench evalmatrix fuzz; do
     forbid rewriters "$up"
 done
@@ -63,7 +64,7 @@ echo "== metrics lint (chimera_[a-z_]+ naming + help text)"
 go test -run 'TestMetricsLint|TestMetricNameValidation' -count=1 ./internal/service ./internal/telemetry
 echo "== go test -race ./..."
 go test -race ./...
-echo "== chaos soaks (fixed seeds, -race: 1000 mixed requests, and 600 against the disk tier)"
+echo "== chaos soak (fixed seed, -race: 1000 mixed requests)"
 CHIMERA_CHAOS_SOAK=1 go test -race -run 'TestChaosSoak' -count=1 -timeout 300s ./internal/service
 echo "== resolver smoke (static recovery exact pins + >=5x runtime-rewrite fault reduction)"
 go test -run 'TestResolverFaultReduction|TestResolverAvoidsRuntimeRewrites|TestDispatchFamilyRecovery' \

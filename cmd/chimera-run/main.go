@@ -104,8 +104,8 @@ func main() {
 		}
 		fmt.Printf("[retired: %d insts, %d cycles, %.1f emulated MIPS]\n",
 			p.CPU.Instret, p.CPU.Cycles, mips)
-		fmt.Printf("[blocks: %d built, %d hits (%.1f%% hit ratio), %d invalidations, %.1f insts/dispatch]\n",
-			b.Built, b.Hits, 100*b.HitRatio(), b.Invalidations, b.RetiredPerDispatch())
+		fmt.Printf("[blocks: %d built, %d hits (%.1f%% hit ratio), %d invalidations, %.1f insts/dispatch, %d interpreted]\n",
+			b.Built, b.Hits, 100*b.HitRatio(), b.Invalidations, b.RetiredPerDispatch(), b.Interpreted)
 		fmt.Printf("[traces: %d built, %d hits, %d/%d insts trace-retired, %.1f%% side exits, pic %d/%d hits]\n",
 			b.TracesBuilt, b.TraceHits, b.TraceRetired, b.Retired, 100*b.SideExitRate(), b.PICHits, b.PICHits+b.PICMisses)
 	}

@@ -277,6 +277,28 @@ func TestFig11Concurrent(t *testing.T) {
 	}
 }
 
+// TestFig11InterpretsOnlyEcalls runs one Fig. 11 point in each direction
+// and requires that the block and trace tiers hand the interpreter nothing
+// but the guests' ecalls: every vector, divide and FP instruction the
+// tasks execute runs as a µop.
+func TestFig11InterpretsOnlyEcalls(t *testing.T) {
+	for _, inputExt := range []bool{true, false} {
+		var interpreted, syscalls uint64
+		_, err := fig11(fig11PointConfig(60), inputExt, func(sys heterosys.System, out *kernel.Results) {
+			for _, task := range out.Tasks {
+				interpreted += task.Proc.CPU.Blocks.Interpreted
+				syscalls += task.Proc.Counters.Syscalls
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if syscalls == 0 || interpreted != syscalls {
+			t.Errorf("inputExt=%t: %d instructions interpreted, want the %d ecalls", inputExt, interpreted, syscalls)
+		}
+	}
+}
+
 // BenchmarkFig11Point measures one Fig. 11 point per op, cycling through
 // every share of both directions: the calibration, the four systems'
 // preparation, and 24 tasks scheduled on each of them.

@@ -94,6 +94,12 @@ func calibrateFib(matmulN int64) (int64, error) {
 // Fig11 runs the experiment for one input version (ext: downgrading;
 // base: upgrading — the (a,b) and (c,d) halves of the figure).
 func Fig11(cfg Fig11Config, inputExt bool) (*Fig11Result, error) {
+	return fig11(cfg, inputExt, nil)
+}
+
+// fig11 is Fig11 with an observer, when non-nil, of each point's
+// completed schedule.
+func fig11(cfg Fig11Config, inputExt bool, observe func(heterosys.System, *kernel.Results)) (*Fig11Result, error) {
 	fibRounds, err := calibrateFib(cfg.MatmulN)
 	if err != nil {
 		return nil, err
@@ -144,6 +150,9 @@ func Fig11(cfg Fig11Config, inputExt bool) (*Fig11Result, error) {
 			out, err := s.Run()
 			if err != nil {
 				return nil, fmt.Errorf("fig11 %s share %d: %w", sys, share, err)
+			}
+			if observe != nil {
+				observe(sys, out)
 			}
 			cell := Fig11Cell{CPUTime: out.CPUTime, Latency: out.Latency}
 			if extTasks > 0 {

@@ -131,9 +131,8 @@ func BenchmarkCPURunMatmulScalar(b *testing.B) {
 	}, riscv.RV64GC)
 }
 
-// BenchmarkCPURunMatmulRVV measures the vector kernel (the block engine
-// falls back to the interpreter's exec for vector ops, so the win here is
-// bounded by the scalar loop scaffolding around them).
+// BenchmarkCPURunMatmulRVV measures the vector kernel, whose RVV
+// instructions the block and trace tiers run as µops.
 func BenchmarkCPURunMatmulRVV(b *testing.B) {
 	benchTiers(b, func() (*obj.Image, error) {
 		return workload.Matmul(24, true, true)

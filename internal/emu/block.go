@@ -34,6 +34,7 @@ package emu
 
 import (
 	"encoding/binary"
+	"math"
 
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -84,6 +85,7 @@ type BlockStats struct {
 	SideExits    uint64 `json:"side_exits"`    // trace guard failures (fell back to block tier)
 	PICHits      uint64 `json:"pic_hits"`      // indirect-jump chains served by the inline cache
 	PICMisses    uint64 `json:"pic_misses"`    // indirect-jump chains that probed the block cache
+	Interpreted  uint64 `json:"interpreted"`   // instructions either tier handed to the interpreter's exec
 }
 
 // HitRatio is the fraction of block lookups served from the cache
@@ -137,6 +139,7 @@ func (s *BlockStats) Add(o BlockStats) {
 	s.SideExits += o.SideExits
 	s.PICHits += o.PICHits
 	s.PICMisses += o.PICMisses
+	s.Interpreted += o.Interpreted
 }
 
 // Trace-tier continuation expectations burned into µops at stitch time.
@@ -674,6 +677,26 @@ func observeDispatch(h *instrument.Hooks, ss []stitch, retired, cycles uint64, h
 	}
 }
 
+// vecUop runs a vector µop other than vsetvli and reports whether it did.
+// It declines, changing nothing, a load or store of no bytes, one that
+// would fill a register group, or one whose bytes leave their page, are
+// unmapped or lack permission, and an op at a SEW vecArith does not
+// implement.
+func (c *CPU) vecUop(u *uop) bool {
+	switch u.op {
+	case riscv.VLE32V, riscv.VLE64V, riscv.VSE32V, riscv.VSE64V:
+		n, ok := c.vecMemBytes(u.op)
+		if !ok || n == 0 {
+			return false
+		}
+		if u.op == riscv.VLE32V || u.op == riscv.VLE64V {
+			return c.Mem.loadBytes(c.X[u.rs1], c.V[u.rd][:n])
+		}
+		return c.Mem.storeBytes(c.X[u.rs1], c.V[u.rd][:n])
+	}
+	return c.vecArith(u.op, u.rd, u.rs1, u.rs2, u.imm)
+}
+
 // flushUops publishes locally-accumulated retirement state: uops
 // [base, k) retired since the last flush, plus the accumulated cycles, and
 // moves the architectural PC to pc.
@@ -984,7 +1007,7 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 		case riscv.FDIVD:
 			c.F[u.rd] = f64b(f64(c.F[u.rs1]) / f64(c.F[u.rs2]))
 		case riscv.FMADDD:
-			c.F[u.rd] = f64b(f64(c.F[u.rs1])*f64(c.F[u.rs2]) + f64(c.F[u.rs3]))
+			c.F[u.rd] = f64b(math.FMA(f64(c.F[u.rs1]), f64(c.F[u.rs2]), f64(c.F[u.rs3])))
 		case riscv.FMADDS:
 			c.F[u.rd] = f32b(f32of(c.F[u.rs1])*f32of(c.F[u.rs2]) + f32of(c.F[u.rs3]))
 		case riscv.FCVTDL:
@@ -993,6 +1016,14 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 			if u.rd != 0 {
 				x[u.rd] = fcvtLD(f64(c.F[u.rs1]))
 			}
+
+		case riscv.DIV, riscv.DIVU, riscv.REM, riscv.REMU,
+			riscv.DIVW, riscv.DIVUW, riscv.REMW, riscv.REMUW:
+			if u.rd != 0 {
+				x[u.rd] = divRem(u.op, x[u.rs1], x[u.rs2])
+			}
+		case riscv.VSETVLI:
+			c.vsetvli(u.rd, u.rs1, u.imm)
 
 		case riscv.BEQ, riscv.BNE, riscv.BLT, riscv.BGE, riscv.BLTU, riscv.BGEU:
 			if u.hook&hookCmp != 0 {
@@ -1088,12 +1119,23 @@ func (c *CPU) execUops(uops []uop, max uint64) (Stop, bool, int) {
 			c.flushUops(uops, base, i+1, cycles+u.costT, target)
 			return Stop{}, false, exitJalr
 
+		case riscv.VLE32V, riscv.VLE64V, riscv.VSE32V, riscv.VSE64V,
+			riscv.VADDVV, riscv.VADDVX, riscv.VMULVV, riscv.VMVVI, riscv.VMVVX,
+			riscv.VFADDVV, riscv.VFMULVV, riscv.VFMACCVV, riscv.VFMACCVF,
+			riscv.VFMVVF, riscv.VFMVFS, riscv.VFREDUSUMVS:
+			if c.vecUop(u) {
+				break
+			}
+			// Declined: exec finishes the access or raises the fault.
+			fallthrough
 		default:
-			// Anything else — ECALL/EBREAK, division, the FP/vector long
-			// tail — runs through the interpreter's exec after flushing, so
-			// stops and faults observe exact architectural state.
+			// Anything else (ECALL/EBREAK, the rarer M and FP ops, a
+			// declined vector µop) runs through the interpreter's exec
+			// after flushing, so stops and faults observe exact
+			// architectural state.
 			c.flushUops(uops, base, i, cycles, u.pc)
 			cycles = 0
+			c.Blocks.Interpreted++
 			stop, halted := c.exec(u.inst)
 			if halted {
 				return stop, true, exitPart

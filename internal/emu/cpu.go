@@ -589,64 +589,11 @@ func (c *CPU) exec(inst riscv.Inst) (Stop, bool) {
 	case riscv.MULHSU:
 		hi := mulhsu(s1, u2)
 		return c.alu(inst, next, uint64(hi))
-	case riscv.DIV:
-		if s2 == 0 {
-			return c.alu(inst, next, ^uint64(0))
-		}
-		if s1 == math.MinInt64 && s2 == -1 {
-			return c.alu(inst, next, uint64(s1))
-		}
-		return c.alu(inst, next, uint64(s1/s2))
-	case riscv.DIVU:
-		if u2 == 0 {
-			return c.alu(inst, next, ^uint64(0))
-		}
-		return c.alu(inst, next, u1/u2)
-	case riscv.REM:
-		if s2 == 0 {
-			return c.alu(inst, next, uint64(s1))
-		}
-		if s1 == math.MinInt64 && s2 == -1 {
-			return c.alu(inst, next, 0)
-		}
-		return c.alu(inst, next, uint64(s1%s2))
-	case riscv.REMU:
-		if u2 == 0 {
-			return c.alu(inst, next, u1)
-		}
-		return c.alu(inst, next, u1%u2)
+	case riscv.DIV, riscv.DIVU, riscv.REM, riscv.REMU,
+		riscv.DIVW, riscv.DIVUW, riscv.REMW, riscv.REMUW:
+		return c.alu(inst, next, divRem(inst.Op, u1, u2))
 	case riscv.MULW:
 		return c.aluW(inst, next, int64(int32(u1)*int32(u2)))
-	case riscv.DIVW:
-		a, b := int32(u1), int32(u2)
-		if b == 0 {
-			return c.alu(inst, next, ^uint64(0))
-		}
-		if a == math.MinInt32 && b == -1 {
-			return c.aluW(inst, next, int64(a))
-		}
-		return c.aluW(inst, next, int64(a/b))
-	case riscv.DIVUW:
-		a, b := uint32(u1), uint32(u2)
-		if b == 0 {
-			return c.alu(inst, next, ^uint64(0))
-		}
-		return c.aluW(inst, next, int64(int32(a/b)))
-	case riscv.REMW:
-		a, b := int32(u1), int32(u2)
-		if b == 0 {
-			return c.aluW(inst, next, int64(a))
-		}
-		if a == math.MinInt32 && b == -1 {
-			return c.aluW(inst, next, 0)
-		}
-		return c.aluW(inst, next, int64(a%b))
-	case riscv.REMUW:
-		a, b := uint32(u1), uint32(u2)
-		if b == 0 {
-			return c.aluW(inst, next, int64(int32(a)))
-		}
-		return c.aluW(inst, next, int64(int32(a%b)))
 
 	case riscv.SH1ADD:
 		return c.alu(inst, next, u1<<1+u2)
@@ -663,6 +610,72 @@ func (c *CPU) exec(inst riscv.Inst) (Stop, bool) {
 
 	default:
 		return c.execFPV(inst, next)
+	}
+}
+
+// divRem returns the value an M-extension divide or remainder op writes
+// for operands a and b, with RISC-V's results for division by zero
+// (quotient all ones, remainder the dividend) and for signed overflow
+// (quotient the dividend, remainder 0). The W forms sign-extend their
+// 32-bit result.
+func divRem(op riscv.Op, a, b uint64) uint64 {
+	switch op {
+	case riscv.DIV:
+		x, y := int64(a), int64(b)
+		switch {
+		case y == 0:
+			return ^uint64(0)
+		case x == math.MinInt64 && y == -1:
+			return a
+		}
+		return uint64(x / y)
+	case riscv.DIVU:
+		if b == 0 {
+			return ^uint64(0)
+		}
+		return a / b
+	case riscv.REM:
+		x, y := int64(a), int64(b)
+		switch {
+		case y == 0:
+			return a
+		case x == math.MinInt64 && y == -1:
+			return 0
+		}
+		return uint64(x % y)
+	case riscv.REMU:
+		if b == 0 {
+			return a
+		}
+		return a % b
+	case riscv.DIVW:
+		x, y := int32(a), int32(b)
+		switch {
+		case y == 0:
+			return ^uint64(0)
+		case x == math.MinInt32 && y == -1:
+			return uint64(int64(x))
+		}
+		return uint64(int64(x / y))
+	case riscv.DIVUW:
+		if uint32(b) == 0 {
+			return ^uint64(0)
+		}
+		return uint64(int64(int32(uint32(a) / uint32(b))))
+	case riscv.REMW:
+		x, y := int32(a), int32(b)
+		switch {
+		case y == 0:
+			return uint64(int64(x))
+		case x == math.MinInt32 && y == -1:
+			return 0
+		}
+		return uint64(int64(x % y))
+	default: // REMUW
+		if uint32(b) == 0 {
+			return uint64(int64(int32(a)))
+		}
+		return uint64(int64(int32(uint32(a) % uint32(b))))
 	}
 }
 

@@ -174,35 +174,45 @@ func TestDifferentialSPEC(t *testing.T) {
 // TestRunMatmulZeroAllocs is the alloc regression test: once the
 // translation caches are warm, a full matmul run must not allocate — not
 // under traces, not under the block tier alone, not under the
-// per-instruction loop.
+// per-instruction loop — for the scalar kernel and for the RVV kernel,
+// whose vector instructions run as µops.
 func TestRunMatmulZeroAllocs(t *testing.T) {
-	img, err := workload.Matmul(12, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kernels := []struct {
+		name string
+		rvv  bool
+		isa  riscv.Ext
+	}{{"scalar", false, riscv.RV64GC}, {"rvv", true, riscv.RV64GCV}}
 	for _, mode := range tierModes {
 		t.Run(mode.name, func(t *testing.T) {
-			mem := emu.NewMemory()
-			mem.MapImage(img)
-			cpu := emu.NewCPU(mem, riscv.RV64GC)
-			cpu.Interp = mode.interp
-			cpu.TraceThreshold = mode.threshold
-			full := func() {
-				cpu.Reset(img)
-				for {
-					stop := cpu.Run(10_000_000)
-					if stop.Kind == emu.StopLimit {
-						continue
+			for _, k := range kernels {
+				t.Run(k.name, func(t *testing.T) {
+					img, err := workload.Matmul(12, k.rvv, true)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if stop.Kind != emu.StopEcall {
-						t.Fatalf("stop: %+v", stop)
+					mem := emu.NewMemory()
+					mem.MapImage(img)
+					cpu := emu.NewCPU(mem, k.isa)
+					cpu.Interp = mode.interp
+					cpu.TraceThreshold = mode.threshold
+					full := func() {
+						cpu.Reset(img)
+						for {
+							stop := cpu.Run(10_000_000)
+							if stop.Kind == emu.StopLimit {
+								continue
+							}
+							if stop.Kind != emu.StopEcall {
+								t.Fatalf("stop: %+v", stop)
+							}
+							return
+						}
 					}
-					return
-				}
-			}
-			warmStable(mode.threshold, func() emu.BlockStats { return cpu.Blocks }, full)
-			if allocs := testing.AllocsPerRun(5, full); allocs != 0 {
-				t.Errorf("steady-state Run allocates %.1f allocs/op, want 0", allocs)
+					warmStable(mode.threshold, func() emu.BlockStats { return cpu.Blocks }, full)
+					if allocs := testing.AllocsPerRun(5, full); allocs != 0 {
+						t.Errorf("steady-state Run allocates %.1f allocs/op, want 0", allocs)
+					}
+				})
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -43,69 +44,68 @@ func (c *CPU) xv(inst riscv.Inst, next uint64, v uint64) (Stop, bool) {
 	return c.retire(inst, next, false)
 }
 
-// execFPV implements the floating-point and vector subset.
+// execFPV implements the floating-point and vector subset. Each case
+// converts only the operands it reads.
 func (c *CPU) execFPV(inst riscv.Inst, next uint64) (Stop, bool) {
 	rd, rs1, rs2, rs3 := inst.Rd, inst.Rs1, inst.Rs2, inst.Rs3
-
-	d1, d2, d3 := f64(c.F[rs1]), f64(c.F[rs2]), f64(c.F[rs3])
-	s1f, s2f, s3f := f32of(c.F[rs1]), f32of(c.F[rs2]), f32of(c.F[rs3])
+	f := &c.F
 
 	switch inst.Op {
 	case riscv.FADDS:
-		return c.fs(inst, next, s1f+s2f)
+		return c.fs(inst, next, f32of(f[rs1])+f32of(f[rs2]))
 	case riscv.FSUBS:
-		return c.fs(inst, next, s1f-s2f)
+		return c.fs(inst, next, f32of(f[rs1])-f32of(f[rs2]))
 	case riscv.FMULS:
-		return c.fs(inst, next, s1f*s2f)
+		return c.fs(inst, next, f32of(f[rs1])*f32of(f[rs2]))
 	case riscv.FDIVS:
-		return c.fs(inst, next, s1f/s2f)
+		return c.fs(inst, next, f32of(f[rs1])/f32of(f[rs2]))
 	case riscv.FMADDS:
-		return c.fs(inst, next, s1f*s2f+s3f)
+		return c.fs(inst, next, f32of(f[rs1])*f32of(f[rs2])+f32of(f[rs3]))
 	case riscv.FADDD:
-		return c.fd(inst, next, d1+d2)
+		return c.fd(inst, next, f64(f[rs1])+f64(f[rs2]))
 	case riscv.FSUBD:
-		return c.fd(inst, next, d1-d2)
+		return c.fd(inst, next, f64(f[rs1])-f64(f[rs2]))
 	case riscv.FMULD:
-		return c.fd(inst, next, d1*d2)
+		return c.fd(inst, next, f64(f[rs1])*f64(f[rs2]))
 	case riscv.FDIVD:
-		return c.fd(inst, next, d1/d2)
+		return c.fd(inst, next, f64(f[rs1])/f64(f[rs2]))
 	case riscv.FMADDD:
-		return c.fd(inst, next, d1*d2+d3)
+		return c.fd(inst, next, math.FMA(f64(f[rs1]), f64(f[rs2]), f64(f[rs3])))
 	case riscv.FSGNJS:
-		v := uint32(c.F[rs1])&0x7FFFFFFF | uint32(c.F[rs2])&0x80000000
-		c.F[rd] = 0xFFFFFFFF_00000000 | uint64(v)
+		v := uint32(f[rs1])&0x7FFFFFFF | uint32(f[rs2])&0x80000000
+		f[rd] = 0xFFFFFFFF_00000000 | uint64(v)
 		return c.retire(inst, next, false)
 	case riscv.FSGNJD:
-		c.F[rd] = c.F[rs1]&0x7FFFFFFF_FFFFFFFF | c.F[rs2]&0x80000000_00000000
+		f[rd] = f[rs1]&0x7FFFFFFF_FFFFFFFF | f[rs2]&0x80000000_00000000
 		return c.retire(inst, next, false)
 	case riscv.FCVTSL:
 		return c.fs(inst, next, float32(int64(c.X[rs1])))
 	case riscv.FCVTDL:
 		return c.fd(inst, next, float64(int64(c.X[rs1])))
 	case riscv.FCVTLD:
-		return c.xv(inst, next, fcvtLD(d1))
+		return c.xv(inst, next, fcvtLD(f64(f[rs1])))
 	case riscv.FMVXD:
-		return c.xv(inst, next, c.F[rs1])
+		return c.xv(inst, next, f[rs1])
 	case riscv.FMVDX:
-		c.F[rd] = c.X[rs1]
+		f[rd] = c.X[rs1]
 		return c.retire(inst, next, false)
 	case riscv.FMVXW:
-		return c.xv(inst, next, uint64(int64(int32(uint32(c.F[rs1])))))
+		return c.xv(inst, next, uint64(int64(int32(uint32(f[rs1])))))
 	case riscv.FMVWX:
-		c.F[rd] = 0xFFFFFFFF_00000000 | uint64(uint32(c.X[rs1]))
+		f[rd] = 0xFFFFFFFF_00000000 | uint64(uint32(c.X[rs1]))
 		return c.retire(inst, next, false)
 	case riscv.FEQD:
-		if d1 == d2 {
+		if f64(f[rs1]) == f64(f[rs2]) {
 			return c.xv(inst, next, 1)
 		}
 		return c.xv(inst, next, 0)
 	case riscv.FLTD:
-		if d1 < d2 {
+		if f64(f[rs1]) < f64(f[rs2]) {
 			return c.xv(inst, next, 1)
 		}
 		return c.xv(inst, next, 0)
 	case riscv.FLED:
-		if d1 <= d2 {
+		if f64(f[rs1]) <= f64(f[rs2]) {
 			return c.xv(inst, next, 1)
 		}
 		return c.xv(inst, next, 0)
@@ -113,160 +113,202 @@ func (c *CPU) execFPV(inst riscv.Inst, next uint64) (Stop, bool) {
 	return c.execVector(inst, next)
 }
 
-// vlmax returns the number of elements a vector register holds at the
-// current element width.
-func (c *CPU) vlmax() uint64 {
-	return uint64(riscv.VLenBytes / riscv.SEWOf(c.VT).Bytes())
+// Vector fault causes, sentinels like the scalar ones in cpu.go.
+var (
+	errVLoad  = errors.New("vector load")
+	errVStore = errors.New("vector store")
+)
+
+// vsetvli sets vtype and a vector length of min(AVL, VLMAX), where the AVL
+// is x[rs1], or VLMAX when rs1 is x0, and writes the length to rd.
+func (c *CPU) vsetvli(rd, rs1 riscv.Reg, vtype int64) {
+	max := uint64(riscv.VLenBytes >> riscv.SEWOf(vtype))
+	avl := c.X[rs1]
+	if rs1 == riscv.Zero || avl > max {
+		avl = max
+	}
+	c.VT, c.VL = vtype, avl
+	if rd != riscv.Zero {
+		c.X[rd] = avl
+	}
 }
 
-func (c *CPU) sewBytes() int { return riscv.SEWOf(c.VT).Bytes() }
+// vecMemBytes returns the byte length of a unit-stride vector load or
+// store at the current VL. ok is false when the access would span more
+// than one register: an element wider than SEW needs a register group,
+// which this model does not implement.
+func (c *CPU) vecMemBytes(op riscv.Op) (n uint64, ok bool) {
+	n = c.VL * 4
+	if op == riscv.VLE64V || op == riscv.VSE64V {
+		n = c.VL * 8
+	}
+	return n, n <= riscv.VLenBytes
+}
 
+// execVector implements the RVV subset. The block engine runs the same
+// semantics as µops (vsetvli, vecArith and an in-page path for loads and
+// stores) and comes here only for what those cannot finish.
 func (c *CPU) execVector(inst riscv.Inst, next uint64) (Stop, bool) {
-	rd, rs1, rs2 := inst.Rd, inst.Rs1, inst.Rs2
+	rd, rs1 := inst.Rd, inst.Rs1
 
 	switch inst.Op {
 	case riscv.VSETVLI:
-		c.VT = inst.Imm
-		avl := c.X[rs1]
-		if rs1 == riscv.Zero {
-			avl = c.vlmax() // rd!=0, rs1==0: set vl to VLMAX
-		}
-		if max := c.vlmax(); avl > max {
-			avl = max
-		}
-		c.VL = avl
-		c.X[rd] = avl
+		c.vsetvli(rd, rs1, inst.Imm)
 		return c.retire(inst, next, false)
 
 	case riscv.VLE32V, riscv.VLE64V:
-		size := 4
-		if inst.Op == riscv.VLE64V {
-			size = 8
+		n, ok := c.vecMemBytes(inst.Op)
+		if !ok {
+			return c.vecIllegal(inst)
 		}
-		// n never exceeds VLenBytes (VL is capped at VLMAX), so a fixed
-		// buffer keeps the vector hot loop allocation-free.
+		// Read into a buffer so a fault leaves the register untouched.
 		var buf [riscv.VLenBytes]byte
-		n := int(c.VL) * size
 		if fa, ok := c.Mem.Read(c.X[rs1], buf[:n]); !ok {
-			return c.fault(FaultAccess, fa, fmt.Errorf("vector load"))
+			return c.fault(FaultAccess, fa, errVLoad)
 		}
 		copy(c.V[rd][:], buf[:n])
 		return c.retire(inst, next, false)
 
 	case riscv.VSE32V, riscv.VSE64V:
-		size := 4
-		if inst.Op == riscv.VSE64V {
-			size = 8
+		n, ok := c.vecMemBytes(inst.Op)
+		if !ok {
+			return c.vecIllegal(inst)
 		}
-		n := int(c.VL) * size
 		if fa, ok := c.Mem.Write(c.X[rs1], c.V[rd][:n]); !ok {
-			return c.fault(FaultAccess, fa, fmt.Errorf("vector store"))
+			return c.fault(FaultAccess, fa, errVStore)
 		}
 		return c.retire(inst, next, false)
 	}
+	if c.vecArith(inst.Op, rd, rs1, inst.Rs2, inst.Imm) {
+		return c.retire(inst, next, false)
+	}
+	return c.vecIllegal(inst)
+}
 
-	sew := c.sewBytes()
-	ld := func(v *Vec, i int) uint64 {
-		switch sew {
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(v[i*4:]))
-		default:
-			return binary.LittleEndian.Uint64(v[i*8:])
-		}
+// vecIllegal faults on an op outside the subset, or on one the current
+// vtype makes unimplemented.
+func (c *CPU) vecIllegal(inst riscv.Inst) (Stop, bool) {
+	return c.fault(FaultIllegal, c.PC, fmt.Errorf("unimplemented %s at vtype %#x", inst, c.VT))
+}
+
+// velem reads element i of v at an element width of 4 or 8 bytes.
+func velem(v *Vec, i int, sew uint) uint64 {
+	if sew == 4 {
+		return uint64(binary.LittleEndian.Uint32(v[i*4:]))
 	}
-	st := func(v *Vec, i int, val uint64) {
-		switch sew {
-		case 4:
-			binary.LittleEndian.PutUint32(v[i*4:], uint32(val))
-		default:
-			binary.LittleEndian.PutUint64(v[i*8:], val)
-		}
+	return binary.LittleEndian.Uint64(v[i*8:])
+}
+
+// vset writes element i of v at an element width of 4 or 8 bytes.
+func vset(v *Vec, i int, sew uint, x uint64) {
+	if sew == 4 {
+		binary.LittleEndian.PutUint32(v[i*4:], uint32(x))
+		return
 	}
-	ldf := func(v *Vec, i int) float64 {
-		if sew == 4 {
-			return float64(f32of(0xFFFFFFFF_00000000 | ld(v, i)))
-		}
-		return f64(ld(v, i))
+	binary.LittleEndian.PutUint64(v[i*8:], x)
+}
+
+// velemF reads element i of v as a float64: a binary32 element widens
+// exactly.
+func velemF(v *Vec, i int, sew uint) float64 {
+	if sew == 4 {
+		return float64(math.Float32frombits(uint32(velem(v, i, 4))))
 	}
-	stf := func(v *Vec, i int, val float64) {
-		if sew == 4 {
-			st(v, i, uint64(f32b(float32(val)))&0xFFFFFFFF)
-			return
-		}
-		st(v, i, f64b(val))
+	return f64(velem(v, i, 8))
+}
+
+// vsetF writes x to element i of v, rounding it to binary32 at SEW 32.
+func vsetF(v *Vec, i int, sew uint, x float64) {
+	if sew == 4 {
+		vset(v, i, 4, uint64(math.Float32bits(float32(x))))
+		return
 	}
+	vset(v, i, 8, f64b(x))
+}
+
+// vecArith runs an RVV arithmetic, move or reduction op over the active
+// elements at the current SEW and reports whether it did. It changes
+// nothing and returns false for any other op, and for a SEW other than 32
+// or 64 bits. Both the interpreter and the block engine's µops execute
+// vector arithmetic here.
+//
+// At SEW 64, vfmacc rounds once (math.FMA), as RISC-V does. At SEW 32 the
+// float ops compute in float64 and round to binary32: exact for add and
+// multiply, but vfmacc and vfredusum can round twice.
+func (c *CPU) vecArith(op riscv.Op, rd, rs1, rs2 riscv.Reg, imm int64) bool {
+	var sew uint
+	switch riscv.SEWOf(c.VT) {
+	case riscv.E32:
+		sew = 4
+	case riscv.E64:
+		sew = 8
+	default:
+		return false
+	}
+	vd, v1, v2 := &c.V[rd], &c.V[rs1], &c.V[rs2]
 	vl := int(c.VL)
-
-	switch inst.Op {
+	switch op {
 	case riscv.VADDVV:
 		for i := 0; i < vl; i++ {
-			st(&c.V[rd], i, ld(&c.V[rs2], i)+ld(&c.V[rs1], i))
+			vset(vd, i, sew, velem(v2, i, sew)+velem(v1, i, sew))
 		}
 	case riscv.VADDVX:
 		for i := 0; i < vl; i++ {
-			st(&c.V[rd], i, ld(&c.V[rs2], i)+c.X[rs1])
+			vset(vd, i, sew, velem(v2, i, sew)+c.X[rs1])
 		}
 	case riscv.VMULVV:
 		for i := 0; i < vl; i++ {
-			st(&c.V[rd], i, ld(&c.V[rs2], i)*ld(&c.V[rs1], i))
+			vset(vd, i, sew, velem(v2, i, sew)*velem(v1, i, sew))
 		}
-	case riscv.VMVVI:
-		for i := 0; i < vl; i++ {
-			st(&c.V[rd], i, uint64(inst.Imm))
+	case riscv.VMVVI, riscv.VMVVX:
+		x := uint64(imm)
+		if op == riscv.VMVVX {
+			x = c.X[rs1]
 		}
-	case riscv.VMVVX:
 		for i := 0; i < vl; i++ {
-			st(&c.V[rd], i, c.X[rs1])
+			vset(vd, i, sew, x)
 		}
 	case riscv.VFADDVV:
 		for i := 0; i < vl; i++ {
-			stf(&c.V[rd], i, ldf(&c.V[rs2], i)+ldf(&c.V[rs1], i))
+			vsetF(vd, i, sew, velemF(v2, i, sew)+velemF(v1, i, sew))
 		}
 	case riscv.VFMULVV:
 		for i := 0; i < vl; i++ {
-			stf(&c.V[rd], i, ldf(&c.V[rs2], i)*ldf(&c.V[rs1], i))
+			vsetF(vd, i, sew, velemF(v2, i, sew)*velemF(v1, i, sew))
 		}
 	case riscv.VFMACCVV:
 		// vd[i] += vs1[i] * vs2[i]
 		for i := 0; i < vl; i++ {
-			stf(&c.V[rd], i, ldf(&c.V[rd], i)+ldf(&c.V[rs1], i)*ldf(&c.V[rs2], i))
+			vsetF(vd, i, sew, math.FMA(velemF(v1, i, sew), velemF(v2, i, sew), velemF(vd, i, sew)))
 		}
 	case riscv.VFMACCVF:
 		// vd[i] += f[rs1] * vs2[i]
-		var scalar float64
+		s := f64(c.F[rs1])
 		if sew == 4 {
-			scalar = float64(f32of(c.F[rs1]))
-		} else {
-			scalar = f64(c.F[rs1])
+			s = float64(f32of(c.F[rs1]))
 		}
 		for i := 0; i < vl; i++ {
-			stf(&c.V[rd], i, ldf(&c.V[rd], i)+scalar*ldf(&c.V[rs2], i))
+			vsetF(vd, i, sew, math.FMA(s, velemF(v2, i, sew), velemF(vd, i, sew)))
 		}
 	case riscv.VFMVVF:
-		var bits uint64
-		if sew == 4 {
-			bits = c.F[rs1] & 0xFFFFFFFF
-		} else {
-			bits = c.F[rs1]
-		}
 		for i := 0; i < vl; i++ {
-			st(&c.V[rd], i, bits)
+			vset(vd, i, sew, c.F[rs1])
 		}
 	case riscv.VFMVFS:
 		if sew == 4 {
-			c.F[rd] = 0xFFFFFFFF_00000000 | ld(&c.V[rs2], 0)
+			c.F[rd] = 0xFFFFFFFF_00000000 | velem(v2, 0, 4)
 		} else {
-			c.F[rd] = ld(&c.V[rs2], 0)
+			c.F[rd] = velem(v2, 0, 8)
 		}
 	case riscv.VFREDUSUMVS:
 		// vd[0] = vs1[0] + sum(vs2[0..vl))
-		acc := ldf(&c.V[rs1], 0)
+		acc := velemF(v1, 0, sew)
 		for i := 0; i < vl; i++ {
-			acc += ldf(&c.V[rs2], i)
+			acc += velemF(v2, i, sew)
 		}
-		stf(&c.V[rd], 0, acc)
+		vsetF(vd, 0, sew, acc)
 	default:
-		return c.fault(FaultIllegal, c.PC, fmt.Errorf("unimplemented %s", inst))
+		return false
 	}
-	return c.retire(inst, next, false)
+	return true
 }

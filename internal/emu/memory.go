@@ -434,6 +434,40 @@ func (m *Memory) storeU32(addr uint64, v uint32) bool {
 	return true
 }
 
+// loadBytes and storeBytes are the same fast path for a vector register's
+// bytes: they copy all of buf or, when the span leaves its page, is
+// unmapped or lacks permission, nothing.
+
+func (m *Memory) loadBytes(addr uint64, buf []byte) bool {
+	off := addr & (obj.PageSize - 1)
+	if off+uint64(len(buf)) > obj.PageSize {
+		return false
+	}
+	p, ok := m.lookup(pageOf(addr), false)
+	if !ok || p.Perm&obj.PermR == 0 {
+		return false
+	}
+	copy(buf, p.data[off:])
+	return true
+}
+
+func (m *Memory) storeBytes(addr uint64, buf []byte) bool {
+	off := addr & (obj.PageSize - 1)
+	if off+uint64(len(buf)) > obj.PageSize {
+		return false
+	}
+	pn := pageOf(addr)
+	p, ok := m.lookup(pn, false)
+	if !ok || p.Perm&obj.PermW == 0 {
+		return false
+	}
+	if !p.dirty {
+		m.markDirty(pn, p)
+	}
+	copy(p.data[off:], buf)
+	return true
+}
+
 func (m *Memory) fetchU16(addr uint64) (uint16, bool) {
 	off := addr & (obj.PageSize - 1)
 	if off > obj.PageSize-2 {

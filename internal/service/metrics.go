@@ -177,6 +177,7 @@ func (s *Server) registerTotals() {
 		{"chimera_emu_trace_side_exits_total", "trace guard failures that fell back to the block tier", func(t *totals) uint64 { return t.emu.Blocks.SideExits }},
 		{"chimera_emu_trace_pic_hits_total", "indirect-jump chains served by the polymorphic inline cache", func(t *totals) uint64 { return t.emu.Blocks.PICHits }},
 		{"chimera_emu_trace_pic_misses_total", "indirect-jump chains that probed the block cache", func(t *totals) uint64 { return t.emu.Blocks.PICMisses }},
+		{"chimera_emu_interpreted_total", "instructions the block and trace tiers handed to the interpreter", func(t *totals) uint64 { return t.emu.Blocks.Interpreted }},
 
 		// Kernel events, summed over every run's kernel.Counters.
 		{"chimera_kernel_fault_recoveries_total", "deterministic faults recovered via tables", func(t *totals) uint64 { return t.kernel.FaultRecoveries }},

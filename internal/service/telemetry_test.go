@@ -294,6 +294,7 @@ func totalsCounterPairs(st Stats, kern kernel.Counters) []statPair {
 		{"chimera_emu_trace_side_exits_total", float64(b.SideExits)},
 		{"chimera_emu_trace_pic_hits_total", float64(b.PICHits)},
 		{"chimera_emu_trace_pic_misses_total", float64(b.PICMisses)},
+		{"chimera_emu_interpreted_total", float64(b.Interpreted)},
 
 		{"chimera_kernel_fault_recoveries_total", float64(kern.FaultRecoveries)},
 		{"chimera_kernel_traps_total", float64(kern.Traps)},
@@ -454,7 +455,7 @@ func TestStatsTotalsKeys(t *testing.T) {
 		{"emulator", st.Emulator, []string{"runs", "instret", "cycles", "run_seconds", "emulated_mips", "blocks",
 			"block_hit_ratio", "retired_per_dispatch", "trace_side_exit_rate", "pic_hit_ratio"}},
 		{"emulator.blocks", st.Emulator.Blocks, []string{"built", "hits", "invalidations", "dispatches", "retired",
-			"traces_built", "trace_hits", "trace_retired", "side_exits", "pic_hits", "pic_misses"}},
+			"traces_built", "trace_hits", "trace_retired", "side_exits", "pic_hits", "pic_misses", "interpreted"}},
 		{"resolve", st.Resolve, []string{"rewrites", "sites_high", "sites_medium", "sites_low", "sites_unresolved",
 			"targets_high", "targets_medium", "targets_low", "recovered_insts", "avoided_rewrites", "faults_avoided"}},
 		{"fuzz", st.Fuzz, []string{"campaigns", "active", "execs", "hangs", "crashes_unique", "corpus_entries", "edges"}},

@@ -1,7 +1,8 @@
 // chimera-served runs the Chimera rewrite service: a long-running daemon
 // that rewrites images for target core classes over an HTTP JSON API, with
-// a content-addressed rewrite cache, singleflight deduplication, and a
-// bounded worker pool. See README.md "Serving mode".
+// a content-addressed rewrite cache, singleflight deduplication, and at
+// most -workers rewrites and runs executing at once, each on the goroutine
+// of the request that asked for it. See README.md "Serving mode".
 //
 // Usage:
 //
@@ -44,8 +45,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "pending-request queue depth (0 = 4x workers)")
+	workers := flag.Int("workers", 0, "rewrites and runs executing at once (0 = GOMAXPROCS)")
 	cacheMB := flag.Int64("cache-mb", 256, "rewrite cache budget in MiB")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline (0 = library default, negative = off)")
@@ -59,7 +59,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers:        *workers,
-		QueueDepth:     *queue,
 		CacheBytes:     *cacheMB << 20,
 		RequestTimeout: *reqTimeout,
 		RunMaxInstret:  *runBudget,
@@ -101,8 +100,8 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	// Stop accepting connections first, then drain the worker pool so every
-	// accepted request finishes before the process exits.
+	// Stop accepting connections first, then drain the service so every
+	// admitted request finishes before the process exits.
 	if err := hs.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "chimera-served: http shutdown: %v\n", err)
 	}

@@ -41,26 +41,15 @@ func RunOnCore(p *kernel.Process, isa riscv.Ext) (uint64, error) {
 	return total, nil
 }
 
-// nativeCycles runs an image natively (no rewriting) and returns cycles.
-func nativeCycles(img *obj.Image) (uint64, error) {
+// runNative runs an image natively (no rewriting) and returns its cycles
+// and exit code.
+func runNative(img *obj.Image) (cycles, exit uint64, err error) {
 	p, err := kernel.NewProcess(img.Name, []kernel.Variant{{ISA: img.ISA, Image: img}})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return RunOnCore(p, img.ISA)
-}
-
-// exitOf runs an image natively and returns its exit code, for correctness
-// cross-checks inside experiments.
-func exitOf(img *obj.Image) (uint64, error) {
-	p, err := kernel.NewProcess(img.Name, []kernel.Variant{{ISA: img.ISA, Image: img}})
-	if err != nil {
-		return 0, err
-	}
-	if _, err := RunOnCore(p, img.ISA); err != nil {
-		return 0, err
-	}
-	return p.ExitCode, nil
+	cycles, err = RunOnCore(p, img.ISA)
+	return cycles, p.ExitCode, err
 }
 
 // pct renders a ratio as a percentage string.

@@ -58,7 +58,7 @@ func calibrateFib(matmulN int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	baseCycles, err := nativeCycles(base)
+	baseCycles, _, err := runNative(base)
 	if err != nil {
 		return 0, err
 	}
@@ -68,7 +68,7 @@ func calibrateFib(matmulN int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	oneCycles, err := nativeCycles(one)
+	oneCycles, _, err := runNative(one)
 	if err != nil {
 		return 0, err
 	}
@@ -76,7 +76,7 @@ func calibrateFib(matmulN int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	elevenCycles, err := nativeCycles(eleven)
+	elevenCycles, _, err := runNative(eleven)
 	if err != nil {
 		return 0, err
 	}

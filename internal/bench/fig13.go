@@ -60,13 +60,9 @@ func Fig13Case(c workload.SpecCase, rounds int64) (*Fig13Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	native, err := nativeCycles(ext)
+	native, wantExit, err := runNative(ext)
 	if err != nil {
 		return nil, fmt.Errorf("%s native: %w", params.Name, err)
-	}
-	wantExit, err := exitOf(ext)
-	if err != nil {
-		return nil, err
 	}
 	row := &Fig13Row{
 		Name:         params.Name,
@@ -238,7 +234,7 @@ func Ablations(c workload.SpecCase, rounds int64) ([]*AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	native, err := nativeCycles(ext)
+	native, _, err := runNative(ext)
 	if err != nil {
 		return nil, err
 	}

@@ -120,16 +120,21 @@ var (
 )
 
 // vsetvli sets vtype and a vector length of min(AVL, VLMAX), where the AVL
-// is x[rs1], or VLMAX when rs1 is x0, and writes the length to rd.
+// is x[rs1], VLMAX when rs1 is x0 and rd is not, and the current VL when
+// both are x0 (RVV 1.0), and writes the length to rd. A VLMAX that the new
+// vtype shrinks below the kept VL is a reserved use; VL is clamped to it.
 func (c *CPU) vsetvli(rd, rs1 riscv.Reg, vtype int64) {
 	max := uint64(riscv.VLenBytes >> riscv.SEWOf(vtype))
 	avl := c.X[rs1]
-	if rs1 == riscv.Zero || avl > max {
+	if rs1 == riscv.Zero {
 		avl = max
+		if rd == riscv.Zero {
+			avl = c.VL
+		}
 	}
-	c.VT, c.VL = vtype, avl
+	c.VT, c.VL = vtype, min(avl, max)
 	if rd != riscv.Zero {
-		c.X[rd] = avl
+		c.X[rd] = c.VL
 	}
 }
 
@@ -301,7 +306,10 @@ func (c *CPU) vecArith(op riscv.Op, rd, rs1, rs2 riscv.Reg, imm int64) bool {
 			c.F[rd] = velem(v2, 0, 8)
 		}
 	case riscv.VFREDUSUMVS:
-		// vd[0] = vs1[0] + sum(vs2[0..vl))
+		// vd[0] = vs1[0] + sum(vs2[0..vl)); at VL 0 vd is left unchanged.
+		if vl == 0 {
+			break
+		}
 		acc := velemF(v1, 0, sew)
 		for i := 0; i < vl; i++ {
 			acc += velemF(v2, i, sew)

@@ -122,6 +122,22 @@ func divCase(name string, a, b uint64, want [8]uint64) conformCase {
 	}
 }
 
+// keepVL sets VL to min(avl, 8) at SEW 32, then runs vsetvli x0, x0 to
+// SEW 64 and the fp body at the kept VL, which must be want.
+func keepVL(name string, avl, want uint64) conformCase {
+	return conformCase{
+		name: name, iters: 6, interp: 1,
+		regs: map[riscv.Reg]uint64{riscv.A2: avl, riscv.A1: confData, riscv.A3: confData + 0x800},
+		body: append([]riscv.Inst{vsetvl(riscv.T0, riscv.A2, riscv.E32), vsetvl(riscv.Zero, riscv.Zero, riscv.E64)},
+			fpBody(riscv.E64)[1:]...),
+		check: func(t *testing.T, tier string, c *CPU) {
+			if c.VL != want || riscv.SEWOf(c.VT) != riscv.E64 {
+				t.Errorf("%s/%s: vl %d sew %v, want %d at e64", name, tier, c.VL, riscv.SEWOf(c.VT), want)
+			}
+		},
+	}
+}
+
 func conformCases() []conformCase {
 	const ones = ^uint64(0)
 	neg := func(v int64) uint64 { return uint64(v) }
@@ -171,6 +187,27 @@ func conformCases() []conformCase {
 			check: func(t *testing.T, tier string, c *CPU) {
 				if c.VL != 3 || c.X[riscv.Zero] != 0 {
 					t.Errorf("vsetvli/rd=x0/%s: vl %d, x0 %d, want 3 and 0", tier, c.VL, c.X[riscv.Zero])
+				}
+			},
+		},
+		// vsetvli x0, x0 changes vtype and keeps VL (RVV 1.0); a VLMAX the
+		// new SEW shrinks below it (a reserved use) clamps VL.
+		keepVL("vsetvli/x0-x0", 3, 3),
+		keepVL("vsetvli/x0-x0-clamp", 7, 4),
+		// At VL 0 a reduction leaves vd unchanged: v7 keeps its zeros
+		// although vs1[0] holds 1.5.
+		conformCase{
+			name: "vfredusum/vl=0", iters: iters, interp: 1,
+			regs: map[riscv.Reg]uint64{riscv.A2: 3},
+			body: []riscv.Inst{
+				vsetvl(riscv.T0, riscv.A2, riscv.E64),
+				vop(riscv.VFMVVF, 6, 1, 0),
+				vsetvl(riscv.T1, riscv.A5, riscv.E64),
+				vop(riscv.VFREDUSUMVS, 7, 6, 6),
+			},
+			check: func(t *testing.T, tier string, c *CPU) {
+				if c.VL != 0 || c.V[7] != ([riscv.VLenBytes]byte{}) {
+					t.Errorf("vfredusum/vl=0/%s: vl %d, v7 %x, want 0 and zeros", tier, c.VL, c.V[7])
 				}
 			},
 		},

@@ -9,8 +9,8 @@ import (
 
 // maxBatchItems bounds one POST /rewrite/batch request. The batch endpoint
 // exists to amortize HTTP round trips for bulk clients (a fleet manager
-// rewriting a package set), not to replace queue backpressure — items still
-// flow through the same pool and singleflight as single requests.
+// rewriting a package set), not to replace backpressure — items still
+// flow through the same singleflight and execution slots as single requests.
 const maxBatchItems = 256
 
 // batchHTTPRequest is the POST /rewrite/batch JSON body.
@@ -36,7 +36,7 @@ type batchHTTPResponse struct {
 // RewriteBatch serves a batch of rewrite requests concurrently. Each item
 // is an independent Rewrite call — identical items coalesce in the
 // singleflight layer (one rewrite, N shared results), distinct ones run in
-// parallel under the pool's backpressure. One failed item never fails the
+// parallel under the execution slots' backpressure. One failed item never fails the
 // batch; its slot carries the error and per-item status.
 func (s *Server) RewriteBatch(ctx context.Context, reqs []*RewriteRequest) []BatchItemResult {
 	out := make([]BatchItemResult, len(reqs))

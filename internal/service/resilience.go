@@ -9,8 +9,9 @@ import (
 // ErrBudget to 422; ErrWorkerPanic never reaches clients on /rewrite — the
 // request is degraded to the original image instead.
 var (
-	// ErrWorkerPanic wraps a panic recovered on a pool worker. The panic is
-	// isolated to its request; the worker and the pool keep running.
+	// ErrWorkerPanic wraps a panic recovered from a request's work in its
+	// execution slot. The panic is isolated to that request; the slot is
+	// released and the server keeps running.
 	ErrWorkerPanic = errors.New("service: worker panicked")
 	// ErrDeadline marks a request that exceeded its per-request deadline.
 	ErrDeadline = errors.New("service: request deadline exceeded")
@@ -46,7 +47,8 @@ func (s *Server) spawn(site string, fn func() error, done func(error)) {
 // serving layer absorbed, and what it did about it. All-zero on a healthy,
 // chaos-free server.
 type FaultStats struct {
-	// Panics is rewrites that panicked on a worker and were isolated.
+	// Panics is rewrites that panicked in an execution slot and were
+	// isolated.
 	Panics uint64 `json:"panics"`
 	// Rejects is rewrites the rewriter itself refused (typed
 	// ErrRewriteReject: recovered panics, image-dependent analysis

@@ -5,9 +5,10 @@
 // made explicit: a content-addressed rewrite cache (SHA-256 of the image's
 // wire form + canonicalized options) held in one checksummed memory LRU
 // (internal/store), singleflight deduplication so N concurrent identical
-// requests share one rewrite, a bounded worker pool with per-request
-// context cancellation and graceful drain, and an HTTP JSON front end
-// (cmd/chimera-served).
+// requests share one rewrite, a Workers-sized execution semaphore with
+// per-request context cancellation and graceful drain, and an HTTP JSON
+// front end (cmd/chimera-served). Work runs on the goroutine that asked for
+// it: a rewrite on the singleflight leader's, a /run on its handler's.
 package service
 
 import (
@@ -43,13 +44,10 @@ var (
 
 // Config sizes the server. Zero values pick defaults.
 type Config struct {
-	// Workers is the number of rewrite/run worker goroutines
-	// (default GOMAXPROCS).
+	// Workers is the number of rewrites and runs that execute at once
+	// (default GOMAXPROCS). A request past that blocks until a slot frees
+	// or its context ends — closed-loop backpressure, not load shedding.
 	Workers int
-	// QueueDepth bounds the pending-request queue (default 4×Workers).
-	// When the queue is full, Rewrite/Run block until a slot frees or the
-	// request's context ends — closed-loop backpressure, not load shedding.
-	QueueDepth int
 	// CacheBytes is the rewrite cache's byte budget (default 256 MiB).
 	CacheBytes int64
 	// RequestTimeout bounds each request end-to-end — queue wait and
@@ -72,17 +70,14 @@ type Config struct {
 	// per-dispatch observer check every hooked process already pays).
 	GuestProfile bool
 	// MaxCampaigns caps concurrently running fuzzing campaigns (POST
-	// /fuzz). Campaigns run on dedicated goroutines outside the worker
-	// pool (default 4; negative disables the endpoint).
+	// /fuzz). Campaigns run on dedicated goroutines outside the execution
+	// slots (default 4; negative disables the endpoint).
 	MaxCampaigns int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
@@ -133,8 +128,9 @@ type RewriteStats = rewriters.Stats
 
 // RewriteResult is a completed rewrite. ImageBytes is the rewritten image
 // in the obj wire format — a cache hit returns the exact bytes the cold
-// rewrite produced. Callers must not mutate ImageBytes: it is shared with
-// the cache and with concurrent requests.
+// rewrite produced, and the same Stats. Callers must not mutate ImageBytes
+// or Stats.Resolve: they are shared with the cache and with concurrent
+// requests.
 type RewriteResult struct {
 	Key        string       `json:"key"` // canonical content address
 	Method     string       `json:"method"`
@@ -167,45 +163,31 @@ type RunResult struct {
 	Output     string          `json:"output"`
 	Counters   kernel.Counters `json:"counters"`
 	// EmulatedMIPS is host-side throughput: instructions retired per
-	// wall-clock second on the worker, in millions.
+	// wall-clock second of the run, in millions.
 	EmulatedMIPS float64 `json:"emulated_mips"`
 	// Blocks is the hart's basic-block translation cache tally for this run.
 	Blocks emu.BlockStats `json:"blocks"`
 }
 
-// job is one unit of pool work. done is buffered so a worker never blocks
-// on a caller that abandoned the request.
-type job struct {
-	ctx  context.Context
-	fn   func() (any, error)
-	done chan jobResult
-	// enq stamps queue admission; the worker observes the queue-wait stage
-	// (and ends the request trace's queue_wait span) at pickup.
-	enq   time.Time
-	qspan *telemetry.Span
-}
-
-type jobResult struct {
-	val any
-	err error
-}
-
-// Server is the rewrite-as-a-service daemon: a bounded worker pool in
+// Server is the rewrite-as-a-service daemon: an execution semaphore in
 // front of the rewriters, with the cache and singleflight layered above it.
 type Server struct {
 	cfg   Config
 	start time.Time
 
-	queue   chan *job
-	workers sync.WaitGroup
+	// slots holds one token per executing request (cap Workers); waiting
+	// counts requests blocked on a free slot.
+	slots   chan struct{}
+	waiting atomic.Int64
 	drained chan struct{}
 	stopped sync.Once
 
-	// mu gates submission against shutdown: submitters hold the read side
-	// while enqueueing, so once Shutdown acquires the write side every
-	// accepted job is already in the queue and closing it is race-free.
-	mu     sync.RWMutex
-	closed bool
+	// mu gates admission against shutdown: execute holds the read side
+	// while it adds to admitted, so once Shutdown acquires the write side
+	// every admitted request is counted and admitted.Wait races no Add.
+	mu       sync.RWMutex
+	closed   bool
+	admitted sync.WaitGroup
 
 	cache *store.Memory // the checksummed rewrite cache
 
@@ -269,14 +251,14 @@ type EmuStats struct {
 // cannot return. It is deleted with the next change to benchmark/.
 func NewServer(cfg Config) (*Server, error) { return New(cfg), nil }
 
-// New starts a server with cfg's worker pool already running.
+// New returns a server ready to serve.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	tel := newServiceMetrics()
 	s := &Server{
 		cfg:      cfg,
 		start:    time.Now(),
-		queue:    make(chan *job, cfg.QueueDepth),
+		slots:    make(chan struct{}, cfg.Workers),
 		drained:  make(chan struct{}),
 		tel:      tel,
 		profiles: make(map[string]*imageProfile),
@@ -299,9 +281,7 @@ func New(cfg Config) *Server {
 	r.GaugeFunc("chimera_workers", "size of the worker pool",
 		func() float64 { return float64(s.cfg.Workers) })
 	r.GaugeFunc("chimera_queue_depth", "jobs currently queued",
-		func() float64 { return float64(len(s.queue)) })
-	r.GaugeFunc("chimera_queue_capacity", "capacity of the job queue",
-		func() float64 { return float64(s.cfg.QueueDepth) })
+		func() float64 { return float64(s.waiting.Load()) })
 	r.GaugeFunc("chimera_requests_running", "jobs currently executing on a worker",
 		func() float64 { return float64(s.running.Load()) })
 	if s.fuzz != nil {
@@ -314,11 +294,6 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.cache.Bytes()) })
 	r.GaugeFunc("chimera_cache_budget_bytes", "memory-tier rewrite cache byte budget",
 		func() float64 { return float64(cfg.CacheBytes) })
-
-	s.workers.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		s.spawn("worker", s.worker, func(error) { s.workers.Done() })
-	}
 	return s
 }
 
@@ -328,87 +303,61 @@ func (s *Server) Metrics() *telemetry.Registry { return s.tel.reg }
 // Tracer exposes the request tracer (nil when tracing is disabled).
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
-// worker serves the queue until Shutdown closes it.
-func (s *Server) worker() error {
-	for j := range s.queue {
-		select {
-		case <-j.ctx.Done():
-			// Canceled while queued: don't burn a worker on it.
-			j.done <- jobResult{err: j.ctx.Err()}
-			continue
-		default:
-		}
-		observeStage(s.tel.stageQueueWait, time.Since(j.enq))
-		j.qspan.End()
-		s.running.Add(1)
-		v, err := s.runJob(j)
-		s.running.Add(-1)
-		s.tel.completed.Inc()
-		j.done <- jobResult{val: v, err: err}
+// execute runs fn on the calling goroutine once one of the Workers
+// execution slots is free. A request admitted before Shutdown always gets
+// its slot unless ctx ends first, in which case fn never runs. A panic in
+// fn (a rewriter bug, or chaos.RewritePanic) fails only its own request:
+// it comes back as an ErrWorkerPanic error, and its value is kept in
+// /stats for diagnosis.
+func (s *Server) execute(ctx context.Context, fn func() error) (err error) {
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		s.tel.rejected.Inc()
+		return ErrShuttingDown
 	}
-	return nil
-}
+	s.admitted.Add(1)
+	s.mu.RUnlock()
+	defer s.admitted.Done()
+	s.tel.accepted.Inc()
 
-// runJob executes one job with panic isolation: a panicking rewrite (a
-// rewriter bug, or chaos.RewritePanic) fails only its own request — the
-// worker survives, the pool stays at full strength, and the panic value is
-// preserved in the error and in /stats for diagnosis.
-func (s *Server) runJob(j *job) (v any, err error) {
+	qspan := telemetry.TraceFrom(ctx).Span("queue_wait")
+	enq := time.Now()
+	s.waiting.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	case <-ctx.Done():
+	}
+	s.waiting.Add(-1)
+	qspan.End()
+	if err := ctx.Err(); err != nil {
+		return err // canceled while it waited: fn never runs
+	}
+	observeStage(s.tel.stageQueueWait, time.Since(enq))
+	s.running.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			s.tel.panics.Inc()
 			s.lastPanic.Store(fmt.Sprint(r))
 			err = fmt.Errorf("%w: %v", ErrWorkerPanic, r)
 		}
+		s.running.Add(-1)
+		s.tel.completed.Inc()
 	}()
-	return j.fn()
+	return fn()
 }
 
-// submit queues fn and waits for its result or ctx. Accepted jobs always
-// execute (or are marked canceled) even if this caller stops waiting.
-func (s *Server) submit(ctx context.Context, fn func() (any, error)) (any, error) {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.tel.rejected.Inc()
-		return nil, ErrShuttingDown
-	}
-	j := &job{
-		ctx: ctx, fn: fn, done: make(chan jobResult, 1),
-		enq:   time.Now(),
-		qspan: telemetry.TraceFrom(ctx).Span("queue_wait"),
-	}
-	var accepted bool
-	select {
-	case s.queue <- j:
-		accepted = true
-	case <-ctx.Done():
-	}
-	s.mu.RUnlock()
-	if !accepted {
-		j.qspan.End()
-		return nil, ctx.Err()
-	}
-	s.tel.accepted.Inc()
-	select {
-	case r := <-j.done:
-		return r.val, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Shutdown stops accepting requests and drains: every job accepted before
-// the gate flipped runs to completion. It returns once the pool is idle or
-// ctx ends (the pool keeps draining in the background either way).
+// Shutdown stops accepting requests and drains: every request admitted
+// before the gate flipped runs to completion. It returns once none is left
+// or ctx ends (the drain goes on in the background either way).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopped.Do(func() {
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
-		close(s.queue)
 		s.spawn("drain", func() error {
-			s.workers.Wait()
+			s.admitted.Wait()
 			if s.fuzz != nil {
 				s.fuzz.stopAll() // cancel campaigns and wait for their goroutines
 			}
@@ -475,7 +424,7 @@ func validateRewrite(req *RewriteRequest) (rewriters.Config, error) {
 }
 
 // Rewrite serves one rewrite request: cache lookup, then singleflight,
-// then one attempt on the worker pool. A rewrite failure
+// then one attempt in an execution slot. A rewrite failure
 // is never fatal (the paper's core invariant): rejects, panics and
 // deadlines all degrade to the original image, which is never cached, so
 // the next identical request is the retry. The returned result is a
@@ -505,7 +454,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		defer cancel()
 	}
 
-	if res, hit := s.lookup(tr, key, startAt); hit {
+	if res, hit := s.lookup(tr, key, cfg, startAt); hit {
 		return res, nil
 	}
 	// A miss: parse the wire bytes. An unparseable image is a 400 that,
@@ -527,7 +476,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		// A non-canonical encoding: its image may be cached under the
 		// canonical key.
 		key = canon
-		if res, hit := s.lookup(tr, key, startAt); hit {
+		if res, hit := s.lookup(tr, key, cfg, startAt); hit {
 			return res, nil
 		}
 	}
@@ -579,14 +528,16 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	return &out, nil
 }
 
-// rewriteOnce is the singleflight leader's rewrite: one attempt on the
-// pool, stored on success. Rewriter rejects
-// are counted here; every failure is the caller's to degrade.
+// rewriteOnce is the singleflight leader's rewrite: one attempt in an
+// execution slot, on the leader's goroutine, stored on success. Rewriter
+// rejects are counted here; every failure is the caller's to degrade.
 func (s *Server) rewriteOnce(ctx context.Context, img *obj.Image, cfg rewriters.Config, key string) (*RewriteResult, error) {
 	tr := telemetry.TraceFrom(ctx)
 	asp := tr.Span("rewrite_attempt")
-	v, err := s.submit(ctx, func() (any, error) {
-		return s.doRewriteChaos(ctx, img, cfg, key)
+	var res *RewriteResult
+	err := s.execute(ctx, func() (err error) {
+		res, err = s.doRewriteChaos(ctx, img, cfg, key)
+		return err
 	})
 	if err != nil {
 		asp.Annotate("error", err.Error())
@@ -598,18 +549,17 @@ func (s *Server) rewriteOnce(ctx context.Context, img *obj.Image, cfg rewriters.
 		return nil, err
 	}
 	asp.End()
-	res := v.(*RewriteResult)
 	storeSpan := tr.Span("cache_store")
-	s.storeAdd(key, res)
+	s.storeAdd(res)
 	storeSpan.End()
 	return res, nil
 }
 
-// doRewriteChaos interposes the chaos injector between the pool and the
-// rewriter: stalls hold the worker for real (bounded only by the request
-// context) and panics unwind through the worker's recover. With a nil
+// doRewriteChaos interposes the chaos injector between the execution slot
+// and the rewriter: stalls hold the slot for real (bounded only by the
+// request context) and panics unwind through execute's recover. With a nil
 // injector every roll is false.
-func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewriters.Config, key string) (any, error) {
+func (s *Server) doRewriteChaos(ctx context.Context, img *obj.Image, cfg rewriters.Config, key string) (*RewriteResult, error) {
 	inj := s.cfg.Chaos
 	if inj.Roll(chaos.RewriteStall) {
 		if err := inj.Stall(ctx); err != nil {
@@ -658,11 +608,12 @@ func (s *Server) degrade(ctx context.Context, method string, img *obj.Image, key
 }
 
 // lookup is the cache_lookup stage. A hit comes back marked as one, and
-// ends the request.
-func (s *Server) lookup(tr *telemetry.Trace, key string, startAt time.Time) (*RewriteResult, bool) {
+// ends the request. Its method and target are the request's: key encodes
+// both, so they are the ones the stored rewrite ran with.
+func (s *Server) lookup(tr *telemetry.Trace, key string, cfg rewriters.Config, startAt time.Time) (*RewriteResult, bool) {
 	span := tr.Span("cache_lookup")
 	start := time.Now()
-	res, hit := s.cacheGet(key)
+	e, hit := s.cache.Get(key)
 	observeStage(s.tel.stageCacheLookup, time.Since(start))
 	span.Annotate("hit", fmt.Sprint(hit))
 	span.End()
@@ -670,45 +621,31 @@ func (s *Server) lookup(tr *telemetry.Trace, key string, startAt time.Time) (*Re
 		return nil, false
 	}
 	s.tel.requestSeconds.With("rewrite").Observe(time.Since(startAt).Seconds())
-	res.CacheHit = true
-	return res, true
-}
-
-// cacheGet looks key up in the cache, hit verification included.
-func (s *Server) cacheGet(key string) (*RewriteResult, bool) {
-	e, ok := s.cache.Get(key)
-	if !ok {
-		return nil, false
-	}
-	res, err := resultFromEntry(e)
-	if err != nil {
-		// Checksum-valid bytes with an unparseable sidecar is a codec
-		// version skew: drop the entry and rewrite rather than erroring.
-		s.cache.Delete(key)
-		return nil, false
-	}
-	return res, true
+	return &RewriteResult{
+		Key:        key,
+		Method:     cfg.Method,
+		Target:     cfg.Target.String(),
+		ImageBytes: e.Data,
+		Stats:      e.Value.(RewriteStats),
+		CacheHit:   true,
+	}, true
 }
 
 // storeAdd puts a fresh result in the cache — and, under chaos, may flip
 // one bit of a private copy of the resident entry so the next hit
 // exercises the verification/eviction path. In-flight responses keep the
 // pristine bytes.
-func (s *Server) storeAdd(key string, res *RewriteResult) {
-	e, err := entryFromResult(res)
-	if err != nil {
-		return
-	}
-	s.cache.Put(e)
+func (s *Server) storeAdd(res *RewriteResult) {
+	s.cache.Put(&store.Entry{Key: res.Key, Value: res.Stats, Data: res.ImageBytes})
 	if inj := s.cfg.Chaos; inj.Roll(chaos.CacheCorrupt) {
-		s.cache.Corrupt(key, inj.Intn)
+		s.cache.Corrupt(res.Key, inj.Intn)
 	}
 }
 
-// doRewrite performs the actual rewrite on a worker. The rewriters clone
-// the input internally, so img may be shared across requests. With
-// Resolve set, the resolver pass runs here on the worker too, and its
-// per-tier summary rides along in the stats.
+// doRewrite performs the actual rewrite. The rewriters clone the input
+// internally, so img may be shared across requests. With Resolve set, the
+// resolver pass runs here too, and its per-tier summary rides along in the
+// stats.
 func doRewrite(img *obj.Image, cfg rewriters.Config, key string) (*RewriteResult, error) {
 	res, err := rewriters.Rewrite(img, cfg)
 	if err != nil {
@@ -718,17 +655,13 @@ func doRewrite(img *obj.Image, cfg rewriters.Config, key string) (*RewriteResult
 	if _, err := res.Image.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("service: serializing result: %w", err)
 	}
-	st, err := wireStats(res.Stats)
-	if err != nil {
-		return nil, err
-	}
 	return &RewriteResult{
 		Key: key, Method: cfg.Method, Target: cfg.Target.String(),
-		ImageBytes: buf.Bytes(), Stats: st,
+		ImageBytes: buf.Bytes(), Stats: res.Stats,
 	}, nil
 }
 
-// Run executes an image on a simulated core through the worker pool, under
+// Run executes an image on a simulated core in an execution slot, under
 // the per-request deadline and the hard instruction budget. Unlike
 // /rewrite there is no degradation path — the caller asked for execution,
 // so a guest that cannot finish gets ErrDeadline (504) or ErrBudget (422).
@@ -769,19 +702,18 @@ func (s *Server) run(ctx context.Context, req *RunRequest) (*RunResult, error) {
 	tr := telemetry.TraceFrom(ctx)
 	tr.Annotate("image", req.Image.Name)
 	tr.Annotate("isa", isa.String())
-	v, err := s.submit(ctx, func() (any, error) {
-		res, wall, err := s.doRun(ctx, req, isa)
+	var res *RunResult
+	err := s.execute(ctx, func() error {
+		r, wall, err := s.doRun(ctx, req, isa)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		observeStage(s.tel.stageRunExec, wall)
-		s.fold(func(t *totals) { t.addRun(res) })
-		return res, nil
+		s.fold(func(t *totals) { t.addRun(r) })
+		res = r
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*RunResult), nil
+	return res, err
 }
 
 // runSliceInstr is the /run scheduling quantum: the request context is
@@ -793,10 +725,10 @@ const runSliceInstr = 2_000_000
 // above any image mapping and below the stack region.
 const chaosLoopAddr = 0x6F00_0000
 
-// doRun executes on a worker. Images are cloned so in-process callers may
+// doRun executes in an execution slot. Images are cloned so in-process callers may
 // share one parsed image across concurrent runs. The request context is
 // checked between slices and the hart carries the hard instruction budget.
-// The returned duration is the wall-clock execution time (queue wait
+// The returned duration is the wall-clock execution time (slot wait
 // excluded), the denominator of emulated MIPS.
 func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*RunResult, time.Duration, error) {
 	imgs := []*obj.Image{req.Image.Clone()}
@@ -937,20 +869,20 @@ func armInfiniteLoop(p *kernel.Process) {
 	p.CPU.PC = chaosLoopAddr
 }
 
-// Stats is the /stats payload: cache counters, pool gauges, and latency
+// Stats is the /stats payload: cache counters, slot gauges, and latency
 // histograms per endpoint and per rewriter method.
 type Stats struct {
-	UptimeSeconds float64    `json:"uptime_seconds"`
-	Health        string     `json:"health"`
-	Workers       int        `json:"workers"`
-	QueueDepth    int        `json:"queue_depth"`
-	QueueCap      int        `json:"queue_cap"`
-	Running       int64      `json:"running"`
-	Accepted      uint64     `json:"accepted"`
-	Completed     uint64     `json:"completed"`
-	Rejected      uint64     `json:"rejected"`
-	Deduped       uint64     `json:"deduped"`
-	Cache         CacheStats `json:"cache"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Health        string  `json:"health"`
+	Workers       int     `json:"workers"`
+	// Queued is requests waiting for an execution slot.
+	Queued    int64      `json:"queue_depth"`
+	Running   int64      `json:"running"`
+	Accepted  uint64     `json:"accepted"`
+	Completed uint64     `json:"completed"`
+	Rejected  uint64     `json:"rejected"`
+	Deduped   uint64     `json:"deduped"`
+	Cache     CacheStats `json:"cache"`
 	// Store is the cache's lookup tally in the shape the repo benchmark
 	// reads (see store.TieredStats); it is not part of the JSON.
 	Store     store.TieredStats         `json:"-"`
@@ -989,7 +921,7 @@ type ResolveStats struct {
 }
 
 // add folds one resolver-on rewrite's recovery stats (st.Resolve is set).
-// Called only on cold rewrites (the worker path), so cache hits never
+// Called only on cold rewrites (in an execution slot), so cache hits never
 // double-count.
 func (r *ResolveStats) add(st *RewriteStats) {
 	sum := st.Resolve
@@ -1054,8 +986,7 @@ func (s *Server) Stats() Stats {
 		Faults:        fs,
 		Chaos:         s.cfg.Chaos.Counts(),
 		Workers:       s.cfg.Workers,
-		QueueDepth:    len(s.queue),
-		QueueCap:      s.cfg.QueueDepth,
+		Queued:        s.waiting.Load(),
 		Running:       s.running.Load(),
 		Accepted:      m.accepted.Value(),
 		Completed:     m.completed.Value(),

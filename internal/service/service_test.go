@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -327,11 +328,71 @@ func TestIgnoredOptionsShareCacheKey(t *testing.T) {
 	}
 }
 
+// TestCacheHitKeepsStats checks that a cache hit reports the stats its cold
+// rewrite computed, for every method with the resolver on: equal Go values
+// in process, and byte-equal "stats" objects over HTTP.
+func TestCacheHitKeepsStats(t *testing.T) {
+	img := testImages(t, 1)[0]
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	httpSrv := New(Config{Workers: 1})
+	defer httpSrv.Shutdown(context.Background())
+	ts := httptest.NewServer(httpSrv.Handler())
+	defer ts.Close()
+
+	type answer struct {
+		Stats    json.RawMessage `json:"stats"`
+		CacheHit bool            `json:"cache_hit"`
+	}
+	post := func(method string) answer {
+		t.Helper()
+		body, _ := json.Marshal(rewriteHTTPRequest{Method: method, Target: "rv64gc", Resolve: true, Image: wire(t, img)})
+		resp, err := http.Post(ts.URL+"/rewrite", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", method, resp.StatusCode)
+		}
+		var a answer
+		if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	for _, method := range rewriters.Methods {
+		req := &RewriteRequest{Method: method, Target: "rv64gc", Resolve: true, Wire: wire(t, img)}
+		var res [2]*RewriteResult
+		for i := range res {
+			r, err := srv.Rewrite(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: %v", method, err)
+			}
+			res[i] = r
+		}
+		if res[0].CacheHit || !res[1].CacheHit || res[0].Stats.Resolve == nil {
+			t.Fatalf("%s: cache_hit %t then %t, resolve summary %v; want false, true, set",
+				method, res[0].CacheHit, res[1].CacheHit, res[0].Stats.Resolve)
+		}
+		if !reflect.DeepEqual(res[0].Stats, res[1].Stats) {
+			t.Errorf("%s: in-process stats differ across a hit:\ncold %+v\nhit  %+v", method, res[0].Stats, res[1].Stats)
+		}
+		cold, hit := post(method), post(method)
+		if cold.CacheHit || !hit.CacheHit {
+			t.Fatalf("%s over HTTP: cache_hit %t then %t, want false then true", method, cold.CacheHit, hit.CacheHit)
+		}
+		if !bytes.Equal(cold.Stats, hit.Stats) {
+			t.Errorf("%s: stats JSON differs across a hit:\ncold %s\nhit  %s", method, cold.Stats, hit.Stats)
+		}
+	}
+}
+
 // TestServiceShutdownDrains checks graceful shutdown: every accepted
 // request completes, requests after the gate are rejected.
 func TestServiceShutdownDrains(t *testing.T) {
 	images := testImages(t, 2)
-	srv := New(Config{Workers: 2, QueueDepth: 64})
+	srv := New(Config{Workers: 2})
 
 	// 16 distinct cold requests (methods × targets × images) keep the pool
 	// busy while we shut down.
@@ -392,7 +453,7 @@ func TestServiceShutdownDrains(t *testing.T) {
 // TestServiceCancellation cancels a request while it waits in the queue.
 func TestServiceCancellation(t *testing.T) {
 	images := testImages(t, 2)
-	srv := New(Config{Workers: 1, QueueDepth: 8})
+	srv := New(Config{Workers: 1})
 	defer srv.Shutdown(context.Background())
 
 	busy := &RewriteRequest{Method: "chbp", Target: "rv64gc", Wire: wire(t, images[0])}

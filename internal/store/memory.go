@@ -70,12 +70,14 @@ func (m *Memory) Get(key string) (*Entry, bool) {
 	if !m.verify(me) {
 		// Re-check identity before evicting: only evict if the map still
 		// holds the exact element/value pair that failed verification.
+		// Concurrent readers of one corrupted snapshot all miss, but only
+		// the one that evicts it counts the corruption.
 		m.mu.Lock()
 		if cur, ok := m.entries[key]; ok && cur == el && cur.Value.(*memEntry) == me {
 			m.removeElementLocked(el)
+			m.corrupt.Add(1)
 		}
 		m.mu.Unlock()
-		m.corrupt.Add(1)
 		m.misses.Add(1)
 		return nil, false
 	}
@@ -109,15 +111,6 @@ func (m *Memory) Put(e *Entry) error {
 		m.evictOldestLocked()
 	}
 	return nil
-}
-
-// Delete removes key if present.
-func (m *Memory) Delete(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[key]; ok {
-		m.removeElementLocked(el)
-	}
 }
 
 // Corrupt flips one bit of the entry's data in a private copy (chaos

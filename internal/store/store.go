@@ -9,6 +9,10 @@
 // rewrite cache), with SHA-256 re-verification of every hit performed
 // OUTSIDE the lock so parallel hits scale.
 //
+// An entry is its key and data bytes, which the checksum covers, plus an
+// in-process Value (the service keeps a rewrite's stats there) that never
+// leaves the process and so is neither encoded nor checksummed.
+//
 // The invariant the store upholds: a Get either returns the exact bytes
 // Put stored, or a miss. Corruption is always converted into a miss plus
 // an eviction, never into a wrong entry. The store counts its own events
@@ -24,22 +28,23 @@ import (
 )
 
 // Entry is one stored rewrite result: the payload bytes (the rewritten
-// image in the obj wire format) plus a small opaque metadata sidecar (the
-// service serializes its per-rewrite stats there). Key is the content
-// address. Data and Meta must be treated as read-only once handed to a
-// store — they may be shared with concurrent readers.
+// image in the obj wire format) plus an in-process Value (the service keeps
+// its per-rewrite stats there). Key is the content address. Value is
+// neither checksummed nor counted in the byte budget. Data and Value must
+// be treated as read-only once handed to a store — they may be shared with
+// concurrent readers.
 type Entry struct {
-	Key  string
-	Meta []byte
-	Data []byte
+	Key   string
+	Value any
+	Data  []byte
 }
 
 // Sum is the entry's integrity checksum: SHA-256 over the length-framed
-// key, meta, and data. Every store verifies it on the read path.
+// key and data. Every store verifies it on the read path.
 func (e *Entry) Sum() [sha256.Size]byte {
 	h := sha256.New()
 	var frame [8]byte
-	for _, part := range [][]byte{[]byte(e.Key), e.Meta, e.Data} {
+	for _, part := range [][]byte{[]byte(e.Key), e.Data} {
 		binary.LittleEndian.PutUint64(frame[:], uint64(len(part)))
 		h.Write(frame[:])
 		h.Write(part)
@@ -51,7 +56,7 @@ func (e *Entry) Sum() [sha256.Size]byte {
 
 // size is the entry's accounting footprint in bytes.
 func (e *Entry) size() int64 {
-	return int64(len(e.Key)) + int64(len(e.Meta)) + int64(len(e.Data))
+	return int64(len(e.Key)) + int64(len(e.Data))
 }
 
 // Stats is a point-in-time snapshot of one store's counters.

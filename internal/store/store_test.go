@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -11,11 +12,11 @@ func testEntry(key string, size int, seed int64) *Entry {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, size)
 	rng.Read(data)
-	return &Entry{Key: key, Meta: []byte(`{"m":"chbp"}`), Data: data}
+	return &Entry{Key: key, Value: "chbp", Data: data}
 }
 
 func entriesEqual(a, b *Entry) bool {
-	return a.Key == b.Key && bytes.Equal(a.Meta, b.Meta) && bytes.Equal(a.Data, b.Data)
+	return a.Key == b.Key && a.Value == b.Value && bytes.Equal(a.Data, b.Data)
 }
 
 // TestMemoryLRU checks budget enforcement, recency order, the
@@ -80,5 +81,36 @@ func TestMemoryCorruptionEvicted(t *testing.T) {
 	// responses sharing it stay valid).
 	if !entriesEqual(e, testEntry("k", 4096, 1)) {
 		t.Fatal("corruption mutated the shared entry bytes")
+	}
+}
+
+// TestMemoryCorruptionCountedOnce: concurrent readers of one corrupted
+// entry each get a miss, but the corruption is counted once, by the reader
+// that evicts it.
+func TestMemoryCorruptionCountedOnce(t *testing.T) {
+	const readers, rounds = 4, 50
+	for round := 0; round < rounds; round++ {
+		m := NewMemory(1<<20, Counters{})
+		m.Put(testEntry("k", 64<<10, 1))
+		m.Corrupt("k", func(n int) int { return n / 2 })
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				if _, ok := m.Get("k"); ok {
+					t.Error("corrupted entry served")
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		st := m.Stats()
+		if st.CorruptEvictions != 1 || st.Misses != readers || m.Len() != 0 {
+			t.Fatalf("round %d: corrupt evictions %d, misses %d, len %d; want 1, %d, 0",
+				round, st.CorruptEvictions, st.Misses, m.Len(), readers)
+		}
 	}
 }

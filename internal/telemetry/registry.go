@@ -1,14 +1,16 @@
 // Package telemetry is Chimera's dependency-free observability subsystem:
-// a metrics registry (atomic counters, gauges, and fixed-bucket histograms
-// with label support and a zero-allocation hot path) exposed in Prometheus
-// text format, a lightweight request tracer with ring-buffer retention
-// (trace.go), and symbolized rendering of guest profiles (profile.go).
+// a metrics registry (atomic counters, scrape-time gauges, and fixed-bucket
+// histograms with label support and a zero-allocation hot path) exposed in
+// Prometheus text format, a lightweight request tracer with ring-buffer
+// retention (trace.go), and symbolized rendering of guest profiles
+// (profile.go).
 //
 // The package deliberately imports nothing from the repository but the
 // dependency-free instrument ABI, so every layer — service, kernel,
-// commands — can publish into it without dependency cycles. All hot-path instruments (Counter, Gauge, Histogram)
-// are nil-safe: a nil instrument records nothing and costs one branch,
-// which is the "telemetry off" mode for optional call sites.
+// commands — can publish into it without dependency cycles. All hot-path
+// instruments (Counter, Histogram) are nil-safe: a nil instrument records
+// nothing and costs one branch, which is the "telemetry off" mode for
+// optional call sites.
 package telemetry
 
 import (
@@ -53,7 +55,7 @@ func (k familyKind) String() string {
 }
 
 // Registry holds metric families and renders them in Prometheus text
-// exposition format. Registration (Counter, Gauge, ...) panics on an
+// exposition format. Registration (Counter, GaugeFunc, ...) panics on an
 // invalid or duplicate name or empty help text — metrics are wired at
 // construction time, so a bad name is a programming error, not a runtime
 // condition.
@@ -220,50 +222,6 @@ func (r *Registry) CounterFuncVec(name, help, label string, fns map[string]func(
 }
 
 // --- Gauge ---------------------------------------------------------------
-
-// Gauge is a float64 that can go up and down. A nil Gauge records nothing.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds delta (possibly negative) with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nb := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nb) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *Gauge) write(w io.Writer, fam *family, labelKey string) {
-	fmt.Fprintf(w, "%s%s %s\n", fam.name, labelKey, formatFloat(g.Value()))
-}
-
-// Gauge registers a label-less gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil, nil)
-	return f.child(nil, func() child { return &Gauge{} }).(*Gauge)
-}
 
 // gaugeFunc samples a callback at exposition time (queue depths, cache
 // bytes, uptime — state that already lives somewhere else).

@@ -14,7 +14,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("chimera_test_ops_total", "concurrent increments")
 	vec := r.CounterVec("chimera_test_labeled_total", "labeled increments", "worker")
-	g := r.Gauge("chimera_test_inflight", "concurrent gauge")
 	h := r.Histogram("chimera_test_seconds", "concurrent histogram", DurationBuckets())
 
 	const workers, perWorker = 8, 10_000
@@ -27,8 +26,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				child.Add(2)
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(0.001)
 			}
 		}()
@@ -40,9 +37,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := vec.With("w").Value(); got != 2*workers*perWorker {
 		t.Errorf("labeled counter = %d, want %d", got, 2*workers*perWorker)
-	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %v, want 0", got)
 	}
 	s := h.Snapshot()
 	if s.Count != workers*perWorker {
@@ -59,12 +53,10 @@ func TestRegistryConcurrency(t *testing.T) {
 func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("chimera_test_allocs_total", "alloc-free counter")
-	g := r.Gauge("chimera_test_allocs_gauge", "alloc-free gauge")
 	h := r.Histogram("chimera_test_allocs_seconds", "alloc-free histogram", DurationBuckets())
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Add(1)
 		h.Observe(0.00042)
 	}); n != 0 {
 		t.Errorf("hot path allocates %v times per run, want 0", n)
@@ -88,8 +80,7 @@ func TestPrometheusExposition(t *testing.T) {
 	vec := r.CounterVec("chimera_errors_total", "errors by endpoint", "endpoint")
 	vec.With("run").Add(2)
 	vec.With("rewrite").Inc()
-	g := r.Gauge("chimera_queue_depth", "jobs queued")
-	g.Set(3)
+	r.GaugeFunc("chimera_queue_depth", "jobs queued", func() float64 { return 3 })
 	r.GaugeFunc("chimera_uptime_seconds", "process uptime", func() float64 { return 1.5 })
 	h := r.Histogram("chimera_latency_seconds", "request latency", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)

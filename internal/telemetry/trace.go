@@ -1,8 +1,8 @@
 package telemetry
 
 // Request tracing: a lightweight span API that records the full lifecycle
-// of one request — cache lookup, singleflight, enqueue, worker pickup, the
-// rewrite attempt, fallback — so a degraded response can be explained
+// of one request — cache lookup, singleflight, the wait for an execution
+// slot, the rewrite attempt, fallback — so a degraded response can be explained
 // after the fact. Finished traces are retained in a fixed-capacity ring
 // buffer and exported as JSON (the service's /trace/{id} endpoint).
 //

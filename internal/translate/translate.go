@@ -252,18 +252,28 @@ func downgradeVector(inst riscv.Inst, sew riscv.SEW, ctx *Context) ([]riscv.Inst
 
 	switch inst.Op {
 	case riscv.VSETVLI:
-		// vl = min(avl, VLMAX); store vl and vtype; rd = vl.
+		// vl = min(avl, VLMAX), where avl is rs1, VLMAX when rs1 is x0 and
+		// rd is not, or the current vl when both are x0 (RVV 1.0); store vl
+		// and vtype; rd = vl.
 		vlmax := int64(riscv.VLenBytes / riscv.SEWOf(inst.Imm).Bytes())
-		xs := pickScratch(2, inst.Rd, inst.Rs1)
+		keep := inst.Rs1 == riscv.Zero && inst.Rd == riscv.Zero
+		n := 2
+		if keep {
+			n = 3
+		}
+		xs := pickScratch(n, inst.Rd, inst.Rs1)
 		b, t := xs[0], xs[1]
 		withSaves(s, xs, nil, func() {
 			s.li(b, base)
-			if inst.Rs1 == riscv.Zero {
-				s.li(t, vlmax)
-			} else {
-				s.li(t, vlmax)
-				s.branch(riscv.BGEU, inst.Rs1, t, "clamp")
-				s.op(riscv.ADD, t, riscv.Zero, inst.Rs1)
+			avl := inst.Rs1
+			if keep {
+				avl = xs[2]
+				s.load(riscv.LD, avl, b, 0)
+			}
+			s.li(t, vlmax)
+			if avl != riscv.Zero {
+				s.branch(riscv.BGEU, avl, t, "clamp")
+				s.op(riscv.ADD, t, riscv.Zero, avl)
 				s.label("clamp")
 			}
 			s.store(riscv.SD, t, b, 0)

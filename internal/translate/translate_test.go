@@ -226,6 +226,45 @@ func TestDowngradeIntegerVector(t *testing.T) {
 	}
 }
 
+// TestDowngradeVsetvliKeepsVL checks vsetvli x0, x0, vtype: it keeps the
+// current vl (clamped to the new VLMAX, a reserved use), on the emulator
+// and in the downgraded sequence alike. The copy moves vl elements.
+func TestDowngradeVsetvliKeepsVL(t *testing.T) {
+	prog := []riscv.Inst{
+		{Op: riscv.VSETVLI, Rd: riscv.T0, Rs1: riscv.A3, Imm: riscv.VType(riscv.E32)},
+		{Op: riscv.VSETVLI, Rd: riscv.Zero, Rs1: riscv.Zero, Imm: riscv.VType(riscv.E64)},
+		{Op: riscv.VLE64V, Rd: 1, Rs1: riscv.A0},
+		{Op: riscv.VSE64V, Rd: 1, Rs1: riscv.A1},
+	}
+	down := downgradeAll(t, prog)
+	for _, tc := range []struct{ avl, want uint64 }{{3, 3}, {7, 4}} {
+		setup := func(c *emu.CPU) {
+			for i := uint64(0); i < 8; i++ {
+				c.Mem.WriteUint64(dataBase+i*8, i+1)
+			}
+			c.X[riscv.A0] = dataBase
+			c.X[riscv.A1] = dataBase + 128
+			c.X[riscv.A3] = tc.avl
+		}
+		ref := run(t, riscv.RV64GCV, prog, setup)
+		got := run(t, riscv.RV64GC, down, setup)
+		if ref.VL != tc.want {
+			t.Errorf("avl %d: emulator vl %d, want %d", tc.avl, ref.VL, tc.want)
+		}
+		for i := uint64(0); i < 8; i++ {
+			rv, _ := ref.Mem.ReadUint64(dataBase + 128 + i*8)
+			gv, _ := got.Mem.ReadUint64(dataBase + 128 + i*8)
+			want := uint64(0)
+			if i < tc.want {
+				want = i + 1
+			}
+			if rv != want || gv != want {
+				t.Errorf("avl %d elem %d: emulator %d, downgraded %d, want %d", tc.avl, i, rv, gv, want)
+			}
+		}
+	}
+}
+
 func TestDowngradeRejectsUnknown(t *testing.T) {
 	ctx := &Context{VRegBase: vregBase}
 	if _, err := Downgrade(riscv.Inst{Op: riscv.ADD}, riscv.E64, ctx); err == nil {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, build (this module and benchmark/), the
 # benchmark module's tests, the full test suite under the race detector,
-# the warm-loop and process-reset alloc gates, the nil-hook instrumentation
+# the chaos soak (once under -race, then 20 times without it), the
+# warm-loop and process-reset alloc gates, the nil-hook instrumentation
 # and guest profiler overhead gates, the coverage-guided campaign smoke,
 # and short native-fuzz smokes over the differential oracles, the image
 # and fault-table parsers, the dense disassembler's reference and the
@@ -66,6 +67,11 @@ echo "== go test -race ./..."
 go test -race ./...
 echo "== chaos soak (fixed seed, -race: 1000 mixed requests)"
 CHIMERA_CHAOS_SOAK=1 go test -race -run 'TestChaosSoak' -count=1 -timeout 300s ./internal/service
+# The soak's exact fault accounting must hold on every run, not most: 20
+# runs of the default 200-request soak without -race interleave differently
+# from the one race run above.
+echo "== chaos soak repeat (default 200 requests, 20 runs)"
+go test -run 'TestChaosSoak' -count=20 -timeout 300s ./internal/service
 echo "== resolver smoke (static recovery exact pins + >=5x runtime-rewrite fault reduction)"
 go test -run 'TestResolverFaultReduction|TestResolverAvoidsRuntimeRewrites|TestDispatchFamilyRecovery' \
     -count=1 ./internal/bench ./internal/kernel ./internal/resolve

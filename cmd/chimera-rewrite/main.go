@@ -85,7 +85,6 @@ func report(name, method string, s rewriters.Stats) {
 			fmt.Printf("resolved: %d recovered instructions, %d statically-encoded targets\n",
 				s.RecoveredInsts, s.ResolvedTargets)
 		}
-		fmt.Println("note: Safer's address map is runtime state; use the in-process API for execution")
 	case "armore":
 		fmt.Printf("%s: %d trampolines (%d trap-based, %.1f%%)\n", name, s.Trampolines, s.TrapTrampolines,
 			100*float64(s.TrapTrampolines)/float64(max(1, s.Trampolines)))

@@ -20,6 +20,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
@@ -245,7 +246,10 @@ func BenchmarkCPURunInstrument(b *testing.B) {
 // BenchmarkCPURunSPEC measures a SPEC-shaped synthetic driven through the
 // kernel (syscalls, trampolines, indirect jumps), the shape the service's
 // /run endpoint executes. The process is built once and re-run via
-// Process.Reset — the serving steady state.
+// Process.Reset — the serving steady state. The tier modes run the native
+// RVV image on rv64gcv; "downgraded" runs what /run serves: the chbp
+// rv64gc rewrite of the same image, with the original as sibling view, on
+// rv64gc, so every vector op is a scalar loop over the in-memory vreg file.
 func BenchmarkCPURunSPEC(b *testing.B) {
 	c := workload.SpecSuite()[0]
 	c.Params.Rounds = 20
@@ -265,27 +269,48 @@ func BenchmarkCPURunSPEC(b *testing.B) {
 			}
 			p.CPU.Interp = mode.interp
 			p.CPU.TraceThreshold = mode.threshold
-			warmStable(mode.threshold, func() emu.BlockStats { return p.CPU.Blocks }, func() {
-				p.Reset()
-				if _, err := bench.RunOnCore(p, riscv.RV64GCV); err != nil {
-					b.Fatal(err)
-				}
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := p.CPU.Instret
-			for i := 0; i < b.N; i++ {
-				p.Reset()
-				if _, err := bench.RunOnCore(p, riscv.RV64GCV); err != nil {
-					b.Fatal(err)
-				}
-			}
-			insts := p.CPU.Instret - start
-			sec := b.Elapsed().Seconds()
-			if insts > 0 && sec > 0 {
-				b.ReportMetric(float64(insts)/sec/1e6, "Minst/s")
-				b.ReportMetric(sec*1e9/float64(insts), "ns/inst")
-			}
+			benchProcess(b, p, riscv.RV64GCV)
 		})
+	}
+	b.Run("downgraded", func(b *testing.B) {
+		out, err := rewriters.Rewrite(img, rewriters.Config{Method: "chbp", Target: riscv.RV64GC})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := kernel.NewProcess(c.Params.Name, []kernel.Variant{
+			{ISA: out.Image.ISA, Image: out.Image},
+			{ISA: img.ISA, Image: img},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchProcess(b, p, riscv.RV64GC)
+	})
+}
+
+// benchProcess measures ns per retired instruction of p run to exit on a
+// core of isa, warm.
+func benchProcess(b *testing.B, p *kernel.Process, isa riscv.Ext) {
+	b.Helper()
+	warmStable(p.CPU.TraceThreshold, func() emu.BlockStats { return p.CPU.Blocks }, func() {
+		p.Reset()
+		if _, err := bench.RunOnCore(p, isa); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := p.CPU.Instret
+	for i := 0; i < b.N; i++ {
+		p.Reset()
+		if _, err := bench.RunOnCore(p, isa); err != nil {
+			b.Fatal(err)
+		}
+	}
+	insts := p.CPU.Instret - start
+	sec := b.Elapsed().Seconds()
+	if insts > 0 && sec > 0 {
+		b.ReportMetric(float64(insts)/sec/1e6, "Minst/s")
+		b.ReportMetric(sec*1e9/float64(insts), "ns/inst")
 	}
 }

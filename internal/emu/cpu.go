@@ -98,8 +98,7 @@ type CPU struct {
 	// Hooks is the instrumentation hook set (nil = uninstrumented).
 	// Hooks.Indirect intercepts every indirect jump (jalr) before it
 	// retires — it may rewrite the target and charge extra cycles; it is
-	// how regeneration baselines' inline target checks (Safer's encoded
-	// pointer checks, Multiverse's tables) are modeled on the simulated
+	// how Safer's encoded pointer checks are modeled on the simulated
 	// hardware, with Hooks.IndirectCalls tallying invocations (the Table 2
 	// metric). The pure observers (Cov/Cmp/Mem) feed the fuzzing service;
 	// Prof is the guest profiler behind chimera-run -profile and /profile.

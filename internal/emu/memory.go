@@ -95,18 +95,27 @@ func (r *region) page(pn uint64) (*Page, bool) {
 // last returns the region's last page number.
 func (r *region) last() uint64 { return r.base + uint64(len(r.pages)) - 1 }
 
+// tlbSize is the number of entries of Memory's page TLB, chosen by
+// measurement (DESIGN §10).
+const tlbSize = 16
+
+// tlbEntry caches the *Page that page number ^tag resolves to. No page
+// number is all ones, so the zero entry is empty and a hit is one compare.
+type tlbEntry struct {
+	tag  uint64
+	page *Page
+}
+
 // Memory is a sparse paged address space: a page map plus at most one lazy
-// region, which a page map entry shadows. A one-entry translation cache
-// keeps the hot-loop lookup off both.
+// region, which a page map entry shadows. A direct-mapped TLB, shared by
+// fetches and data accesses, keeps the hot-loop lookup off both. Only the
+// mapping changes (Map, MapPage, mapLazy, ShareFrom) flush it: Poke,
+// Page.own and Restore change a frame's bytes, never which *Page a page
+// number resolves to.
 type Memory struct {
 	pages map[uint64]*Page
 	lazy  *region
-
-	lastPN   uint64
-	lastPage *Page
-
-	lastFetchPN   uint64
-	lastFetchPage *Page
+	tlb   [tlbSize]tlbEntry
 
 	// gen counts every mapping/code mutation — the coarse observable
 	// exposed by Gen() for tests and diagnostics.
@@ -252,30 +261,27 @@ func (m *Memory) page(pn uint64) (*Page, bool) {
 // frame sharing between address spaces.
 func (m *Memory) MapPage(addr uint64, p *Page) {
 	m.pages[pageOf(addr)] = p
-	m.lastPage, m.lastFetchPage = nil, nil
+	clear(m.tlb[:])
 	m.gen++
 	m.mapGen++
 }
 
-// lookup resolves a page through the one-entry caches (instruction fetches
-// and data accesses stream through separate entries so they don't thrash).
-func (m *Memory) lookup(pn uint64, fetch bool) (*Page, bool) {
-	if fetch {
-		if m.lastFetchPage != nil && m.lastFetchPN == pn {
-			return m.lastFetchPage, true
-		}
-	} else if m.lastPage != nil && m.lastPN == pn {
-		return m.lastPage, true
+// lookup resolves page number pn through the TLB. It is small enough to
+// inline into the access fast paths; a miss walks the page map in fill.
+func (m *Memory) lookup(pn uint64) *Page {
+	if e := m.tlb[pn%tlbSize]; e.tag == ^pn {
+		return e.page
 	}
+	return m.fill(pn)
+}
+
+// fill resolves pn uncached and, when it is mapped, caches it in the TLB.
+func (m *Memory) fill(pn uint64) *Page {
 	p, ok := m.page(pn)
 	if ok {
-		if fetch {
-			m.lastFetchPN, m.lastFetchPage = pn, p
-		} else {
-			m.lastPN, m.lastPage = pn, p
-		}
+		m.tlb[pn%tlbSize] = tlbEntry{tag: ^pn, page: p}
 	}
-	return p, ok
+	return p
 }
 
 // Map maps zeroed frames covering [addr, addr+size) with the given
@@ -289,7 +295,7 @@ func (m *Memory) Map(addr, size uint64, perm obj.Perm) {
 			m.pages[pn] = &Page{data: &zeroFrame, Perm: perm}
 		}
 	}
-	m.lastPage, m.lastFetchPage = nil, nil
+	clear(m.tlb[:])
 	m.gen++
 	m.mapGen++
 }
@@ -327,7 +333,7 @@ func (m *Memory) mapLazy(addr, size uint64, perm obj.Perm) {
 			p.Perm |= perm
 		}
 	}
-	m.lastPage, m.lastFetchPage = nil, nil
+	clear(m.tlb[:])
 	m.gen++
 	m.mapGen++
 }
@@ -348,8 +354,8 @@ func (m *Memory) write(addr uint64, data []byte) {
 func (m *Memory) access(addr uint64, buf []byte, write bool, need obj.Perm) (uint64, bool) {
 	a := addr
 	for len(buf) > 0 {
-		p, ok := m.lookup(pageOf(a), need == obj.PermX)
-		if !ok || p.Perm&need == 0 {
+		p := m.lookup(pageOf(a))
+		if p == nil || p.Perm&need == 0 {
 			return a, false
 		}
 		off := a & (obj.PageSize - 1)
@@ -370,9 +376,9 @@ func (m *Memory) access(addr uint64, buf []byte, write bool, need obj.Perm) (uin
 
 // The loadU/storeU/fetchU helpers are the in-page fast paths the block
 // engine dispatches through: when an access lies entirely inside one page
-// (which every aligned access does), they go straight through the one-entry
-// translation cache to the frame bytes, skipping access()'s multi-page copy
-// loop and the intermediate buffer. They return ok=false for any access
+// (which every aligned access does), they go straight through the TLB to
+// the frame bytes, skipping access()'s multi-page copy loop and the
+// intermediate buffer. They return ok=false for any access
 // that crosses a page, is unmapped, or lacks permission — callers fall back
 // to Read/Write/Fetch, which re-derive the precise faulting address.
 
@@ -381,8 +387,8 @@ func (m *Memory) loadU64(addr uint64) (uint64, bool) {
 	if off > obj.PageSize-8 {
 		return 0, false
 	}
-	p, ok := m.lookup(pageOf(addr), false)
-	if !ok || p.Perm&obj.PermR == 0 {
+	p := m.lookup(pageOf(addr))
+	if p == nil || p.Perm&obj.PermR == 0 {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(p.data[off:]), true
@@ -393,8 +399,8 @@ func (m *Memory) loadU32(addr uint64) (uint32, bool) {
 	if off > obj.PageSize-4 {
 		return 0, false
 	}
-	p, ok := m.lookup(pageOf(addr), false)
-	if !ok || p.Perm&obj.PermR == 0 {
+	p := m.lookup(pageOf(addr))
+	if p == nil || p.Perm&obj.PermR == 0 {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint32(p.data[off:]), true
@@ -406,8 +412,8 @@ func (m *Memory) storeU64(addr uint64, v uint64) bool {
 		return false
 	}
 	pn := pageOf(addr)
-	p, ok := m.lookup(pn, false)
-	if !ok || p.Perm&obj.PermW == 0 {
+	p := m.lookup(pn)
+	if p == nil || p.Perm&obj.PermW == 0 {
 		return false
 	}
 	if !p.dirty {
@@ -423,8 +429,8 @@ func (m *Memory) storeU32(addr uint64, v uint32) bool {
 		return false
 	}
 	pn := pageOf(addr)
-	p, ok := m.lookup(pn, false)
-	if !ok || p.Perm&obj.PermW == 0 {
+	p := m.lookup(pn)
+	if p == nil || p.Perm&obj.PermW == 0 {
 		return false
 	}
 	if !p.dirty {
@@ -443,8 +449,8 @@ func (m *Memory) loadBytes(addr uint64, buf []byte) bool {
 	if off+uint64(len(buf)) > obj.PageSize {
 		return false
 	}
-	p, ok := m.lookup(pageOf(addr), false)
-	if !ok || p.Perm&obj.PermR == 0 {
+	p := m.lookup(pageOf(addr))
+	if p == nil || p.Perm&obj.PermR == 0 {
 		return false
 	}
 	copy(buf, p.data[off:])
@@ -457,8 +463,8 @@ func (m *Memory) storeBytes(addr uint64, buf []byte) bool {
 		return false
 	}
 	pn := pageOf(addr)
-	p, ok := m.lookup(pn, false)
-	if !ok || p.Perm&obj.PermW == 0 {
+	p := m.lookup(pn)
+	if p == nil || p.Perm&obj.PermW == 0 {
 		return false
 	}
 	if !p.dirty {
@@ -473,8 +479,8 @@ func (m *Memory) fetchU16(addr uint64) (uint16, bool) {
 	if off > obj.PageSize-2 {
 		return 0, false
 	}
-	p, ok := m.lookup(pageOf(addr), true)
-	if !ok || p.Perm&obj.PermX == 0 {
+	p := m.lookup(pageOf(addr))
+	if p == nil || p.Perm&obj.PermX == 0 {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint16(p.data[off:]), true
@@ -566,7 +572,7 @@ func (m *Memory) ShareFrom(src *Memory, addr, size uint64) {
 			}
 		}
 	}
-	m.lastPage, m.lastFetchPage = nil, nil
+	clear(m.tlb[:])
 	m.gen++
 	m.mapGen++
 }

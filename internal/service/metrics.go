@@ -59,8 +59,8 @@ func newServiceMetrics() *serviceMetrics {
 	m := &serviceMetrics{
 		reg: r,
 
-		accepted:  r.Counter("chimera_requests_accepted_total", "requests admitted to the worker queue"),
-		completed: r.Counter("chimera_requests_completed_total", "jobs finished by a worker"),
+		accepted:  r.Counter("chimera_requests_accepted_total", "requests admitted past the shutdown gate to wait for an execution slot"),
+		completed: r.Counter("chimera_requests_completed_total", "admitted requests that finished running in an execution slot"),
 		rejected:  r.Counter("chimera_requests_rejected_total", "requests refused while shutting down"),
 		deduped:   r.Counter("chimera_requests_deduped_total", "requests that shared an in-flight identical rewrite"),
 

@@ -278,11 +278,11 @@ func New(cfg Config) *Server {
 	r := tel.reg
 	r.GaugeFunc("chimera_uptime_seconds", "seconds since the server started",
 		func() float64 { return time.Since(s.start).Seconds() })
-	r.GaugeFunc("chimera_workers", "size of the worker pool",
+	r.GaugeFunc("chimera_workers", "number of execution slots: requests that may run at once",
 		func() float64 { return float64(s.cfg.Workers) })
-	r.GaugeFunc("chimera_queue_depth", "jobs currently queued",
+	r.GaugeFunc("chimera_queue_depth", "requests currently waiting for an execution slot",
 		func() float64 { return float64(s.waiting.Load()) })
-	r.GaugeFunc("chimera_requests_running", "jobs currently executing on a worker",
+	r.GaugeFunc("chimera_requests_running", "requests currently running in an execution slot",
 		func() float64 { return float64(s.running.Load()) })
 	if s.fuzz != nil {
 		r.GaugeFunc("chimera_fuzz_campaigns_active", "fuzzing campaigns currently running",

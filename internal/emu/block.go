@@ -269,9 +269,11 @@ type blockTable [blockCacheSize * blockCacheWays]*block
 // tables, their backing arrays intact and their identity cleared. A hart
 // borrows it (CPU.Borrow), builds from it what its own free lists cannot
 // supply, and gives back everything it holds on Release, so a run of
-// short-lived harts builds into the arrays its predecessors left. An Arena
-// is not safe for concurrent use: its owner lends it to one hart at a
-// time, on one goroutine. The zero Arena is empty and ready to use.
+// short-lived harts builds into the arrays its predecessors left. A
+// kernel.Scheduler owns one for its tasks, and each execution slot of the
+// service holds one for the /run requests it serves. An Arena is not safe
+// for concurrent use: its owner lends it to one hart at a time, on one
+// goroutine. The zero Arena is empty and ready to use.
 type Arena struct {
 	blocks []*block
 	traces []*trace
@@ -553,9 +555,10 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 		if blk == nil {
 			blk = c.blockFor(pc)
 			if blk == nil {
-				// No block can start here: step once so the interpreter
-				// raises the precise fault (or executes the odd straggler).
-				stop, halted := c.Step()
+				// No block can start here: step once, uncached, so the
+				// interpreter raises the precise fault (or executes the odd
+				// straggler).
+				stop, halted := c.step(false)
 				if halted {
 					return stop
 				}

@@ -133,8 +133,8 @@ type CPU struct {
 
 	// icache is a direct-mapped decoded-instruction cache, invalidated by
 	// the mapping generation and the code frame's patch generation. Only
-	// Step uses it, which under the block engine runs for stragglers and
-	// precise faults alone, so its 288 KiB are allocated on the first Step.
+	// Step uses it, and the block engine's fallback step bypasses it, so
+	// its 288 KiB are allocated on the first Step of the interpreter.
 	icache *[4096]icacheEntry
 
 	// bcache is the 2-way set-associative basic-block cache (block.go):
@@ -249,6 +249,15 @@ func (c *CPU) Step() (Stop, bool) {
 		}
 		return c.exec(e.inst)
 	}
+	return c.step(true)
+}
+
+// step is Step past its icache probe: it fetches, decodes and executes the
+// instruction at pc, and with cache set records the decode in the icache.
+// The block engine steps uncached: it steps only where no block can start,
+// mostly to raise a precise fault, so the icache would hold nothing it
+// reads again.
+func (c *CPU) step(cache bool) (Stop, bool) {
 	var ibuf [4]byte
 	if fa, ok := c.Mem.Fetch(c.PC, ibuf[:2]); !ok {
 		return c.fault(FaultAccess, fa, errFetch)
@@ -280,7 +289,7 @@ func (c *CPU) Step() (Stop, bool) {
 	// Poke through *any* address space sharing the frame invalidates it.
 	// Instructions straddling a page boundary are not cached (two frames
 	// would need tracking for a case that essentially never recurs hot).
-	if off := c.PC & (1<<12 - 1); off+uint64(inst.Len) <= 1<<12 {
+	if off := c.PC & (1<<12 - 1); cache && off+uint64(inst.Len) <= 1<<12 {
 		if pg, ok := c.Mem.Page(c.PC); ok {
 			c.icache[(c.PC>>1)&4095] = icacheEntry{
 				pc: c.PC, mapGen: c.Mem.mapGen, mem: c.Mem,

@@ -11,6 +11,7 @@
 package emu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -21,7 +22,7 @@ import (
 // a mapped page costs its Page header, not 4 KiB, until it is first
 // written: the 1 MiB stack of a process whose guest uses a few KiB of it
 // costs a few frames. Nothing may write it. Every write path calls
-// Page.own first.
+// Page.own before it writes a byte; the loader writes no zeros into it.
 var zeroFrame [obj.PageSize]byte
 
 // Page is one 4KiB frame plus its mapping permission. Pages are shared by
@@ -338,12 +339,18 @@ func (m *Memory) mapLazy(addr, size uint64, perm obj.Perm) {
 	m.mapGen++
 }
 
-// write stores bytes without permission checks (loader path).
+// write stores bytes without permission checks (loader path). A chunk of
+// zeros bound for a frame that still reads through zeroFrame is skipped:
+// the frame already reads those bytes, so a section's zero pages cost no
+// frame until a store, Poke or nonzero load owns them.
 func (m *Memory) write(addr uint64, data []byte) {
 	for len(data) > 0 {
 		p, _ := m.page(pageOf(addr))
 		off := addr & (obj.PageSize - 1)
-		n := copy(p.own()[off:], data)
+		n := min(len(data), obj.PageSize-int(off))
+		if p.data != &zeroFrame || !bytes.Equal(data[:n], zeroFrame[:n]) {
+			copy(p.own()[off:], data[:n])
+		}
 		data = data[n:]
 		addr += uint64(n)
 	}

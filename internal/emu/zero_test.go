@@ -194,3 +194,52 @@ func TestICacheAllocatedOnFirstStep(t *testing.T) {
 		t.Errorf("after Step: icache %v, a0 %d", cpu.icache != nil, cpu.X[riscv.A0])
 	}
 }
+
+// TestFallbackStepUncached: where no block can start, the block engine
+// steps without the icache, and raises the interpreter's precise fault.
+func TestFallbackStepUncached(t *testing.T) {
+	text := append(enc(t, riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1}), 0, 0, 0, 0)
+	blocks, interp := codeCPU(t, text), codeCPU(t, text)
+	interp.Interp = true
+	got, want := blocks.Run(10), interp.Run(10)
+	if got.Kind != StopFault || got.Fault.Kind != want.Fault.Kind || got.Fault.PC != want.Fault.PC {
+		t.Fatalf("block engine stop %+v, interpreter %+v", got, want)
+	}
+	if blocks.icache != nil {
+		t.Error("the block engine's fallback step allocated the icache")
+	}
+	if interp.icache == nil {
+		t.Error("the interpreter ran without its icache")
+	}
+}
+
+// TestLoaderSkipsZeroChunks: the loader leaves a section's all-zero pages
+// on the zero frame and gives the others bytes of their own; a zero chunk
+// over bytes a frame already owns is still written, and a later store owns
+// a skipped page.
+func TestLoaderSkipsZeroChunks(t *testing.T) {
+	const base = 0x30000
+	data := make([]byte, 3*obj.PageSize-8)
+	data[obj.PageSize+5] = 1
+	mem := NewMemory()
+	mem.MapSection(&obj.Section{Name: obj.SecData, Addr: base, Data: data, Perm: obj.PermRW})
+	pages := make([]*Page, 3)
+	for i := range pages {
+		pages[i], _ = mem.Page(base + uint64(i)*obj.PageSize)
+	}
+	if pages[0].data != &zeroFrame || pages[2].data != &zeroFrame {
+		t.Error("an all-zero page of the section got bytes of its own")
+	}
+	checkOwned(t, "nonzero chunk", pages[1])
+	mem.write(base+obj.PageSize, make([]byte, 8))
+	if got, _ := mem.ReadUint64(base + obj.PageSize); got != 0 {
+		t.Errorf("zero chunk over owned bytes: read back %#x", got)
+	}
+	if err := mem.WriteUint64(base+8, 0xC0FFEE); err != nil {
+		t.Fatal(err)
+	}
+	checkOwned(t, "store into a skipped page", pages[0])
+	if got, _ := mem.ReadUint64(base + 8); got != 0xC0FFEE {
+		t.Errorf("store into a skipped page: read back %#x", got)
+	}
+}

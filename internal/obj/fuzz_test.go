@@ -40,12 +40,15 @@ func imageBytes(t testing.TB, img *obj.Image) []byte {
 
 // FuzzObjLoad hammers the wire-format parser with crafted and truncated
 // inputs. Properties: never panic, never over-allocate past the declared
-// limits, and any successfully parsed image must round-trip to a stable
-// serialization (parse → write → parse → write is byte-identical).
+// limits, any successfully parsed image must round-trip to a stable
+// serialization (parse → write → parse → write is byte-identical), and an
+// input the parse consumes whole is that serialization: ReadImage inverts
+// WriteTo, which the service relies on to hash a wire once.
 func FuzzObjLoad(f *testing.F) {
 	valid := imageBytes(f, sampleImage())
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	f.Add(append(append([]byte(nil), valid...), "trailing"...))
 	f.Add([]byte("CHIM"))
 	f.Add([]byte("ELF\x7f junk"))
 	// Crafted header declaring a huge section on a truncated stream: the
@@ -59,11 +62,15 @@ func FuzzObjLoad(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := obj.ReadImage(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		img, err := obj.ReadImage(r)
 		if err != nil {
 			return // rejecting hostile input is the point
 		}
 		first := imageBytes(t, img)
+		if r.Len() == 0 && !bytes.Equal(first, data) {
+			t.Fatal("an input read whole is not its image's serialization")
+		}
 		img2, err := obj.ReadImage(bytes.NewReader(first))
 		if err != nil {
 			t.Fatalf("re-parsing our own serialization failed: %v", err)

@@ -101,6 +101,29 @@ func BenchmarkServiceRewriteCold(b *testing.B) {
 	reportServiceMetrics(b, srv.Stats())
 }
 
+// BenchmarkServiceRun is one in-process /run of the run workload's SPEC
+// shape per op: a 128 KiB perlbench_r program rewritten by chbp to rv64gc,
+// run on rv64gc with its original as the sibling view, on one execution
+// slot, so each run builds into the translations the last one left in the
+// slot's arena. Reported extra: emulated MIPS over the timed runs.
+func BenchmarkServiceRun(b *testing.B) {
+	req := specRunRequest(b, "perlbench_r", 128, 4)
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	ctx := context.Background()
+	var instret uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := srv.Run(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instret += res.Instret
+	}
+	b.ReportMetric(float64(instret)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
 // BenchmarkServiceHTTP drives the same load through the full HTTP stack
 // (JSON envelope, base64 image, mux, handlers).
 func BenchmarkServiceHTTP(b *testing.B) {

@@ -190,7 +190,7 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	img, err := decodeImage("image", body.Image)
+	img, _, err := decodeImage("image", body.Image)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -59,13 +59,13 @@ type runHTTPRequest struct {
 
 // request parses the body's images into a RunRequest.
 func (b *runHTTPRequest) request() (*RunRequest, error) {
-	img, err := decodeImage("image", b.Image)
+	img, _, err := decodeImage("image", b.Image)
 	if err != nil {
 		return nil, err
 	}
 	req := &RunRequest{ISA: b.ISA, Image: img}
 	if len(b.With) > 0 {
-		if req.With, err = decodeImage("with", b.With); err != nil {
+		if req.With, _, err = decodeImage("with", b.With); err != nil {
 			return nil, err
 		}
 	}
@@ -134,16 +134,18 @@ func writeError(w http.ResponseWriter, err error) {
 
 // decodeImage parses wire-format bytes into an image, mapping failures to
 // a clean 400 (the round-trip tests assert ReadImage never panics on
-// malformed input, so hostile bodies die here).
-func decodeImage(field string, raw []byte) (*obj.Image, error) {
+// malformed input, so hostile bodies die here). whole reports that the
+// parse consumed all of raw: ReadImage inverts WriteTo, so raw is then the
+// image's canonical encoding, and its SHA-256 is the image's content ID.
+func decodeImage(field string, raw []byte) (img *obj.Image, whole bool, err error) {
 	if len(raw) == 0 {
-		return nil, fmt.Errorf("%w: missing %q", ErrBadRequest, field)
+		return nil, false, fmt.Errorf("%w: missing %q", ErrBadRequest, field)
 	}
-	img, err := obj.ReadImage(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadRequest, field, err)
+	r := bytes.NewReader(raw)
+	if img, err = obj.ReadImage(r); err != nil {
+		return nil, false, fmt.Errorf("%w: %s: %v", ErrBadRequest, field, err)
 	}
-	return img, nil
+	return img, r.Len() == 0, nil
 }
 
 func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {

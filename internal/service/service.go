@@ -147,7 +147,9 @@ type RewriteResult struct {
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
-// RunRequest asks for an image to be executed on a simulated core.
+// RunRequest asks for an image to be executed on a simulated core. Run
+// neither writes Image or With nor keeps them after it returns, so callers
+// may share one parsed image across concurrent runs.
 type RunRequest struct {
 	ISA   string     // core ISA; empty means the image's own
 	Image *obj.Image // program to run
@@ -175,9 +177,12 @@ type Server struct {
 	cfg   Config
 	start time.Time
 
-	// slots holds one token per executing request (cap Workers); waiting
-	// counts requests blocked on a free slot.
-	slots   chan struct{}
+	// slots holds the execution slots (cap Workers), each a translation
+	// arena: receiving one takes a slot, sending it back frees it, and a
+	// /run builds its blocks and traces into the arena of its slot, so the
+	// server pays for translation storage once per slot, not per request.
+	// waiting counts requests blocked on a free slot.
+	slots   chan *emu.Arena
 	waiting atomic.Int64
 	drained chan struct{}
 	stopped sync.Once
@@ -258,12 +263,15 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		start:    time.Now(),
-		slots:    make(chan struct{}, cfg.Workers),
+		slots:    make(chan *emu.Arena, cfg.Workers),
 		drained:  make(chan struct{}),
 		tel:      tel,
 		profiles: make(map[string]*imageProfile),
 	}
 	s.cache = store.NewMemory(cfg.CacheBytes, store.Counters{Verify: tel.stageVerify})
+	for range cfg.Workers {
+		s.slots <- new(emu.Arena)
+	}
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = telemetry.NewTracer(cfg.TraceCapacity)
 	}
@@ -304,12 +312,13 @@ func (s *Server) Metrics() *telemetry.Registry { return s.tel.reg }
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 // execute runs fn on the calling goroutine once one of the Workers
-// execution slots is free. A request admitted before Shutdown always gets
-// its slot unless ctx ends first, in which case fn never runs. A panic in
-// fn (a rewriter bug, or chaos.RewritePanic) fails only its own request:
-// it comes back as an ErrWorkerPanic error, and its value is kept in
-// /stats for diagnosis.
-func (s *Server) execute(ctx context.Context, fn func() error) (err error) {
+// execution slots is free, and passes it the slot's translation arena. A
+// request admitted before Shutdown always gets its slot unless ctx ends
+// first, in which case fn never runs. A panic in fn (a rewriter bug, or
+// chaos.RewritePanic) fails only its own request: it comes back as an
+// ErrWorkerPanic error, its value is kept in /stats for diagnosis, and the
+// slot gets a fresh arena, since the one fn held may be half updated.
+func (s *Server) execute(ctx context.Context, fn func(*emu.Arena) error) (err error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -324,9 +333,10 @@ func (s *Server) execute(ctx context.Context, fn func() error) (err error) {
 	qspan := telemetry.TraceFrom(ctx).Span("queue_wait")
 	enq := time.Now()
 	s.waiting.Add(1)
+	var a *emu.Arena
 	select {
-	case s.slots <- struct{}{}:
-		defer func() { <-s.slots }()
+	case a = <-s.slots:
+		defer func() { s.slots <- a }()
 	case <-ctx.Done():
 	}
 	s.waiting.Add(-1)
@@ -341,11 +351,12 @@ func (s *Server) execute(ctx context.Context, fn func() error) (err error) {
 			s.tel.panics.Inc()
 			s.lastPanic.Store(fmt.Sprint(r))
 			err = fmt.Errorf("%w: %v", ErrWorkerPanic, r)
+			a = new(emu.Arena)
 		}
 		s.running.Add(-1)
 		s.tel.completed.Inc()
 	}()
-	return fn()
+	return fn(a)
 }
 
 // Shutdown stops accepting requests and drains: every request admitted
@@ -438,7 +449,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		// An image that does not parse is reported before the options, as
 		// it was when every body was parsed up front.
 		if len(req.Wire) > 0 {
-			if _, perr := decodeImage("image", req.Wire); perr != nil {
+			if _, _, perr := decodeImage("image", req.Wire); perr != nil {
 				return nil, perr
 			}
 		}
@@ -459,7 +470,7 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 	}
 	// A miss: parse the wire bytes. An unparseable image is a 400 that,
 	// like every body decode failure, is not an endpoint error.
-	img, err := decodeImage("image", req.Wire)
+	img, whole, err := decodeImage("image", req.Wire)
 	if err != nil {
 		return nil, err
 	}
@@ -467,15 +478,14 @@ func (s *Server) Rewrite(ctx context.Context, req *RewriteRequest) (*RewriteResu
 		s.tel.requestErrors.With("rewrite").Inc()
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	canon, err := cacheKey(img, cfg)
-	if err != nil {
-		s.tel.requestErrors.With("rewrite").Inc()
-		return nil, err
-	}
-	if canon != key {
-		// A non-canonical encoding: its image may be cached under the
-		// canonical key.
-		key = canon
+	if !whole {
+		// Trailing bytes: a non-canonical encoding, whose image may be
+		// cached under the canonical key. A wire the parse consumed whole
+		// is canonical, and key is already that.
+		if key, err = cacheKey(img, cfg); err != nil {
+			s.tel.requestErrors.With("rewrite").Inc()
+			return nil, err
+		}
 		if res, hit := s.lookup(tr, key, cfg, startAt); hit {
 			return res, nil
 		}
@@ -535,7 +545,7 @@ func (s *Server) rewriteOnce(ctx context.Context, img *obj.Image, cfg rewriters.
 	tr := telemetry.TraceFrom(ctx)
 	asp := tr.Span("rewrite_attempt")
 	var res *RewriteResult
-	err := s.execute(ctx, func() (err error) {
+	err := s.execute(ctx, func(*emu.Arena) (err error) {
 		res, err = s.doRewriteChaos(ctx, img, cfg, key)
 		return err
 	})
@@ -703,8 +713,8 @@ func (s *Server) run(ctx context.Context, req *RunRequest) (*RunResult, error) {
 	tr.Annotate("image", req.Image.Name)
 	tr.Annotate("isa", isa.String())
 	var res *RunResult
-	err := s.execute(ctx, func() error {
-		r, wall, err := s.doRun(ctx, req, isa)
+	err := s.execute(ctx, func(a *emu.Arena) error {
+		r, wall, err := s.doRun(ctx, req, isa, a)
 		if err != nil {
 			return err
 		}
@@ -725,18 +735,20 @@ const runSliceInstr = 2_000_000
 // above any image mapping and below the stack region.
 const chaosLoopAddr = 0x6F00_0000
 
-// doRun executes in an execution slot. Images are cloned so in-process callers may
-// share one parsed image across concurrent runs. The request context is
-// checked between slices and the hart carries the hard instruction budget.
-// The returned duration is the wall-clock execution time (slot wait
-// excluded), the denominator of emulated MIPS.
-func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*RunResult, time.Duration, error) {
-	imgs := []*obj.Image{req.Image.Clone()}
+// doRun executes in an execution slot, building the hart's translations
+// into the slot's arena a and giving them back to it on every return. The
+// kernel only reads the request's images, so in-process callers may share
+// one parsed image across concurrent runs. The request context is checked
+// between slices and the hart carries the hard instruction budget. The
+// returned duration is the wall-clock execution time (slot wait excluded),
+// the denominator of emulated MIPS.
+func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext, a *emu.Arena) (*RunResult, time.Duration, error) {
+	imgs := []*obj.Image{req.Image}
 	if req.With != nil {
 		if err := req.With.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		imgs = append(imgs, req.With.Clone())
+		imgs = append(imgs, req.With)
 	}
 	variants := make([]kernel.Variant, len(imgs))
 	for i, img := range imgs {
@@ -768,6 +780,8 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 	}
 	execSpan := telemetry.TraceFrom(ctx).Span("run_exec")
 	defer execSpan.End()
+	p.CPU.Borrow(a)
+	defer p.CPU.Release()
 	startAt := time.Now()
 	cycles, st, err := p.RunToExit(ctx, runSliceInstr)
 	switch {

@@ -537,10 +537,11 @@ func downgradeVectorFP(inst riscv.Inst, sew riscv.SEW, base int64) ([]riscv.Inst
 		})
 
 	case riscv.VFREDUSUMVS:
-		// vd[0] = vs1[0] + sum(vs2[0..vl))
+		// vd[0] = vs1[0] + sum(vs2[0..vl)); at vl 0, vd is left unchanged.
 		withSaves(s, xs, fscratch, func() {
 			s.li(b, base)
 			s.load(riscv.LD, l, b, 0)
+			s.branch(riscv.BEQ, l, riscv.Zero, "end")
 			s.load(fld, fa, b, vregOff(inst.Rs1)) // accumulator seed
 			s.li(i, 0)
 			s.label("loop")
@@ -557,6 +558,7 @@ func downgradeVectorFP(inst riscv.Inst, sew riscv.SEW, base int64) ([]riscv.Inst
 			s.jump("loop")
 			s.label("done")
 			s.store(fst, fa, b, vregOff(inst.Rd))
+			s.label("end")
 		})
 
 	default:

@@ -188,6 +188,63 @@ func TestDowngradeVectorPipeline(t *testing.T) {
 	}
 }
 
+// TestDowngradeVfredusumShortVL runs vfredusum.vs on rv64gcv and its
+// downgrade on rv64gc at vl 0 and vl 1 and compares every element of vd
+// bit for bit, stored at vl 4 after the reduction. At vl 0 RVV leaves vd
+// unchanged, so the downgrade must not write vs1[0] into it.
+func TestDowngradeVfredusumShortVL(t *testing.T) {
+	vt := riscv.VType(riscv.E64)
+	prog := []riscv.Inst{
+		{Op: riscv.VSETVLI, Rd: riscv.T0, Rs1: riscv.A4, Imm: vt},
+		{Op: riscv.VLE64V, Rd: 8, Rs1: riscv.A0},
+		{Op: riscv.VLE64V, Rd: 6, Rs1: riscv.A1},
+		{Op: riscv.VLE64V, Rd: 9, Rs1: riscv.A2},
+		{Op: riscv.VSETVLI, Rd: riscv.T1, Rs1: riscv.A3, Imm: vt},
+		{Op: riscv.VFREDUSUMVS, Rd: 9, Rs1: 8, Rs2: 6},
+		{Op: riscv.VSETVLI, Rd: riscv.T0, Rs1: riscv.A4, Imm: vt},
+		{Op: riscv.VSE64V, Rd: 9, Rs1: riscv.A5},
+	}
+	down := downgradeAll(t, prog)
+	vs1 := []float64{1.5, -2, 3, -4}
+	vs2 := []float64{0.25, 5, 6, 7}
+	vd := []float64{7, 8, 9, 10}
+	for _, tc := range []struct {
+		vl    uint64
+		wantD float64
+	}{{0, 7}, {1, 1.75}} {
+		setup := func(c *emu.CPU) {
+			for i := range 4 {
+				c.Mem.WriteUint64(dataBase+uint64(i*8), math.Float64bits(vs1[i]))
+				c.Mem.WriteUint64(dataBase+0x100+uint64(i*8), math.Float64bits(vs2[i]))
+				c.Mem.WriteUint64(dataBase+0x200+uint64(i*8), math.Float64bits(vd[i]))
+			}
+			c.X[riscv.A0] = dataBase
+			c.X[riscv.A1] = dataBase + 0x100
+			c.X[riscv.A2] = dataBase + 0x200
+			c.X[riscv.A5] = dataBase + 0x300
+			c.X[riscv.A3] = tc.vl
+			c.X[riscv.A4] = 4
+		}
+		ref := run(t, riscv.RV64GCV, prog, setup)
+		got := run(t, riscv.RV64GC, down, setup)
+		for i := uint64(0); i < 4; i++ {
+			rv, _ := ref.Mem.ReadUint64(dataBase + 0x300 + i*8)
+			gv, _ := got.Mem.ReadUint64(dataBase + 0x300 + i*8)
+			if rv != gv {
+				t.Errorf("vl %d: vd[%d] rv64gcv %#x, downgraded %#x", tc.vl, i, rv, gv)
+			}
+		}
+		if rv, _ := ref.Mem.ReadUint64(dataBase + 0x300); math.Float64frombits(rv) != tc.wantD {
+			t.Errorf("vl %d: rv64gcv vd[0] = %v, want %v", tc.vl, math.Float64frombits(rv), tc.wantD)
+		}
+		for r := riscv.Reg(1); r < 32; r++ {
+			if r != riscv.SP && ref.X[r] != got.X[r] {
+				t.Errorf("vl %d: register %s differs: ref=%#x got=%#x", tc.vl, r.Name(), ref.X[r], got.X[r])
+			}
+		}
+	}
+}
+
 func TestDowngradeIntegerVector(t *testing.T) {
 	vt := riscv.VType(riscv.E64)
 	prog := []riscv.Inst{

@@ -4,7 +4,9 @@
 # views of the Fig. 11 matmul task, bytes and allocations per process),
 # the BenchmarkFig11Point row (one point of the repo benchmark's Fig. 11
 # sweep per op, both directions: time, bytes and allocations per point),
-# the BenchmarkService*/BenchmarkRewriteBatch service suite, the
+# the BenchmarkService*/BenchmarkRewriteBatch service suite (among them
+# BenchmarkServiceRun, one in-process /run of the run workload's SPEC
+# shape per op: time, bytes and allocations per run), the
 # coverage-guided campaign throughput benchmark (whole fuzzing execs/s), the
 # store hit-path benchmark (verified memory-store hits), the BenchmarkRewrite cold-rewrite rows (one SPEC-shaped image
 # under each of the 16 rewrite-cold configs), and the BenchmarkResolve
@@ -77,7 +79,8 @@ median_rows "$FIG11_RAW" >> "$RAW"
 rm -f "$FIG11_RAW"
 
 # The service rows likewise: at 1x the "warm" BenchmarkServiceRewrite row
-# would time one cold miss. Steady-state -benchtime, median of five.
+# would time one cold miss, and BenchmarkServiceRun one run into an empty
+# arena. Steady-state -benchtime, median of five.
 # BenchmarkServiceHTTPWarm is the served hit at the repo benchmark's
 # rewrite-warm image sizes (64–512 KiB of code).
 echo "== go test -bench Service|RewriteBatch (internal/service, median of 5)"
